@@ -328,8 +328,9 @@ def make_field(p: int, n: int) -> FieldSpec:
     Monic degree-n candidates are scanned in lexicographic order of
     (c_0, c_1, ..., c_{n-1}) and the first irreducible one wins, so equal
     (p, n) always yield byte-identical fields.  Candidates with a root in
-    F_p (in particular c_0 = 0) are skipped before the Rabin test; the
-    result is cached, FieldSpec being immutable.
+    F_p are skipped before the Rabin test, and the scan starts at the
+    first candidate with c_0 != 0 (x divides the others); the result is
+    cached, FieldSpec being immutable.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError("not prime")
@@ -339,17 +340,10 @@ def make_field(p: int, n: int) -> FieldSpec:
         raise ValueError("field too large")
     if n == 1:
         return FieldSpec(p, 1, (0, 1))
-    for k in range(p ** n):
-        lower = []
-        t = k
-        # c_0 is the most significant digit of k, so ascending k scans
-        # (c_0, ..., c_{n-1}) in lexicographic order
-        for i in range(n - 1, -1, -1):
-            lower.append(t // p ** i)
-            t %= p ** i
-        if lower[0] == 0:
-            continue
-        f = tuple(lower) + (1,)
+    # c_0 is the most significant digit of k, so ascending k scans
+    # (c_0, ..., c_{n-1}) in lexicographic order from c_0 = 1 on
+    for k in range(p ** (n - 1), p ** n):
+        f = tuple(k // p ** i % p for i in range(n - 1, -1, -1)) + (1,)
         if any(_eval_mod_p(f, x, p) == 0 for x in range(p)):
             continue
         if is_irreducible(f, p):

@@ -2,9 +2,10 @@
 
 A PolySystem is a list of multivariate polynomials with integer
 coefficients.  Counting reduces every coefficient mod p and enumerates
-assignments; elements of F_q are handled as integer ids (the position in
-the field's canonical enumeration) so that whole chunks of the search
-space evaluate as numpy arrays.  The domain is partitioned into fixed
+assignments; elements of F_q are integer ids (the position in the
+field's canonical enumeration), evaluated as discrete logs through one
+set of FieldTables per field, so that whole chunks of the search space
+evaluate as numpy arrays.  The domain is partitioned into fixed
 chunks and the per-chunk integer counts are summed, so results are
 identical for any worker count.
 
@@ -17,6 +18,8 @@ joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
 
 from __future__ import annotations
 
+import functools
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ import numpy as np
 from .finite_field import FieldSpec, is_prime, make_field, multiplicative_generator
 
 DEFAULT_WORK_LIMIT = 2 ** 28
+DEFAULT_CHUNK_SIZE = 1 << 14
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
 Monomial = tuple[tuple[int, ...], int]
@@ -210,107 +214,117 @@ def format_poly_system(system: PolySystem) -> str:
 
 
 # ----------------------------------------------------------------------
-# encoded-field tables: elements as ids 0..q-1 in enumeration order
+# field tables: nonzero elements as discrete logs
+
+TABLE_BUILD_ROWS = 1 << 14
+
 
 class FieldTables:
-    """Vectorized arithmetic on element ids for one FieldSpec.
+    """Discrete log tables for one FieldSpec, prime fields included.
 
-    Addition works digitwise on base-p coefficient vectors (XOR for p=2);
-    multiplication goes through discrete log/exp tables built from a
-    multiplicative generator.  Prime fields skip the tables and use
-    modular arithmetic on the ids directly.
+    An element's id is its position in the field's enumeration order.
+    For the smallest multiplicative generator g, exp[k] is the id of g^k
+    for k < q - 1 and exp[q - 1] = 0; log inverts exp, so q - 1 is the
+    log of zero.  Both are int32.  A monomial c * x^a * y^b is one sum
+    of logs mod q - 1 plus a zero mask.  Sums are carried in one of two
+    codes, chosen by p: for p = 2 the ids themselves, added by XOR; for
+    odd p the logs, added through Zech logarithms, log(1 + g^k), since
+    g^a + g^b = g^a (1 + g^(b - a)) (K. Huber, IEEE Trans. Inf. Theory
+    36(4), 1990).
     """
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.n = spec.n
-        self.q = spec.q
-        self._digits = None
-        self._exp = None
-        self._log = None
-        self._pow: dict[int, np.ndarray] = {}
+        self.p, self.m = spec.p, spec.q - 1
+        self.exp = _exp_table(spec)
+        self.log = np.empty(spec.q, dtype=np.int32)
+        self.log[self.exp] = np.arange(spec.q, dtype=np.int32)
 
-    @property
-    def digits(self) -> np.ndarray:
-        if self._digits is None:
-            ids = np.arange(self.q, dtype=np.int64)
-            cols = [(ids // self.p ** i) % self.p for i in range(self.n)]
-            self._digits = np.stack(cols, axis=1).astype(np.int16)
-        return self._digits
+    @functools.cached_property
+    def zech(self) -> np.ndarray:
+        """zech[k] = log(1 + exp[k]); q - 1 where 1 + g^k = 0."""
+        # adding 1 adds it to digit 0 of the id, wrapping p - 1 to 0
+        ids = self.exp
+        return self.log[np.where(ids % self.p == self.p - 1, ids - (self.p - 1), ids + 1)]
 
-    def _build_log(self):
-        one = self.spec.one()
-        g = multiplicative_generator(self.spec)
-        exp = np.zeros(self.q - 1, dtype=np.int64)
-        x = one
-        for k in range(self.q - 1):
-            exp[k] = x.index()
-            x = x * g
-        log = np.zeros(self.q, dtype=np.int64)
-        log[exp] = np.arange(self.q - 1)
-        self._exp, self._log = exp, log
+    def _term_logs(self, coeff: int, exps, variables, size: int) -> np.ndarray:
+        """Logs of coeff * prod x_j^e_j, given the logs of the x_j."""
+        m = self.m
+        lc = int(self.log[coeff % self.p])
+        used = [(v, e % m) for v, e in zip(variables, exps) if e]
+        top = lc + m * sum(e for _, e in used)
+        out = np.full(size, lc, dtype=np.int32 if top < 2 ** 31 else np.int64)
+        if used:
+            for v, e in used:
+                out += e * v.astype(out.dtype, copy=False)
+            _reduce(out, m)
+            for v, _ in used:
+                out[v == m] = m
+        return out
 
-    def add_ids(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self.n == 1:
-            return (a + b) % self.p
-        dsum = (self.digits[a] + self.digits[b]) % self.p
-        pvec = self.p ** np.arange(self.n, dtype=np.int64)
-        return dsum.astype(np.int64) @ pvec
+    def values(self, terms, variables, size: int) -> np.ndarray:
+        """Codes of the sum of the terms: ids for p = 2, logs for odd p."""
+        acc = None
+        for exps, c in terms:
+            if c % self.p == 0:
+                continue
+            t = self._term_logs(c, exps, variables, size)
+            if self.p == 2:
+                t = np.take(self.exp, t)
+                acc = t if acc is None else np.bitwise_xor(acc, t, out=acc)
+            else:
+                acc = t if acc is None else self._add_logs(acc, t)
+        if acc is None:
+            return np.full(size, 0 if self.p == 2 else self.m, dtype=np.int32)
+        return acc
 
-    def neg_ids(self, a):
-        if self.p == 2:
-            return a
-        if self.n == 1:
-            return (self.p - a) % self.p
-        dneg = (self.p - self.digits[a]) % self.p
-        pvec = self.p ** np.arange(self.n, dtype=np.int64)
-        return dneg.astype(np.int64) @ pvec
+    def _add_logs(self, a, b):
+        """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero."""
+        m = self.m
+        z = np.take(self.zech, _reduce(b - a, m))
+        out = _reduce(a + z, m)
+        out[z == m] = m
+        return np.where(a == m, b, np.where(b == m, a, out))
 
-    def mul_ids(self, a, b):
-        if self.n == 1:
-            return a * b % self.p
-        if self._exp is None:
-            self._build_log()
-        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return np.where((a != 0) & (b != 0), out, 0)
-
-    def pow_ids(self, a, e: int):
-        """a^e elementwise for integer e >= 1 (0^e = 0)."""
-        if self.n == 1:
-            result = np.ones_like(a)
-            base = a % self.p
-            k = e
-            while k:
-                if k & 1:
-                    result = result * base % self.p
-                base = base * base % self.p
-                k >>= 1
-            return result
-        if e not in self._pow:
-            if self._exp is None:
-                self._build_log()
-            ids = np.arange(self.q, dtype=np.int64)
-            tab = self._exp[(e * self._log) % (self.q - 1)]
-            tab = np.where(ids == 0, 0, tab)
-            self._pow[e] = tab
-        return self._pow[e][a]
-
-    def const_id(self, c: int) -> int:
-        return c % self.p  # constants occupy ids 0..p-1
+    def zero_mask(self, poly, variables, size: int) -> np.ndarray:
+        """Where the polynomial vanishes: the sum of all but its last term
+        equals the last term negated."""
+        last = [(exps, -c) for exps, c in poly[-1:]]
+        return self.values(poly[:-1], variables, size) == self.values(last, variables, size)
 
 
-_TABLE_CACHE: dict[tuple, FieldTables] = {}
+def _reduce(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m in place (floor division is much faster than % in numpy)."""
+    x -= x // m * m
+    return x
 
 
+def _exp_table(spec: FieldSpec) -> np.ndarray:
+    """exp[k] = id of g^k, built by doubling.
+
+    Multiplication by g^B is F_p-linear, an n x n matrix on coefficient
+    vectors, and maps exp[0:B] to exp[B:2B].  Rows go through it
+    TABLE_BUILD_ROWS at a time, which bounds the digit matrices.
+    """
+    p, n, q = spec.p, spec.n, spec.q
+    powers = p ** np.arange(n, dtype=np.int64)
+    basis = [spec.from_index(p ** j) for j in range(n)]
+    exp = np.zeros(q, dtype=np.int32)
+    exp[0] = 1
+    g_b, b = multiplicative_generator(spec), 1
+    while b < q - 1:
+        mat = np.array([(g_b * x).coeffs for x in basis], dtype=np.int64)
+        rows = min(b, q - 1 - b)
+        for s in range(0, rows, TABLE_BUILD_ROWS):
+            t = min(s + TABLE_BUILD_ROWS, rows)
+            digits = exp[s:t, None] // powers % p
+            exp[b + s:b + t] = digits @ mat % p @ powers
+        g_b, b = g_b * g_b, 2 * b
+    return exp
+
+
+@functools.lru_cache(maxsize=None)
 def _tables_for(spec: FieldSpec) -> FieldTables:
-    key = (spec.p, spec.n, spec.modulus)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _TABLE_CACHE[key] = FieldTables(spec)
-    return tab
+    return FieldTables(spec)
 
 
 # ----------------------------------------------------------------------
@@ -319,36 +333,28 @@ def _tables_for(spec: FieldSpec) -> FieldTables:
 def _eval_polys_zero_mask(tables: FieldTables, polys, var_ids) -> np.ndarray:
     """Boolean mask: all polynomials vanish at the given id assignments."""
     size = len(var_ids[0]) if var_ids else 0
+    variables = [tables.log[ids] for ids in var_ids]
     mask = np.ones(size, dtype=bool)
     for poly in polys:
-        acc = np.zeros(size, dtype=np.int64)
-        for exps, coeff in poly:
-            cid = tables.const_id(coeff)
-            if cid == 0:
-                continue
-            term = np.full(size, cid, dtype=np.int64)
-            for j, e in enumerate(exps):
-                if e:
-                    term = tables.mul_ids(term, tables.pow_ids(var_ids[j], e))
-            acc = tables.add_ids(acc, term)
-        mask &= acc == 0
+        mask &= tables.zero_mask(poly, variables, size)
     return mask
 
 
 def _chunk_vars(q: int, k: int, start: int, stop: int):
     idx = np.arange(start, stop, dtype=np.int64)
-    return [(idx // q ** (k - 1 - j)) % q for j in range(k)]
+    return [_reduce(idx // q ** (k - 1 - j), q) for j in range(k)]
 
 
-def _count_chunk(spec: FieldSpec, polys, k: int, start: int, stop: int) -> int:
-    tables = _tables_for(spec)
-    var_ids = _chunk_vars(spec.q, k, start, stop)
-    return int(_eval_polys_zero_mask(tables, polys, var_ids).sum())
-
-
-def _count_chunk_worker(payload) -> int:
+def _count_chunk(payload) -> int:
     p, n, modulus, polys, k, start, stop = payload
-    return _count_chunk(FieldSpec(p, n, modulus), polys, k, start, stop)
+    spec = FieldSpec(p, n, modulus)
+    var_ids = _chunk_vars(spec.q, k, start, stop)
+    return int(_eval_polys_zero_mask(_tables_for(spec), polys, var_ids).sum())
+
+
+def _pool_size(requested: int, chunks: int) -> int:
+    """Worker processes to start: no more than there are chunks or CPUs."""
+    return min(requested, chunks, os.cpu_count() or 1)
 
 
 def _separable_split(system: PolySystem):
@@ -371,18 +377,21 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
                  work_limit: int = DEFAULT_WORK_LIMIT,
                  workers: int = 1,
                  method: str = "auto",
-                 chunk_size: int = 1 << 18) -> int:
+                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
     """Number of points of F_q^k at which every polynomial vanishes.
 
     method: "product" enumerates the full q^k grid in chunks (optionally
     across worker processes); "separable" enumerates each variable once
     for single-equation systems that split as g(x) + h(y); "auto" picks
     "separable" when it applies.  All methods count exactly; workers
-    only affect the product grid.
+    (at least 1) only affect the product grid, which starts at most one
+    process per chunk and per CPU.
 
     The work limit caps the number of tuples the chosen method will
     enumerate (q^k for the product grid).
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     q, k = spec.q, system.num_vars
     split = _separable_split(system) if method in ("auto", "separable") else None
     if method == "separable" and split is None:
@@ -392,35 +401,26 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
         if 2 * q > work_limit:
             raise ValueError("search space too large")
         tables = _tables_for(spec)
-        ids = np.arange(q, dtype=np.int64)
-        gx = tables.neg_ids(_eval_accumulate(tables, split[0], ids))
-        gy = _eval_accumulate(tables, split[1], ids)
-        hist = np.bincount(gy, minlength=q)
-        return int(hist[gx].sum())
+        # every element once, as its log; the order does not matter here
+        every = [np.arange(q, dtype=np.int32)]
+        # g(x) = -h(y): join the histograms of -g and h
+        neg_g = np.bincount(tables.values([(e, -c) for e, c in split[0]], every, q), minlength=q)
+        h = np.bincount(tables.values(split[1], every, q), minlength=q)
+        return int(neg_g @ h)
 
     total = q ** k
     if total > work_limit:
         raise ValueError("search space too large")
-    chunks = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
-    if workers <= 1 or len(chunks) == 1:
-        return sum(_count_chunk(spec, system.polys, k, s, t) for s, t in chunks)
-    payloads = [(spec.p, spec.n, spec.modulus, system.polys, k, s, t) for s, t in chunks]
+    payloads = [(spec.p, spec.n, spec.modulus, system.polys, k, s, min(s + chunk_size, total))
+                for s in range(0, total, chunk_size)]
+    workers = _pool_size(workers, len(payloads))
+    if workers == 1:
+        return sum(map(_count_chunk, payloads))
+    # four batches per worker: a task per chunk would cost more in IPC than
+    # the chunk itself
+    batch = -(-len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_chunk_worker, payloads, chunksize=1))
-
-
-def _eval_accumulate(tables: FieldTables, monomials, ids) -> np.ndarray:
-    """Evaluate a univariate monomial list at every id."""
-    acc = np.zeros(len(ids), dtype=np.int64)
-    for (e,), coeff in monomials:
-        cid = tables.const_id(coeff)
-        if cid == 0:
-            continue
-        term = np.full(len(ids), cid, dtype=np.int64)
-        if e:
-            term = tables.mul_ids(term, tables.pow_ids(ids, e))
-        acc = tables.add_ids(acc, term)
-    return acc
+        return sum(pool.map(_count_chunk, payloads, chunksize=batch))
 
 
 def _projective_rep_count(k: int, q: int) -> int:

@@ -175,6 +175,14 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert e.value.code != 0
 
 
+def test_workers_below_one_is_an_error(curve_file, capsys):
+    status, out, err = run_cli(["count", "--poly", curve_file, "--p", "2",
+                                "--workers", "0"], capsys)
+    assert status == 1
+    assert out == ""
+    assert err == "error: workers must be >= 1\n"
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("WEIL_WORKERS", "4")
     args = build_parser().parse_args(["pspace", "--dim", "1", "--q", "2"])

@@ -34,6 +34,15 @@ def brute_monic_irreducibles(p, n):
     return out
 
 
+def first_irreducible(p, n):
+    """Oracle: the first monic degree-n candidate, scanning every
+    (c_0, ..., c_{n-1}) lexicographically, that Rabin's test accepts."""
+    for k in range(p ** n):
+        f = tuple(k // p ** i % p for i in range(n - 1, -1, -1)) + (1,)
+        if is_irreducible(f, p):
+            return f
+
+
 def test_make_field_degree_one_modulus_is_x():
     f = make_field(2, 1)
     assert f.modulus == (0, 1)
@@ -46,6 +55,11 @@ def test_make_field_smallest_modulus_matches_root_check_oracle():
     assert make_field(3, 2).modulus == brute_monic_irreducibles(3, 2)[0] == (1, 0, 1)
     assert make_field(2, 3).modulus == brute_monic_irreducibles(2, 3)[0]
     assert make_field(5, 3).modulus == brute_monic_irreducibles(5, 3)[0]
+    # beyond degree 3 a rootless polynomial can factor; the scan must still
+    # land on the first irreducible candidate
+    higher = [(2, n) for n in range(4, 13)] + [(3, n) for n in range(4, 7)] + [(5, 4)]
+    for p, n in higher:
+        assert make_field(p, n).modulus == first_irreducible(p, n), (p, n)
 
 
 def test_make_field_deterministic():

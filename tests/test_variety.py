@@ -1,11 +1,18 @@
+import os
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motives.finite_field import enumerate_elements, make_field
+from motives.finite_field import enumerate_elements, make_field, multiplicative_generator
 from motives.variety import (
     CountSequence,
+    FieldTables,
     PolySystem,
+    _pool_size,
+    _separable_split,
     affine_count_sequence,
     count_affine,
     count_projective_space,
@@ -13,6 +20,7 @@ from motives.variety import (
     format_poly_system,
     parse_poly_system,
 )
+from motives.weil import hasse_alpha, predict_affine_count
 
 CURVE = parse_poly_system("y^2 + y - x^3 - x")
 
@@ -50,6 +58,32 @@ def _tuples(els, k):
         for rest in _tuples(els, k - 1):
             for e in els:
                 yield rest + (e,)
+
+
+# ----------------------------------------------------------------------
+# field tables
+
+TABLE_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                 53, 59, 61)
+                for n in range(2, 13) if p ** n <= 2 ** 12]
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS + [(2, 1), (3, 1), (13, 1), (101, 1)])
+def test_field_tables_match_ffelement_arithmetic(p, n):
+    f = make_field(p, n)
+    tables = FieldTables(f)
+    g = multiplicative_generator(f)
+    powers, sums = [], []
+    x = f.one()
+    for _ in range(f.q - 1):  # x = g**k
+        powers.append(x.index())
+        sums.append((f.one() + x).index())
+        x = x * g
+    assert x == f.one()
+    assert tables.exp.tolist() == powers + [0]
+    assert tables.log[tables.exp].tolist() == list(range(f.q))
+    assert tables.exp[tables.log].tolist() == list(range(f.q))
+    assert tables.exp[tables.zech[:-1]].tolist() == sums
 
 
 # ----------------------------------------------------------------------
@@ -185,12 +219,89 @@ def test_parallel_matches_serial():
                             chunk_size=1000) == serial
 
 
+def test_workers_below_one_rejected():
+    for method in ("product", "separable"):
+        for w in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                count_affine(CURVE, make_field(2, 2), method=method, workers=w)
+
+
+def test_pool_size_clamps_to_chunks_and_cpus(monkeypatch):
+    # only the pure clamp is exercised: no pool of this size is ever started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool_size(10 ** 12, 10 ** 9) == 2
+    assert _pool_size(10 ** 12, 1) == 1
+    assert _pool_size(1, 10 ** 9) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(10 ** 12, 10 ** 9) == 1
+
+
+def test_separable_count_at_2_20_within_memory_budget():
+    # The int32 exp and log tables take 8 bytes per element.  The count's
+    # working arrays stay under ten int32-sized ones at any moment: the
+    # element logs, the term being formed, the running sum, and the int64
+    # histograms with the int64 copy np.bincount makes of its input.
+    budget_per_element = 8 + 10 * 4
+    f = make_field(2, 20)
+    tracemalloc.start()
+    try:
+        got = count_affine(CURVE, f, method="separable")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == predict_affine_count(hasse_alpha(2, EXPECTED_CURVE_COUNTS[0]), 20)
+    assert peak < budget_per_element * f.q, peak / f.q
+
+
+def test_large_exponents_count_exactly():
+    # x^e depends only on e mod q - 1, and e * log x passes 2^31 here.
+    # x -> x^-1 permutes F_q, so y^3 = x^-1 has one point per y; 3 | q - 1
+    # makes the count sensitive to a wrong log.
+    f = make_field(2, 18)
+    m = f.q - 1
+    for e in (m - 1, m - 1 + 2 ** 70 * m):
+        system = PolySystem(2, ((((0, 3), 1), ((e, 0), -1)),))
+        assert count_affine(system, f, method="separable") == f.q
+
+
 def test_work_limit_enforced():
     f = make_field(2, 10)
     with pytest.raises(ValueError, match="search space too large"):
         count_affine(CURVE, f, method="product", work_limit=1000)
     with pytest.raises(ValueError, match="search space too large"):
         count_affine(CURVE, f, method="separable", work_limit=100)
+
+
+PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # F_4 .. F_27
+
+
+@st.composite
+def small_systems(draw):
+    """Random systems over small extension fields, mixed monomials included.
+
+    Three variables are drawn only over q <= 9, so the scalar oracle sees at
+    most 729 tuples."""
+    p, n = draw(st.sampled_from(PROPERTY_FIELDS))
+    k = draw(st.integers(2, 3 if p ** n <= 9 else 2))
+    separable = k == 2 and draw(st.booleans())
+    monomial = st.tuples(st.tuples(*[st.integers(0, 4)] * k), st.integers(-6, 6))
+    polys = []
+    for _ in range(1 if separable else draw(st.integers(1, 2))):
+        terms = draw(st.lists(monomial, min_size=1, max_size=4))
+        if separable:  # keep one variable per monomial
+            terms = [((ex, 0) if ex else (0, ey), c) for (ex, ey), c in terms]
+        polys.append(tuple(terms))
+    return PolySystem(k, tuple(polys)), make_field(p, n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_systems())
+def test_product_and_separable_match_oracle_on_random_systems(case):
+    system, f = case
+    product = count_affine(system, f, method="product", chunk_size=97)
+    assert product == naive_affine_count(system, f)
+    if _separable_split(system) is not None:
+        assert count_affine(system, f, method="separable") == product
 
 
 # ----------------------------------------------------------------------
