@@ -361,6 +361,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one subcommand; (exit status, rendered report)."""
     try:
+        _require(config.workers >= 1, "workers must be >= 1")
         report = _COMMANDS[config.command](config)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         return 1, f"error: {exc}"

@@ -10,10 +10,12 @@ oscillating term per nontrivial zeta zero pair, the constant ln 2, and
 an archimedean tail integral.  Zero ordinates are external data, read
 from a text file and validated, never computed here.
 
-li is evaluated by adaptive quadrature with the singularity at t = 1
-removed by a symmetric fold; the complex terms li(y^rho) reduce to an
-exponential integral evaluated by fixed Gauss-Legendre panels along a
-horizontal ray, accurate to well below 1e-8 per term.
+Every integral here -- li, its integer grid, the archimedean tail and
+the complex terms li(y^rho) -- uses one rule: 16-node Gauss-Legendre on
+each panel of a fixed partition.  Where an integrand is singular or varies
+on a tiny scale, panels halve geometrically toward that end; the
+singularity of li at t = 1 is removed by a symmetric fold, and li(y^rho)
+reduces to an exponential integral along a horizontal ray.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.integrate import quad
 
 LN2 = math.log(2.0)
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 _ANCHOR = 14.13
 _ANCHOR_TOL = 0.01
@@ -89,82 +89,90 @@ def mobius(m: int) -> int:
 # ----------------------------------------------------------------------
 # logarithmic integral
 
-def _inv_log(t: float) -> float:
-    return 1.0 / math.log(t)
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_DEPTH = 40  # panels per graded end; the last two span 2^-39 of it each
 
 
-def _folded(s: float) -> float:
+def _panels(f, edges) -> np.ndarray:
+    """Integral of f over each panel [edges[i], edges[i+1]].
+
+    16-node Gauss-Legendre per panel.  f maps the node array of shape
+    (panels, 16) elementwise and may broadcast leading axes of its own.
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = np.diff(edges) / 2.0
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
+    return f(nodes) @ _WEIGHTS * half
+
+
+def _toward(a: float, b: float) -> np.ndarray:
+    """Edges from a to b whose panels halve in length toward b."""
+    return np.append(b - (b - a) * 0.5 ** np.arange(_DEPTH), b)
+
+
+def _graded(a: float, b: float) -> np.ndarray:
+    """Edges on [a, b] whose panels halve in length toward both ends."""
+    mid = (a + b) / 2.0
+    return np.concatenate([_toward(mid, a)[::-1], _toward(mid, b)[1:]])
+
+
+def _inv_log(t: np.ndarray) -> np.ndarray:
+    return 1.0 / np.log(t)
+
+
+def _folded(s: np.ndarray) -> np.ndarray:
     # 1/ln(1+s) + 1/ln(1-s); the 1/s poles cancel, limit 1 at s = 0
-    if s < 1e-6:
-        return 1.0 + s * s / 12.0
-    return 1.0 / math.log1p(s) + 1.0 / math.log1p(-s)
+    return 1.0 / np.log1p(s) + 1.0 / np.log1p(-s)
 
 
 def li(x: float) -> float:
     """Principal value of the integral of dt/ln t from 0 to x.
 
-    The divergence at t = 1 is removed by folding the interval
-    symmetrically about 1, which leaves a bounded integrand; the pieces
-    are integrated adaptively with absolute target well below 1e-9.
+    With h = min(|x - 1|, 1), folding (1 - h, 1 + h) about t = 1 cancels
+    the pole and leaves a bounded integrand on (0, h), graded toward h.
+    The rest is 1/ln t on (0, 1 - h), graded toward both ends, and on
+    (2, x) panels that double in length.  The error is below 1e-9 for
+    |x - 1| >= 1e-7 and grows like 1e-16 / |x - 1| closer to 1, as li
+    itself does when x is rounded.
     """
     if x <= 0:
         raise ValueError("x must be positive")
     if x == 1:
         raise ValueError("divergent")
-    if x < 1:
-        return quad(_inv_log, 0.0, x, **_QUAD_OPTS)[0]
-    h = min(x - 1.0, 1.0)
-    total = quad(_folded, 0.0, h, **_QUAD_OPTS)[0]
-    if 1.0 - h > 0.0:
-        total += quad(_inv_log, 0.0, 1.0 - h, **_QUAD_OPTS)[0]
-    if x > 1.0 + h:
-        pieces = [1.0 + h]
-        step = 64.0
-        while pieces[-1] * step < x:
-            pieces.append(pieces[-1] * step)
-        pieces.append(x)
-        for a, b in zip(pieces, pieces[1:]):
-            total += quad(_inv_log, a, b, **_QUAD_OPTS)[0]
-    return total
-
-
-_LI_GRID_NODES, _LI_GRID_WEIGHTS = np.polynomial.legendre.leggauss(8)
+    h = min(abs(x - 1.0), 1.0)
+    total = 0.0
+    if x > 1.0:
+        total += _panels(_folded, _toward(0.0, h)).sum()
+    if h < 1.0:
+        total += _panels(_inv_log, _graded(0.0, 1.0 - h)).sum()
+    if x > 2.0:
+        doublings = 1.0 + 2.0 ** np.arange(math.ceil(math.log2(x - 1.0)))
+        total += _panels(_inv_log, np.append(doublings, x)).sum()
+    return float(total)
 
 
 def li_grid(n_max: int, n_min: int = 3) -> np.ndarray:
     """li at every integer in [n_min, n_max], n_min >= 2.
 
-    Anchored at li(n_min) from the adaptive routine, then extended by
-    8-node Gauss-Legendre panels over each unit interval, whose error is
-    negligible against the 1e-9 budget for a smooth integrand on
-    t >= 2.
+    li(n_min) plus a running sum of one panel per unit interval, far
+    inside the 1e-9 budget for the smooth integrand on t >= 2.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
-    lefts = np.arange(n_min, n_max, dtype=float)
-    nodes = lefts[:, None] + (_LI_GRID_NODES[None, :] + 1.0) / 2.0
-    panel = (1.0 / np.log(nodes)) @ _LI_GRID_WEIGHTS / 2.0
-    out = np.empty(n_max - n_min + 1)
-    out[0] = li(float(n_min))
-    np.cumsum(panel, out=out[1:])
-    out[1:] += out[0]
-    return out
+    steps = np.cumsum(_panels(_inv_log, np.arange(n_min, n_max + 1)))
+    return li(float(n_min)) + np.append(0.0, steps)
 
 
 def archimedean_tail(y: float) -> float:
     """Integral of dt / (t (t^2 - 1) ln t) from y to infinity, y > 1.
 
-    Substituting s = 1/t gives a bounded integrand on (0, 1/y].
+    Substituting s = 1/t gives an integrand on (0, 1/y] that is bounded
+    but not smooth at s = 0 and steep near 1/y when y is close to 1.
     """
     if y <= 1:
         raise ValueError("y must be > 1")
-
-    def g(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        return s / ((1.0 - s * s) * -math.log(s))
-
-    return quad(g, 0.0, 1.0 / y, **_QUAD_OPTS)[0]
+    return float(_panels(lambda s: s / ((1.0 - s * s) * -np.log(s)),
+                         _graded(0.0, 1.0 / y)).sum())
 
 
 # ----------------------------------------------------------------------
@@ -216,18 +224,6 @@ def default_zero_table() -> ZeroTable:
 # ----------------------------------------------------------------------
 # explicit formula
 
-_RAY_PANELS = 12
-_RAY_END = 60.0
-_nodes16, _weights16 = np.polynomial.legendre.leggauss(16)
-_edges = np.linspace(0.0, _RAY_END, _RAY_PANELS + 1)
-_RAY_U = np.concatenate([
-    (_edges[i] + _edges[i + 1]) / 2.0 + (_edges[i + 1] - _edges[i]) / 2.0 * _nodes16
-    for i in range(_RAY_PANELS)])
-_RAY_W = np.concatenate([
-    (_edges[i + 1] - _edges[i]) / 2.0 * _weights16 for i in range(_RAY_PANELS)])
-_RAY_WE = _RAY_W * np.exp(-_RAY_U)
-
-
 def zero_pair_terms(y: float, gammas: np.ndarray) -> np.ndarray:
     """2 Re li(y^rho) for each rho = 1/2 + i gamma, as a vector.
 
@@ -240,8 +236,12 @@ def zero_pair_terms(y: float, gammas: np.ndarray) -> np.ndarray:
         raise ValueError("y must be >= 2")
     ln_y = math.log(y)
     w = -(0.5 + 1j * np.asarray(gammas, dtype=float)) * ln_y
-    integral = (_RAY_WE / (w[:, None] + _RAY_U[None, :])).sum(axis=1)
-    e1 = np.exp(-w) * integral
+
+    def ray(u):  # e^(-u) / (w + u), dividing in place
+        z = w[:, None, None] + u
+        return np.divide(np.exp(-u), z, out=z)
+
+    e1 = np.exp(-w) * _panels(ray, np.linspace(0.0, 60.0, 13)).sum(axis=1)
     return -2.0 * e1.real
 
 

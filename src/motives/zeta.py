@@ -20,6 +20,7 @@ from .variety import CountSequence
 
 INTEGRALITY_TOL = 1e-6
 WEIGHT_WINDOW = 0.1
+_EXACT_LOG = 53 * math.log(2.0)  # doubles hold every integer below 2^53
 
 
 @dataclass(frozen=True)
@@ -181,10 +182,19 @@ def trace_formula_count(alpha_table, n: int) -> int:
 
     The sum must land within 1e-6 of an integer with imaginary part at
     most 1e-6 (guaranteed when every multiset is conjugation-closed and
-    the weights come from an actual count of points).
+    the weights come from an actual count of points).  Once sum |alpha|^n
+    reaches 2^53 a double no longer holds every integer, so the count is
+    refused; the bound is checked on logarithms, before any power is
+    formed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    logs = [n * math.log(abs(complex(a)))
+            for piece in dict(alpha_table).values() for a in piece if a]
+    if logs:
+        top = max(logs)
+        if top + math.log(sum(math.exp(v - top) for v in logs)) >= _EXACT_LOG:
+            raise ValueError("count exceeds float precision")
     total = 0j
     for k, alphas in dict(alpha_table).items():
         sign = -1 if k % 2 else 1

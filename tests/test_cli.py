@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import motives
 from motives.cli import build_parser, config_from_args, main
 
 CURVE_TEXT = "# reference curve\ny^2 + y - x^3 - x\n"
@@ -181,6 +186,39 @@ def test_workers_below_one_is_an_error(curve_file, capsys):
     assert status == 1
     assert out == ""
     assert err == "error: workers must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--x-max", "3", "--workers", "0"],
+    ["pspace", "--dim", "1", "--q", "2", "--workers", "0"],
+    ["motive", "--expr", "P^2", "--q", "2", "--workers", "-3"],
+])
+def test_workers_below_one_is_an_error_for_every_command(argv, capsys):
+    status, out, err = run_cli(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert err == "error: workers must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["motive", "--expr", "elliptic a=5 p=101", "--n-max", "10"],
+    ["motive", "--expr", "L^40", "--q", "3"],
+    ["motive", "--expr", "P^700", "--q", "2"],
+])
+def test_motive_count_past_float_precision_is_an_error(argv, capsys):
+    # exact counts: p^8 + 1 - s_8 from n = 8, 3^40 and 2^701 - 1 at n = 1
+    status, out, err = run_cli(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert err == "error: count exceeds float precision\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, motives.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"
 
 
 def test_workers_env_default(monkeypatch):

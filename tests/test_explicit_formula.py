@@ -129,6 +129,15 @@ def test_li_error_cases():
         li(-5.0)
 
 
+@pytest.mark.parametrize("x", [1e-9, 0.01, 0.9, 0.999999, 1.000001, 1.0001,
+                               1.2, 1.9, 1e6])
+def test_li_against_mpmath(x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = float(mp.li(x))
+    assert abs(li(x) - want) < 1e-9
+
+
 def test_li_grid_agrees_with_adaptive():
     g = li_grid(2000)
     for n in (3, 4, 17, 200, 1999, 2000):
@@ -272,3 +281,13 @@ def test_archimedean_tail_positive_and_decreasing():
     vals = [archimedean_tail(y) for y in (2.0, 5.0, 50.0, 500.0)]
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("y", [1.01, 2.0, 2.5, 50.0, 1500.0])
+def test_archimedean_tail_against_mpmath(y):
+    # near y = 1 the integrand is steep at s = 1/y as well as rough at 0
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = float(mp.quad(lambda t: 1 / (t * (t * t - 1) * mp.log(t)),
+                             [y, 2 * y, mp.inf]))
+    assert abs(archimedean_tail(y) - want) < 1e-9 * want

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from motives.finite_field import make_field
+from motives.finite_field import is_prime, make_field
 from motives.variety import count_projective_space
-from motives.weil import hasse_alpha
+from motives.weil import hasse_alpha, trace_power_sum
 from motives.motive import (
     Motive,
     direct_sum,
@@ -155,3 +155,30 @@ def test_additivity_and_multiplicativity_random_pairs():
             ca, cb = point_count(a, n), point_count(b, n)
             assert point_count(s, n) == ca + cb
             assert point_count(t, n) == ca * cb
+
+
+def test_elliptic_counts_exact_below_float_precision_refused_above():
+    # sum |alpha|^n = (1 + p^(n/2))^2; of the 9234 counts at or past 2^53
+    # the float trace sum had 248 right, and every other one wrong
+    for p in filter(is_prime, range(2, 102)):
+        bound = math.isqrt(4 * p)
+        for a in range(-bound, bound + 1):
+            m = motive_of_elliptic_curve(hasse_alpha(p, p - a))
+            for n in range(1, 25):
+                if (1 + p ** (n / 2)) ** 2 < 2 ** 53:
+                    assert point_count(m, n) == p ** n + 1 - trace_power_sum(a, p, n)
+                else:
+                    with pytest.raises(ValueError, match="float precision"):
+                        point_count(m, n)
+
+
+def test_lefschetz_powers_exact_below_float_precision_refused_above():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in range(41):
+            m = tensor_power(lefschetz_motive(q), k)
+            for n in (1, 2, 3):
+                if q ** (k * n) < 2 ** 53:
+                    assert point_count(m, n) == q ** (k * n)
+                else:
+                    with pytest.raises(ValueError, match="float precision"):
+                        point_count(m, n)
