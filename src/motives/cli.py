@@ -34,7 +34,7 @@ from .variety import (
     count_projective_space,
     parse_poly_system,
 )
-from .weil import hasse_alpha, predict_affine_count
+from .weil import hasse_alpha, predict_affine_counts
 from .zeta import curve_denominator, rational_reconstruct, zeta_series
 
 
@@ -148,12 +148,11 @@ def _cmd_predict(config: RunConfig) -> Report:
                                     work_limit=config.work_limit,
                                     workers=config.workers,
                                     method=config.method)
-        rows = tuple((n, predict_affine_count(alpha, n), c,
-                      "ok" if predict_affine_count(alpha, n) == c else "MISMATCH")
-                     for n, c in enumerate(seq.counts, start=1))
+        predicted = predict_affine_counts(alpha, len(seq.counts))
+        rows = tuple((n, want, c, "ok" if want == c else "MISMATCH")
+                     for n, (want, c) in enumerate(zip(predicted, seq.counts), start=1))
         return Report(("n", "predicted", "brute_force", "status"), rows, extra)
-    rows = tuple((n, predict_affine_count(alpha, n))
-                 for n in range(1, config.n_max + 1))
+    rows = tuple(enumerate(predict_affine_counts(alpha, config.n_max), start=1))
     return Report(("n", "predicted"), rows, extra)
 
 
@@ -230,7 +229,8 @@ def _parse_motive_expr(expr: str, q: int | None):
 def _cmd_motive(config: RunConfig) -> Report:
     _require(config.expr is not None, "--expr required")
     m = _parse_motive_expr(config.expr, config.q)
-    pieces = {str(k): [[r.real, r.imag] for r in roots] for k, roots in m.pieces}
+    pieces = {str(k): [[r.real, r.imag] for r in roots]
+              for k, roots in m.weight_table().items()}
     rows = tuple((n, point_count(m, n)) for n in range(1, config.n_max + 1))
     return Report(("n", "count"), rows,
                   (("base_q", m.base_q), ("pieces", pieces)))
@@ -362,10 +362,9 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute one subcommand; (exit status, rendered report)."""
     try:
         _require(config.workers >= 1, "workers must be >= 1")
-        report = _COMMANDS[config.command](config)
+        return 0, render(_COMMANDS[config.command](config), config.fmt)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         return 1, f"error: {exc}"
-    return 0, render(report, config.fmt)
 
 
 def main(argv=None) -> int:

@@ -27,6 +27,7 @@ from importlib import resources
 import numpy as np
 
 LN2 = math.log(2.0)
+SIEVE_LIMIT = 10 ** 7  # 9 bytes per integer (flags plus int64 counts): 90 MB
 
 _ANCHOR = 14.13
 _ANCHOR_TOL = 0.01
@@ -47,6 +48,9 @@ class PrimeCounter:
     def build(cls, limit: int) -> "PrimeCounter":
         if limit < 2:
             raise ValueError("sieve limit must be >= 2")
+        if limit > SIEVE_LIMIT:
+            raise ValueError(f"sieve limit {limit} exceeds {SIEVE_LIMIT} "
+                             "(9 bytes per integer)")
         flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
         for d in range(2, int(limit ** 0.5) + 1):

@@ -3,13 +3,15 @@
 For an elliptic curve the affine count over F_{p^n} is p^n - s_n where
 s_n is the n-th power sum of a conjugate pair of eigenvalues of modulus
 sqrt(p); for a genus-g curve the projective count is p^n + 1 - s_n with
-2g eigenvalues.  Everything integral is computed with exact integer
-recurrences; complex floats only appear when reporting eigenvalues and
-checking their moduli.
+2g eigenvalues.  Polynomials are integer tuples (1, b_1, ..., b_d) =
+prod (1 - alpha t), and Newton's identities turn them into exact power
+sums and back for the zeta and motive modules too.  Complex floats only
+appear when reporting eigenvalues and checking their moduli.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,8 +21,8 @@ from .finite_field import is_prime
 from .variety import CountSequence
 
 MODULUS_TOL = 1e-9
-ROOT_RESIDUAL_TOL = 1e-8
 WEIL_CHECK_TOL = 1e-6
+INTEGRALITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,7 @@ class WeilNumbers:
     roots: tuple[complex, ...]   # the alpha_i, conjugation-closed
 
     def __post_init__(self):
-        conj = sorted(self.roots, key=_root_key)
-        conj_bar = sorted((r.conjugate() for r in self.roots), key=_root_key)
-        for u, v in zip(conj, conj_bar):
-            if abs(u - v) > 1e-6 * max(1.0, abs(u)):
-                raise ValueError("roots not closed under conjugation")
-        sq = math.sqrt(self.p)
-        for r in self.roots:
-            if abs(abs(r) - sq) > WEIL_CHECK_TOL * sq:
-                raise ValueError("Weil bound violated")
+        _check_pure(self.roots, math.sqrt(self.p), WEIL_CHECK_TOL, "Weil bound violated")
 
     def power_sum(self, n: int) -> int:
         """s_n = sum of alpha_i^n via the Newton recurrence, exactly."""
@@ -79,20 +73,21 @@ def _root_key(z: complex) -> tuple[float, float]:
     return (round(z.real, 9), round(z.imag, 9))
 
 
-def trace_power_sum(a: int, p: int, n: int) -> int:
-    """s_n = alpha^n + conj(alpha)^n for the pair with sum a, product p.
+def _check_pure(roots, modulus: float, tol: float, off_modulus: str) -> None:
+    """Refuse roots off |alpha| = modulus or not closed under conjugation."""
+    if any(abs(abs(r) - modulus) > tol * modulus for r in roots):
+        raise ValueError(off_modulus)
+    plain = sorted(roots, key=_root_key)
+    conj = sorted((r.conjugate() for r in roots), key=_root_key)
+    if any(abs(u - v) > tol * max(1.0, abs(u)) for u, v in zip(plain, conj)):
+        raise ValueError("roots not closed under conjugation")
 
-    Integer recurrence s_n = a*s_{n-1} - p*s_{n-2}, s_0 = 2, s_1 = a; no
-    floating point, hence no drift for any n.
-    """
+
+def trace_power_sum(a: int, p: int, n: int) -> int:
+    """s_n = alpha^n + conj(alpha)^n for the pair with sum a, product p."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    s_prev, s = 2, a
-    if n == 0:
-        return s_prev
-    for _ in range(n - 1):
-        s_prev, s = s, a * s - p * s_prev
-    return s
+    return _newton_power_sums((1, -a, p), n)[n]
 
 
 def hasse_alpha(p: int, n1_affine: int) -> FrobeniusAlpha:
@@ -116,6 +111,12 @@ def predict_affine_count(alpha: FrobeniusAlpha, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return alpha.p ** n - alpha.power_sum(n)
+
+
+def predict_affine_counts(alpha: FrobeniusAlpha, n_max: int) -> list[int]:
+    """The predictions for n = 1..n_max from one Newton run."""
+    s = _newton_power_sums((1, -alpha.trace_a, alpha.p), n_max)
+    return [alpha.p ** n - s[n] for n in range(1, n_max + 1)]
 
 
 def correction_term(alpha: FrobeniusAlpha, n: int) -> int:
@@ -142,13 +143,65 @@ def _newton_power_sums(coeffs: tuple[int, ...], n_max: int) -> list[int]:
     return s
 
 
+def _signed_count(pieces, n: int) -> int:
+    """The trace formula sum_k (-1)^k s_n over (weight k, polynomial) pairs."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sum((-1) ** k * _newton_power_sums(poly, n)[n] for k, poly in pieces)
+
+
+def _newton_coeffs(s, d: int) -> tuple[int, ...]:
+    """b_0..b_d from power sums s_1..s_d, dividing exactly or refusing."""
+    b = [1]
+    for j in range(1, d + 1):
+        acc = sum(s[i] * b[j - i] for i in range(1, j + 1))
+        if acc % j:
+            raise ValueError("inconsistent counts")
+        b.append(-acc // j)
+    return tuple(b)
+
+
+def _integer_poly(roots) -> tuple[int, ...]:
+    """prod (1 - alpha t) of float eigenvalues, rounded; refused unless each
+    coefficient is near an integer, and once doubles there are spaced wider
+    than that tolerance (from 2^33), where nearness stops meaning anything."""
+    out = []
+    for c in np.poly(np.array(roots, dtype=complex)):
+        if math.ulp(abs(c)) > INTEGRALITY_TOL:
+            raise ValueError("coefficient exceeds float precision")
+        near = round(c.real)
+        if abs(c.imag) > INTEGRALITY_TOL or abs(c.real - near) > INTEGRALITY_TOL:
+            raise ValueError("non-integral eigenvalue polynomial")
+        out.append(int(near))
+    return tuple(out)
+
+
+def _reciprocal_roots(coeffs) -> list[complex]:
+    """The nonzero alpha of prod (1 - alpha t) = (1, b_1, ..., b_d), sorted.
+
+    Degree 2 takes the closed form of hasse_alpha, so a pair prints the
+    same bytes and a double root is exact; higher degrees use np.roots.
+    """
+    b = list(coeffs)
+    while b and b[-1] == 0:
+        b.pop()
+    if len(b) == 2:
+        roots = [complex(-b[1])]
+    elif len(b) == 3:
+        r = cmath.sqrt(b[1] * b[1] - 4 * b[2])
+        roots = [(-b[1] - r) / 2, (-b[1] + r) / 2]
+    else:
+        roots = [complex(r) for r in np.roots(np.array(b, dtype=float))]
+    return sorted(roots, key=_root_key)
+
+
 def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbers:
     """Recover the 2g eigenvalues from projective counts N_1..N_g.
 
     The power sums s_n = p^n + 1 - N_n determine b_1..b_g by Newton's
     identities; b_{g+1}..b_{2g} follow from the functional-equation
     symmetry b_{2g-j} = p^(g-j) * b_j.  The eigenvalues are the roots of
-    sum b_j u^(2g-j), found numerically and verified.
+    sum b_j u^(2g-j), found numerically and checked against the Weil bound.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -158,31 +211,10 @@ def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbe
         raise ValueError("need at least g counts")
     if counts.p != p:
         raise ValueError("count sequence is over a different prime")
-    s = [2 * g]
-    for n in range(1, g + 1):
-        s.append(p ** n + 1 - counts.counts[n - 1])
-    b = [1]
-    for j in range(1, g + 1):
-        acc = sum(s[i] * b[j - i] for i in range(1, j + 1))
-        if acc % j:
-            raise ValueError("inconsistent counts")
-        b.append(-acc // j)
-    for j in range(g - 1, -1, -1):
-        b.append(p ** (g - j) * b[j])
-    coeffs = tuple(b)
-
-    roots = np.roots(np.array(coeffs, dtype=float))
-    scale = sum(abs(c) for c in coeffs)
-    for r in roots:
-        residual = abs(np.polyval(np.array(coeffs, dtype=complex), r))
-        if residual > ROOT_RESIDUAL_TOL * scale * max(1.0, abs(r)) ** (2 * g):
-            raise ValueError("inconsistent counts")
-    sq = math.sqrt(p)
-    for r in roots:
-        if abs(abs(r) - sq) > WEIL_CHECK_TOL * sq:
-            raise ValueError("Weil bound violated")
-    ordered = tuple(sorted((complex(r) for r in roots), key=_root_key))
-    return WeilNumbers(p, g, coeffs, ordered)
+    s = [2 * g] + [p ** n + 1 - counts.counts[n - 1] for n in range(1, g + 1)]
+    b = _newton_coeffs(s, g)
+    coeffs = b + tuple(p ** (g - j) * b[j] for j in range(g - 1, -1, -1))
+    return WeilNumbers(p, g, coeffs, tuple(_reciprocal_roots(coeffs)))
 
 
 def verify_weil_rh(roots, p: int, k: int) -> tuple[bool, float]:

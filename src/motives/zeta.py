@@ -4,8 +4,8 @@ The generating function exp(sum N_n t^n / n) is carried as a power
 series with exact rational coefficients; reconstruction against a known
 denominator is a truncated series product, so the recovered numerator
 coefficients are exact integers or the input was not rational of the
-declared shape.  Floating point enters only at root finding and weight
-assignment.
+declared shape.  Floating point enters only at root finding, weight
+assignment and float input to the integer trace formula of motives.weil.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .variety import CountSequence
+from .weil import _integer_poly, _reciprocal_roots, _root_key, _signed_count
 
-INTEGRALITY_TOL = 1e-6
 WEIGHT_WINDOW = 0.1
-_EXACT_LOG = 53 * math.log(2.0)  # doubles hold every integer below 2^53
 
 
 @dataclass(frozen=True)
@@ -117,16 +114,6 @@ def curve_denominator(q: int) -> tuple[int, ...]:
     return (1, -(q + 1), q)
 
 
-def _reciprocal_roots(coeffs: tuple[int, ...]) -> list[complex]:
-    """Roots alpha of prod (1 - alpha t) = given polynomial."""
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    if len(trimmed) <= 1:
-        return []
-    return [complex(r) for r in np.roots(np.array(trimmed, dtype=float))]
-
-
 def assign_weight(alpha: complex, q: int) -> int:
     """Weight k with | |alpha| - q^(k/2) | < 0.1 q^(k/2); unique or error."""
     mag = abs(alpha)
@@ -172,36 +159,12 @@ def rational_reconstruct(series: PowerSeries, num_degree: int, den,
     for root in _reciprocal_roots(tuple(num)) + _reciprocal_roots(den):
         grouped.setdefault(assign_weight(root, base_q), []).append(root)
     table = tuple(sorted(
-        (k, tuple(sorted(v, key=lambda z: (round(z.real, 9), round(z.imag, 9)))))
-        for k, v in grouped.items()))
+        (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items()))
     return RationalZeta(tuple(num), den, base_q, table)
 
 
 def trace_formula_count(alpha_table, n: int) -> int:
-    """Signed eigenvalue-power sum: sum_k (-1)^k sum_i alpha_ik^n.
-
-    The sum must land within 1e-6 of an integer with imaginary part at
-    most 1e-6 (guaranteed when every multiset is conjugation-closed and
-    the weights come from an actual count of points).  Once sum |alpha|^n
-    reaches 2^53 a double no longer holds every integer, so the count is
-    refused; the bound is checked on logarithms, before any power is
-    formed.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    logs = [n * math.log(abs(complex(a)))
-            for piece in dict(alpha_table).values() for a in piece if a]
-    if logs:
-        top = max(logs)
-        if top + math.log(sum(math.exp(v - top) for v in logs)) >= _EXACT_LOG:
-            raise ValueError("count exceeds float precision")
-    total = 0j
-    for k, alphas in dict(alpha_table).items():
-        sign = -1 if k % 2 else 1
-        for alpha in alphas:
-            total += sign * complex(alpha) ** n
-    nearest = round(total.real)
-    if abs(total.imag) > INTEGRALITY_TOL or \
-            abs(total.real - nearest) > INTEGRALITY_TOL:
-        raise ValueError("non-integral trace sum")
-    return int(nearest)
+    """Signed eigenvalue-power sum: sum_k (-1)^k sum_i alpha_ik^n, exactly,
+    from each weight's float eigenvalues rounded to prod (1 - alpha t)."""
+    return _signed_count(((k, _integer_poly(alphas))
+                          for k, alphas in dict(alpha_table).items() if len(alphas)), n)

@@ -200,17 +200,46 @@ def test_workers_below_one_is_an_error_for_every_command(argv, capsys):
     assert err == "error: workers must be >= 1\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["motive", "--expr", "elliptic a=5 p=101", "--n-max", "10"],
-    ["motive", "--expr", "L^40", "--q", "3"],
-    ["motive", "--expr", "P^700", "--q", "2"],
-])
-def test_motive_count_past_float_precision_is_an_error(argv, capsys):
-    # exact counts: p^8 + 1 - s_8 from n = 8, 3^40 and 2^701 - 1 at n = 1
-    status, out, err = run_cli(argv, capsys)
+@pytest.mark.parametrize("argv, want", [
+    (["motive", "--expr", "elliptic a=5 p=101", "--n-max", "10"],
+     {8: 10828567145002275, 10: 110462212524105901379}),
+    (["motive", "--expr", "L^40", "--q", "3"], {1: 12157665459056928801}),
+    (["motive", "--expr", "P^700", "--q", "2"], {1: 2 ** 701 - 1}),
+], ids=["elliptic", "lefschetz", "pspace"])
+def test_motive_count_past_float_precision_is_exact(argv, want, capsys):
+    # a double near these counts is off by thousands; the rows are exact
+    status, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert status == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    for n, count in want.items():
+        assert rows[n] == [str(n), str(count)]
+
+
+def test_motive_eigenvalue_past_float_range_is_an_error(capsys):
+    # the counts are exact integers, but the weight-2048 eigenvalue 2^1024
+    # has no double to display it; refused before any row is computed
+    status, out, err = run_cli(["motive", "--expr", "P^1100", "--q", "2"], capsys)
     assert status == 1
     assert out == ""
-    assert err == "error: count exceeds float precision\n"
+    assert err == "error: weight 2048 eigenvalues exceed the float range\n"
+
+
+def test_count_too_long_to_print_is_an_error(capsys):
+    # a report that cannot be rendered fails with one line like any other
+    # error: here 101^400 (802 digits) against a 640-digit int-to-str limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status, out, err = run_cli(["predict", "--p", "101", "--n1", "96",
+                                    "--n-max", "400"], capsys)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: Exceeds the limit (640 digits)")
+    assert err.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_unloaded():

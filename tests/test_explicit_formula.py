@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from motives.explicit_formula import (
+    SIEVE_LIMIT,
     PrimeCounter,
     ZeroTable,
     archimedean_tail,
@@ -84,6 +86,20 @@ def test_sieve_flags_and_limits(pc):
     assert sieve_pi(2.5, pc) == 1
     with pytest.raises(ValueError, match="beyond sieve limit"):
         sieve_pi(10 ** 5 + 1, pc)
+
+
+def test_sieve_limit_refused_before_allocating():
+    # uncapped, 10^9 would ask for 9 GB of flags and counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds 10000000"):
+            PrimeCounter.build(10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeCounter.build(SIEVE_LIMIT + 1)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from motives.finite_field import is_prime, make_field
 from motives.variety import count_projective_space
-from motives.weil import hasse_alpha, trace_power_sum
+from motives.weil import hasse_alpha
+from motives.zeta import trace_formula_count
 from motives.motive import (
     Motive,
     direct_sum,
@@ -157,28 +158,73 @@ def test_additivity_and_multiplicativity_random_pairs():
             assert point_count(t, n) == ca * cb
 
 
-def test_elliptic_counts_exact_below_float_precision_refused_above():
-    # sum |alpha|^n = (1 + p^(n/2))^2; of the 9234 counts at or past 2^53
-    # the float trace sum had 248 right, and every other one wrong
+def trace_powers(a, p, n_max):
+    """Oracle: s_0..s_n_max of the pair with sum a and product p, by the
+    second-order recurrence s_n = a s_(n-1) - p s_(n-2)."""
+    s = [2, a]
+    while len(s) <= n_max:
+        s.append(a * s[-1] - p * s[-2])
+    return s
+
+
+def test_elliptic_counts_exact_past_float_precision():
+    # 9234 of these counts lie at or past 2^53, where a float trace sum
+    # got 8986 of them wrong
     for p in filter(is_prime, range(2, 102)):
         bound = math.isqrt(4 * p)
         for a in range(-bound, bound + 1):
             m = motive_of_elliptic_curve(hasse_alpha(p, p - a))
+            s = trace_powers(a, p, 24)
             for n in range(1, 25):
-                if (1 + p ** (n / 2)) ** 2 < 2 ** 53:
-                    assert point_count(m, n) == p ** n + 1 - trace_power_sum(a, p, n)
-                else:
-                    with pytest.raises(ValueError, match="float precision"):
-                        point_count(m, n)
+                assert point_count(m, n) == p ** n + 1 - s[n]
 
 
-def test_lefschetz_powers_exact_below_float_precision_refused_above():
+def test_lefschetz_powers_exact_past_float_precision():
     for q in (2, 3, 4, 5, 7, 8, 9):
         for k in range(41):
             m = tensor_power(lefschetz_motive(q), k)
             for n in (1, 2, 3):
-                if q ** (k * n) < 2 ** 53:
-                    assert point_count(m, n) == q ** (k * n)
-                else:
-                    with pytest.raises(ValueError, match="float precision"):
-                        point_count(m, n)
+                assert point_count(m, n) == q ** (k * n)
+
+
+def test_exact_counts_pinned():
+    e = motive_of_elliptic_curve(hasse_alpha(101, 96))
+    assert point_count(e, 8) == 10828567145002275
+    assert point_count(e, 10) == 110462212524105901379
+    assert point_count(tensor_power(lefschetz_motive(3), 40), 1) == 12157665459056928801
+    assert point_count(motive_of_projective_space(700, 2), 1) == 2 ** 701 - 1
+    # cube of h(E) for a = 5, p = 101: N_3(E)^3 with N_3(E) = 1031692
+    cube = tensor_power(e, 3)
+    assert [cube.betti(k) for k in range(7)] == [1, 6, 15, 20, 15, 6, 1]
+    assert point_count(cube, 3) == 1098120979493725888 == 1031692 ** 3
+
+
+def test_elliptic_tensor_products_multiply_past_float_precision():
+    rng = random.Random(2053)
+    for p in filter(is_prime, range(2, 102)):
+        bound = math.isqrt(4 * p)
+        for _ in range(3):
+            a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+            t = tensor(motive_of_elliptic_curve(hasse_alpha(p, p - a)),
+                       motive_of_elliptic_curve(hasse_alpha(p, p - b)))
+            sa, sb = trace_powers(a, p, 24), trace_powers(b, p, 24)
+            for n in range(1, 25):
+                want = (p ** n + 1 - sa[n]) * (p ** n + 1 - sb[n])
+                assert point_count(t, n) == want
+
+
+def test_float_table_refused_at_float_precision():
+    # a float eigenvalue table is rounded to integer polynomials; from 2^33
+    # on doubles are spaced wider than the 1e-6 integrality tolerance, so a
+    # table reaching 2^33 (and in particular 2^53) is refused
+    assert trace_formula_count({2: (float(2 ** 32),)}, 2) == 2 ** 64
+    for big in (2 ** 33, 2 ** 53):
+        with pytest.raises(ValueError, match="exceeds float precision"):
+            trace_formula_count({2: (float(big),)}, 1)
+    # at 2^52 a double pins each pair's polynomial only to within +-1
+    rng = random.Random(52)
+    q = 2 ** 52
+    for a in (rng.randint(-2 ** 26, 2 ** 26) for _ in range(50)):
+        alpha = complex(a / 2, math.sqrt(4 * q - a * a) / 2)
+        with pytest.raises(ValueError, match="exceeds float precision"):
+            make_motive(q, {1: (alpha, alpha.conjugate())})
