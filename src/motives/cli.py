@@ -24,7 +24,7 @@ from .motive import (
     lefschetz_motive,
     motive_of_elliptic_curve,
     motive_of_projective_space,
-    point_count,
+    point_counts,
     tensor_power,
 )
 from .variety import (
@@ -231,7 +231,7 @@ def _cmd_motive(config: RunConfig) -> Report:
     m = _parse_motive_expr(config.expr, config.q)
     pieces = {str(k): [[r.real, r.imag] for r in roots]
               for k, roots in m.weight_table().items()}
-    rows = tuple((n, point_count(m, n)) for n in range(1, config.n_max + 1))
+    rows = tuple(enumerate(point_counts(m, config.n_max), start=1))
     return Report(("n", "count"), rows,
                   (("base_q", m.base_q), ("pieces", pieces)))
 

@@ -23,6 +23,7 @@ from .weil import (
     _newton_power_sums,
     _reciprocal_roots,
     _signed_count,
+    _signed_counts,
 )
 
 
@@ -139,3 +140,8 @@ def motive_of_elliptic_curve(alpha: FrobeniusAlpha) -> Motive:
 def point_count(m: Motive, n: int) -> int:
     """Points over F_{q^n} by the signed trace formula, in integers."""
     return _signed_count(m.pieces, n)
+
+
+def point_counts(m: Motive, n_max: int) -> list[int]:
+    """point_count(m, n) for n = 1..n_max, from one Newton run per piece."""
+    return _signed_counts(m.pieces, n_max)

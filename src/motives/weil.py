@@ -63,6 +63,8 @@ class WeilNumbers:
 
     def power_sum(self, n: int) -> int:
         """s_n = sum of alpha_i^n via the Newton recurrence, exactly."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
         return _newton_power_sums(self.coeffs, n)[n]
 
     def predict_projective_count(self, n: int) -> int:
@@ -143,11 +145,22 @@ def _newton_power_sums(coeffs: tuple[int, ...], n_max: int) -> list[int]:
     return s
 
 
+def _signed_counts(pieces, n_max: int) -> list[int]:
+    """The trace formula sum_k (-1)^k s_n over (weight k, polynomial)
+    pairs for n = 1..n_max, from one Newton run per piece."""
+    total = [0] * n_max
+    for k, poly in pieces:
+        sign = (-1) ** k
+        for n, s_n in enumerate(_newton_power_sums(poly, n_max)[1:]):
+            total[n] += sign * s_n
+    return total
+
+
 def _signed_count(pieces, n: int) -> int:
-    """The trace formula sum_k (-1)^k s_n over (weight k, polynomial) pairs."""
+    """The trace formula at the single n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum((-1) ** k * _newton_power_sums(poly, n)[n] for k, poly in pieces)
+    return _signed_counts(pieces, n)[-1]
 
 
 def _newton_coeffs(s, d: int) -> tuple[int, ...]:

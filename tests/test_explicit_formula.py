@@ -8,6 +8,7 @@ from motives.explicit_formula import (
     SIEVE_LIMIT,
     PrimeCounter,
     ZeroTable,
+    approximation_rows,
     archimedean_tail,
     default_zero_table,
     half_integer_grid,
@@ -37,6 +38,30 @@ APPROX_ORACLE = {
     (100.5, 50): 25.17279096200130,
     (229.5, 118): 49.75049664955147,
     (2.5, 13): 0.976785411547534,
+}
+
+# rows of approximation_rows on the half-integer grid to 230, frozen from
+# the per-point evaluation (one riemann_approx and one li per row) that the
+# batched one replaced
+ROWS_LI = {
+    2.5: 1.6672946675063238, 3.5: 2.5887650787505088, 10.5: 6.380459820246318,
+    31.5: 13.46049475948324, 64.5: 22.054780426615658, 100.5: 30.234656403859653,
+    127.5: 35.93945711362582, 181.5: 46.66864485674513, 200.5: 50.286518510345346,
+    229.5: 55.68729739166654,
+}
+ROWS_APPROX = {
+    0: (1.0423630825163206, 1.921554544662459, 4.594494584478742,
+        10.56080826192947, 18.221239154636937, 25.789788551364563,
+        31.13879035252211, 41.210857064807186, 44.65330457017616,
+        49.80848067059444),
+    13: (0.9767854115475343, 2.0461291587236303, 3.905051415900521,
+         10.812706774099096, 18.03182032136824, 25.413858081009074,
+         30.812023310122235, 41.26318150685638, 45.48502255437673,
+         49.2772736047014),
+    150: (0.9971829982693594, 2.0017535769399766, 3.9824842350233958,
+          10.977140152915814, 18.035216090613044, 25.0699727124205,
+          30.77750377408553, 41.805756274350564, 45.981126298395615,
+          49.83881862945827),
 }
 
 
@@ -124,8 +149,9 @@ def test_li_oracle_values():
 
 
 def test_li_interval_additivity():
-    from scipy.integrate import quad
-    piece = quad(lambda t: 1 / math.log(t), 2.0, 50.0, epsabs=1e-12, epsrel=1e-12)[0]
+    import mpmath as mp
+    with mp.workdps(30):
+        piece = float(mp.quad(lambda t: 1 / mp.log(t), [2, 50]))
     assert abs((li(50.0) - li(2.0)) - piece) < 1e-10
 
 
@@ -165,11 +191,21 @@ def test_li_grid_stable_under_refinement():
     coarse = li_grid(500)
     fine0 = li_grid(500, n_min=3)
     half = np.arange(3.0, 500.0, 0.5)
-    from scipy.integrate import quad
-    spot = li(3.0) + quad(lambda t: 1 / math.log(t), 3.0, 500.0,
-                          epsabs=1e-13, epsrel=1e-13)[0]
+    import mpmath as mp
+    with mp.workdps(30):
+        spot = li(3.0) + float(mp.quad(lambda t: 1 / mp.log(t), [3, 500]))
     assert abs(coarse[-1] - spot) < 1e-9
     assert np.allclose(coarse, fine0, atol=1e-12)
+
+
+def test_li_grid_does_not_drift():
+    # every grid point is integrated on its own; a running sum of unit
+    # panels drifted by 9.8e-11 at n = 58670
+    mp = pytest.importorskip("mpmath")
+    g = li_grid(60000)
+    with mp.workdps(30):
+        for n in (50000, 58670, 60000):
+            assert abs(g[n - 3] - float(mp.li(n))) < 1e-11, n
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +258,69 @@ def test_zero_pair_terms_against_exponential_integral(zeros):
         for got, g in zip(mine, gammas):
             want = 2 * mp.re(mp.ei(mp.mpc(0.5, g) * mp.log(y)))
             assert abs(got - float(want)) < 1e-8
+
+
+@pytest.mark.parametrize("y", [2.0, 1e7])
+@pytest.mark.parametrize("j", [0, 149])
+def test_zero_pair_terms_at_ray_corners(zeros, y, j):
+    # the lowest and highest ordinate at both ends of the arguments a
+    # sieve up to 10^7 can reach: the pole nearest the ray, and the most
+    # oscillation along it
+    mp = pytest.importorskip("mpmath")
+    gammas = np.asarray(zeros.ordinates)
+    with mp.workdps(30):
+        want = float(2 * mp.re(mp.ei(mp.mpc(0.5, gammas[j]) * mp.log(y))))
+    assert abs(zero_pair_terms(y, gammas)[j] - want) < 1e-9
+
+
+@pytest.mark.parametrize("K", sorted(ROWS_APPROX))
+def test_approximation_rows_pinned(pc, zeros, K):
+    rows = {r[0]: r for r in approximation_rows(half_integer_grid(2.0, 230.0),
+                                                 zeros, K, pc)}
+    assert len(rows) == 228
+    for (x, want_li), want in zip(ROWS_LI.items(), ROWS_APPROX[K]):
+        assert rows[x][1] == sieve_pi(x, pc)
+        assert abs(rows[x][2] - want_li) < 1e-12, x
+        assert abs(rows[x][3] - want) < 1e-12, x
+
+
+@pytest.mark.parametrize("x_max, K", [(1500, 0), (600, 150)])
+def test_approximation_rows_memory_bounded(zeros, x_max, K):
+    # blocks of grid points, and chunks of arguments within a block, keep
+    # every temporary small whatever the grid length
+    pc = PrimeCounter.build(x_max + 1)
+    grid = half_integer_grid(2.0, x_max)
+    tracemalloc.start()
+    try:
+        approximation_rows(grid, zeros, K, pc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_approximation_rows_input_validation(pc, zeros):
+    assert approximation_rows([], zeros, 0, pc) == []
+    with pytest.raises(ValueError, match="K exceeds"):
+        approximation_rows([2.5], zeros, len(zeros) + 1, pc)
+    with pytest.raises(ValueError, match="x must be >= 2"):
+        approximation_rows([2.5, 1.5], zeros, 0, pc)
+
+
+@pytest.mark.parametrize("x", [3.0, 4.999999, 5.0, 5.000001, 1025.0,
+                               1.0 + 2.0 ** 23, 9999999.5])
+def test_li_at_doubling_panel_edges(x):
+    # beyond 2, li sums whole panels [1 + 2^(j-1), 1 + 2^j] and one
+    # partial panel; these x sit on and beside the panel edges
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = float(mp.li(x))
+    assert abs(li(x) - want) < 1e-9
+
+
+def test_smooth_term_needs_y_at_least_2():
+    with pytest.raises(ValueError, match="y must be >= 2"):
+        smooth_term(1.5, np.array([]))
 
 
 def test_riemann_approx_frozen_oracles(zeros):

@@ -15,6 +15,7 @@ from motives.motive import (
     motive_of_elliptic_curve,
     motive_of_projective_space,
     point_count,
+    point_counts,
     tensor,
     tensor_power,
     unit_motive,
@@ -228,3 +229,13 @@ def test_float_table_refused_at_float_precision():
         alpha = complex(a / 2, math.sqrt(4 * q - a * a) / 2)
         with pytest.raises(ValueError, match="exceeds float precision"):
             make_motive(q, {1: (alpha, alpha.conjugate())})
+
+
+@pytest.mark.parametrize("label", ["P^3", "elliptic", "tensor"])
+def test_point_counts_match_point_count(label):
+    elliptic = motive_of_elliptic_curve(hasse_alpha(101, 96))
+    m = {"P^3": motive_of_projective_space(3, 2),
+         "elliptic": elliptic,
+         "tensor": tensor(elliptic, motive_of_projective_space(2, 101))}[label]
+    assert point_counts(m, 60) == [point_count(m, n) for n in range(1, 61)]
+    assert point_counts(m, 0) == []

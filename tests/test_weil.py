@@ -5,6 +5,7 @@ import pytest
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
 from motives.weil import (
     FrobeniusAlpha,
+    WeilNumbers,
     correction_term,
     hasse_alpha,
     predict_affine_count,
@@ -230,3 +231,15 @@ def test_hasse_sweep_small_primes():
                 assert abs(p - seq.counts[0]) <= 2 * math.sqrt(p)
                 for n in (1, 2, 3):
                     assert predict_affine_count(alpha, n) == seq.counts[n - 1]
+
+
+def test_weil_numbers_refuse_n_below_1():
+    # 1 + t + 2 t^2: the pair (-1 +- i sqrt 7) / 2 of modulus sqrt 2
+    alpha = complex(-0.5, math.sqrt(7) / 2)
+    wn = WeilNumbers(2, 1, (1, 1, 2), (alpha, alpha.conjugate()))
+    assert [wn.power_sum(n) for n in (1, 2, 3)] == [-1, -3, 5]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            wn.power_sum(n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            wn.predict_projective_count(n)
