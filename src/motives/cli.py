@@ -73,7 +73,32 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _digits(v: int) -> int:
+    """Decimal digits of |v|, without converting it to a string."""
+    v = abs(v)
+    d = max(0, int((v.bit_length() - 1) * 0.30102999566398120) - 1)
+    while 10 ** d <= v:
+        d += 1
+    return max(d, 1)
+
+
+def _check_printable(report: Report) -> None:
+    """Refuse, naming the row, an integer past Python's int-to-str limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    safe_bits = int(limit * 3.3219280948873623) - 1  # 2^safe_bits < 10^limit
+    for row in report.rows:
+        for column, v in zip(report.columns, row):
+            if isinstance(v, int) and v.bit_length() > safe_bits and _digits(v) > limit:
+                raise ValueError(
+                    f"Exceeds the limit ({limit} digits) for printing an integer: row "
+                    f"{report.columns[0]}={row[0]} has a {_digits(v)}-digit {column}; "
+                    f"use a smaller --n-max")
+
+
 def render(report: Report, fmt: str) -> str:
+    _check_printable(report)
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

@@ -322,9 +322,12 @@ def _smooth_terms(y: np.ndarray, gammas: np.ndarray):
     """li(y) and f(y) at each y >= 2."""
     li_y = _chunked(_li_from_2, y, _NODES.size)
     f = li_y - LN2 + _chunked(_tails, y, _TAIL_S.size)
-    if gammas.size:
-        f -= _chunked(lambda c: _zero_terms(c, gammas).sum(axis=1), y,
-                      gammas.size * _RAY_U.size)
+    # zeros go in slices of at most 341, so that one argument's
+    # (zeros x nodes) temporary also stays within _BLOCK elements
+    width = _BLOCK // _RAY_U.size
+    for i in range(0, gammas.size, width):
+        part = gammas[i:i + width]
+        f -= _chunked(lambda c: _zero_terms(c, part).sum(axis=1), y, part.size * _RAY_U.size)
     return li_y, f
 
 

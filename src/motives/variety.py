@@ -1,13 +1,21 @@
 """Polynomial systems over Z and exhaustive point counting over F_q.
 
 A PolySystem is a list of multivariate polynomials with integer
-coefficients.  Counting reduces every coefficient mod p and enumerates
-assignments; elements of F_q are integer ids (the position in the
-field's canonical enumeration), evaluated as discrete logs through one
-set of FieldTables per field, so that whole chunks of the search space
-evaluate as numpy arrays.  The domain is partitioned into fixed
-chunks and the per-chunk integer counts are summed, so results are
-identical for any worker count.
+coefficients.  Counting reduces every coefficient mod p.  Elements of
+F_q are integer ids (the position in the field's canonical
+enumeration), evaluated as discrete logs through one set of FieldTables
+per field, so that whole tiles of the search space evaluate as numpy
+arrays.
+
+The product grid tests every point of F_q^k and is the oracle for the
+faster methods.  Rows are the tuples of the first k - 1 variables,
+columns the q values of the last one, y.  Grouped by powers of y, a
+polynomial costs per point only its terms whose coefficient depends on
+the row, plus one broadcast compare against a right-hand side computed
+once per row.  The grid is cut into fixed tiles of at most chunk_size
+points and the per-tile integer counts are summed, so results are
+identical for any chunk size and worker count.  Projective counts add
+up the affine charts x_lead = 1 on the same grid.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
@@ -278,23 +286,32 @@ class FieldTables:
         return acc
 
     def _add_logs(self, a, b):
-        """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero."""
-        m = self.m
-        z = np.take(self.zech, _reduce(b - a, m))
-        out = _reduce(a + z, m)
-        out[z == m] = m
-        return np.where(a == m, b, np.where(b == m, a, out))
+        """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero.
 
-    def zero_mask(self, poly, variables, size: int) -> np.ndarray:
-        """Where the polynomial vanishes: the sum of all but its last term
-        equals the last term negated."""
-        last = [(exps, -c) for exps, c in poly[-1:]]
-        return self.values(poly[:-1], variables, size) == self.values(last, variables, size)
+        a and b lie in [0, q - 1] and broadcast against each other."""
+        m = self.m
+        z = np.take(self.zech, _wrap(b - a, m))
+        out = a + z
+        out -= m
+        _wrap(out, m)
+        np.copyto(out, m, where=z == m)
+        np.copyto(out, a, where=b == m)
+        np.copyto(out, b, where=a == m)
+        return out
 
 
 def _reduce(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m in place (floor division is much faster than % in numpy)."""
     x -= x // m * m
+    return x
+
+
+def _wrap(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m in place for x in [-m, m): m added where x is negative,
+    through the sign bit (a masked add branches on every element)."""
+    sign = x >> (8 * x.itemsize - 1)
+    sign &= m
+    x += sign
     return x
 
 
@@ -328,33 +345,196 @@ def _tables_for(spec: FieldSpec) -> FieldTables:
 
 
 # ----------------------------------------------------------------------
-# evaluation and counting
+# the product grid: rows x last-variable columns
 
-def _eval_polys_zero_mask(tables: FieldTables, polys, var_ids) -> np.ndarray:
-    """Boolean mask: all polynomials vanish at the given id assignments."""
-    size = len(var_ids[0]) if var_ids else 0
-    variables = [tables.log[ids] for ids in var_ids]
-    mask = np.ones(size, dtype=bool)
-    for poly in polys:
-        mask &= tables.zero_mask(poly, variables, size)
-    return mask
+_ZERO_LOG = 1 << 29  # log of zero in a term: past q - 1 <= 2^26 after one subtract
 
 
-def _chunk_vars(q: int, k: int, start: int, stop: int):
-    idx = np.arange(start, stop, dtype=np.int64)
-    return [_reduce(idx // q ** (k - 1 - j), q) for j in range(k)]
+def _tiling(q: int, k: int, chunk_size: int) -> tuple[int, int, int, int]:
+    """(rows per tile, columns per tile, row blocks, tiles) of the q^k grid."""
+    rows, cols = max(1, chunk_size // q), min(q, chunk_size)
+    row_blocks = -(-q ** (k - 1) // rows)
+    return rows, cols, row_blocks, row_blocks * -(-q // cols)
 
 
-def _count_chunk(payload) -> int:
-    p, n, modulus, polys, k, start, stop = payload
-    spec = FieldSpec(p, n, modulus)
-    var_ids = _chunk_vars(spec.q, k, start, stop)
-    return int(_eval_polys_zero_mask(_tables_for(spec), polys, var_ids).sum())
+class _Grid:
+    """The q^k points of one system over one field, as rows x columns.
+
+    Rows are the tuples of the first k - 1 variables x', columns the q
+    values of the last variable y.  Each polynomial is grouped by powers
+    of y, f = sum_j c_j(x') y^j, coefficients reduced mod p:
+
+    - the constant c_j, j > 0, fold into one code per column;
+    - c_0, negated, gives one code per row, the right-hand side;
+    - each non-constant c_j, j > 0, adds the term log c_j(row) + log y^j
+      per tuple: one add, one conditional subtract, a clamp that maps any
+      zero factor to the log of zero, then XOR (p = 2) or a Zech add.
+
+    A tuple lies on f when its column code plus its terms equals its
+    row's right-hand side: one broadcast compare per tile, and systems
+    AND their masks.  Every tuple is tested, so the grid is the oracle
+    for every other method.
+
+    A tile holds max(1, chunk_size // q) rows and min(q, chunk_size)
+    columns, so no per-tuple array exceeds chunk_size elements.  Tile i
+    is row block i % row_blocks of column slice i // row_blocks.  Column
+    codes are kept per slice, and row codes per batch of up to
+    chunk_size rows, so that their per-call cost is shared by many tiles.
+    """
+
+    def __init__(self, system: PolySystem, spec: FieldSpec, chunk_size: int):
+        self.tables = _tables_for(spec)
+        self.q, self.k = spec.q, system.num_vars
+        self.rows, self.cols, self.row_blocks, self.tiles = _tiling(spec.q, self.k, chunk_size)
+        self.batch = self.rows * max(1, chunk_size // self.rows)
+        self.polys = [_group_by_last(poly, spec.p) for poly in system.polys]
+        self._slice = self._row_batch = (None, None)
+
+    def count(self, start: int = 0, stop: int | None = None) -> int:
+        """Points in tiles start..stop - 1."""
+        total = 0
+        for i in range(start, self.tiles if stop is None else stop):
+            total += self._count_tile(*divmod(i, self.row_blocks))
+        return total
+
+    def _columns(self, ci: int):
+        """Per polynomial, the column codes (or None) and the logs of y^j
+        of its row terms, over column slice ci."""
+        if self._slice[0] != ci:
+            t = self.tables
+            ylog = t.log[ci * self.cols:(ci + 1) * self.cols]
+            self._slice = (ci, [(t.values(col, [ylog], ylog.size) if col else None,
+                                 [self._zero_log(t._term_logs(1, (j,), [ylog], ylog.size))
+                                  for j, _ in terms])
+                                for _, col, terms in self.polys])
+        return self._slice[1]
+
+    def _rows(self, bi: int):
+        """Per polynomial, the right-hand sides and the logs of c_j of its
+        row terms, over row batch bi, first variable slowest."""
+        if self._row_batch[0] != bi:
+            t, q, k = self.tables, self.q, self.k
+            idx = np.arange(bi * self.batch, min((bi + 1) * self.batch, q ** (k - 1)),
+                            dtype=np.int64)
+            xs = [t.log[idx // q ** (k - 2 - j) % q] for j in range(k - 1)]
+            self._row_batch = (bi, [(t.values(rhs, xs, idx.size),
+                                     [self._zero_log(t.values(c, xs, idx.size), ids=t.p == 2)
+                                      for _, c in terms])
+                                    for rhs, _, terms in self.polys])
+        return self._row_batch[1]
+
+    def _zero_log(self, codes: np.ndarray, ids: bool = False) -> np.ndarray:
+        """int32 logs of the given codes, with _ZERO_LOG for zero."""
+        t = self.tables
+        logs = t.log[codes] if ids else codes.astype(np.int32)
+        logs[logs == t.m] = _ZERO_LOG
+        return logs
+
+    def _count_tile(self, ci: int, ri: int) -> int:
+        t = self.tables
+        m = t.m
+        bi, r0 = divmod(ri * self.rows, self.batch)
+        rows = slice(r0, r0 + self.rows)
+        mask = None
+        for (rhs, lcs), (col, powers) in zip(self._rows(bi), self._columns(ci)):
+            acc = col
+            for lc, power in zip(lcs, powers):
+                s = lc[rows, None] + power
+                s -= m
+                _wrap(s, m)
+                # a zero factor leaves s >= 2^29 - q: clipped, it is the log of zero
+                if t.p == 2:
+                    s = np.take(t.exp, s, mode="clip")
+                    acc = s if acc is None else np.bitwise_xor(s, acc, out=s)
+                else:
+                    np.minimum(s, m, out=s)
+                    acc = s if acc is None else t._add_logs(acc, s)
+            if acc is None:
+                acc = 0 if t.p == 2 else m
+            hit = np.equal(acc, rhs[rows, None])
+            mask = hit if mask is None else mask & hit
+        tuples = (min(self.rows, self.q ** (self.k - 1) - ri * self.rows)
+                  * min(self.cols, self.q - ci * self.cols))
+        if mask is None:
+            return tuples
+        # a mask that never met a column (or a row) term is the same along that axis
+        return int(np.count_nonzero(mask)) * (tuples // mask.size)
+
+
+def _group_by_last(poly, p: int):
+    """(right-hand side, column terms, row terms) of one polynomial.
+
+    The right-hand side is -c_0 over x'; column terms are the monomials
+    c y^j, j > 0, whose c_j is constant; row terms are (j, c_j over x')
+    for every other j > 0."""
+    by_power: dict[int, list] = {}
+    for exps, c in poly:
+        if c % p:
+            by_power.setdefault(exps[-1], []).append((exps[:-1], c))
+    rhs = [(e, -c) for e, c in by_power.pop(0, [])]
+    col, row = [], []
+    for j, terms in sorted(by_power.items()):
+        if any(any(e) for e, _ in terms):
+            row.append((j, terms))
+        else:
+            col.extend(((j,), c) for _, c in terms)
+    return rhs, col, row
+
+
+_worker_system: PolySystem | None = None  # the system a pool worker counts
+
+
+def _init_worker(system: PolySystem) -> None:
+    global _worker_system
+    _worker_system = system
+
+
+def _count_tiles(payload) -> int:
+    p, n, modulus, chunk_size, start, stop = payload
+    return _Grid(_worker_system, FieldSpec(p, n, modulus), chunk_size).count(start, stop)
 
 
 def _pool_size(requested: int, chunks: int) -> int:
     """Worker processes to start: no more than there are chunks or CPUs."""
     return min(requested, chunks, os.cpu_count() or 1)
+
+
+class _GridCounter:
+    """Product-grid counts of one system, field by field, serial or across
+    worker processes.
+
+    One pool serves every field counted through the counter.  It starts
+    at the first field with more than one tile, with as many workers as
+    the largest field q_max has tiles (at most `workers` and the CPUs),
+    and its initializer hands each worker the system once; a field then
+    travels as ranges of tiles, four per worker.
+    """
+
+    def __init__(self, system: PolySystem, workers: int, chunk_size: int, q_max: int):
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.system, self.chunk_size = system, chunk_size
+        self.workers = _pool_size(workers, _tiling(q_max, system.num_vars, chunk_size)[3])
+        self.pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def count(self, spec: FieldSpec) -> int:
+        tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
+        if self.workers == 1 or tiles == 1:
+            return _Grid(self.system, spec, self.chunk_size).count()
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=self.workers, initializer=_init_worker,
+                                            initargs=(self.system,))
+        parts = min(tiles, 4 * self.workers)
+        cuts = [tiles * i // parts for i in range(parts + 1)]
+        return sum(self.pool.map(_count_tiles, [
+            (spec.p, spec.n, spec.modulus, self.chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
 
 
 def _separable_split(system: PolySystem):
@@ -380,18 +560,24 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
     """Number of points of F_q^k at which every polynomial vanishes.
 
-    method: "product" enumerates the full q^k grid in chunks (optionally
-    across worker processes); "separable" enumerates each variable once
-    for single-equation systems that split as g(x) + h(y); "auto" picks
-    "separable" when it applies.  All methods count exactly; workers
-    (at least 1) only affect the product grid, which starts at most one
-    process per chunk and per CPU.
+    method: "product" tests every tuple of the q^k grid, laid out as
+    rows (the first k - 1 variables) times columns (the last one), in
+    tiles of at most chunk_size tuples, optionally across worker
+    processes; "separable" enumerates each variable once for
+    single-equation systems that split as g(x) + h(y); "auto" picks
+    "separable" when it applies.  All methods count exactly, for any
+    chunk_size; workers (at least 1) only affect the product grid, which
+    starts at most one process per tile and per CPU.
 
     The work limit caps the number of tuples the chosen method will
     enumerate (q^k for the product grid).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    with _GridCounter(system, workers, chunk_size, spec.q) as grid:
+        return _count_affine(system, spec, grid, work_limit, method)
+
+
+def _count_affine(system: PolySystem, spec: FieldSpec, grid: _GridCounter,
+                  work_limit: int, method: str) -> int:
     q, k = spec.q, system.num_vars
     split = _separable_split(system) if method in ("auto", "separable") else None
     if method == "separable" and split is None:
@@ -408,23 +594,20 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
         h = np.bincount(tables.values(split[1], every, q), minlength=q)
         return int(neg_g @ h)
 
-    total = q ** k
-    if total > work_limit:
+    if q ** k > work_limit:
         raise ValueError("search space too large")
-    payloads = [(spec.p, spec.n, spec.modulus, system.polys, k, s, min(s + chunk_size, total))
-                for s in range(0, total, chunk_size)]
-    workers = _pool_size(workers, len(payloads))
-    if workers == 1:
-        return sum(map(_count_chunk, payloads))
-    # four batches per worker: a task per chunk would cost more in IPC than
-    # the chunk itself
-    batch = -(-len(payloads) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_chunk, payloads, chunksize=batch))
+    return grid.count(spec)
 
 
 def _projective_rep_count(k: int, q: int) -> int:
     return sum(q ** (k - 1 - i) for i in range(k))
+
+
+def _chart(polys, lead: int):
+    """The polynomials on the chart x_lead = 1, x_j = 0 for j < lead, in
+    the coordinates after lead."""
+    return tuple(tuple((exps[lead + 1:], c) for exps, c in poly if not any(exps[:lead]))
+                 for poly in polys)
 
 
 def count_projective_variety(system: PolySystem, spec: FieldSpec, *,
@@ -433,28 +616,22 @@ def count_projective_variety(system: PolySystem, spec: FieldSpec, *,
 
     Representatives are normalized so the first nonzero coordinate is 1,
     scanning left to right; each projective point is enumerated once.
+    The points with leading coordinate `lead` form an affine chart in
+    the k - 1 - lead later coordinates, counted on the product grid; the
+    last chart is the single point (0, ..., 0, 1).
     """
     if not system.homogeneous_flag or not system.is_homogeneous():
         raise ValueError("not homogeneous")
     k, q = system.num_vars, spec.q
     if _projective_rep_count(k, q) > work_limit:
         raise ValueError("search space too large")
-    tables = _tables_for(spec)
-    one = 1 % q  # id of the unit element
     total = 0
     for lead in range(k):
-        free = k - 1 - lead
-        block = q ** free
-        idx = np.arange(block, dtype=np.int64)
-        var_ids = []
-        for j in range(k):
-            if j < lead:
-                var_ids.append(np.zeros(block, dtype=np.int64))
-            elif j == lead:
-                var_ids.append(np.full(block, one, dtype=np.int64))
-            else:
-                var_ids.append((idx // q ** (k - 1 - j)) % q)
-        total += int(_eval_polys_zero_mask(tables, system.polys, var_ids).sum())
+        chart, free = _chart(system.polys, lead), k - 1 - lead
+        if free:
+            total += _Grid(PolySystem(free, chart), spec, DEFAULT_CHUNK_SIZE).count()
+        else:
+            total += all(sum(c for _, c in poly) % spec.p == 0 for poly in chart)
     return total
 
 
@@ -483,8 +660,8 @@ def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
     convention for curves given in affine form.
     """
     counts = []
-    for n in range(1, n_max + 1):
-        c = count_affine(system, make_field(p, n), work_limit=work_limit,
-                         workers=workers, method=method)
-        counts.append(c + 1 if extra_point else c)
+    with _GridCounter(system, workers, DEFAULT_CHUNK_SIZE, p ** n_max) as grid:
+        for n in range(1, n_max + 1):
+            c = _count_affine(system, make_field(p, n), grid, work_limit, method)
+            counts.append(c + 1 if extra_point else c)
     return CountSequence(p, tuple(counts), projective_flag=extra_point)

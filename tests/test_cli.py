@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import motives
-from motives.cli import build_parser, config_from_args, main
+from motives.cli import Report, build_parser, config_from_args, main, render
 
 CURVE_TEXT = "# reference curve\ny^2 + y - x^3 - x\n"
 
@@ -240,6 +240,41 @@ def test_count_too_long_to_print_is_an_error(capsys):
     assert out == ""
     assert err.startswith("error: Exceeds the limit (640 digits)")
     assert err.count("\n") == 1
+
+
+def test_count_too_long_to_print_names_the_row(capsys):
+    # 101^2146 has 4302 digits: the error names the first such row, its
+    # digit count and the option that shortens the report
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        status, out, err = run_cli(["predict", "--p", "101", "--n1", "96",
+                                    "--n-max", "2200"], capsys)
+        ok, _, _ = run_cli(["predict", "--p", "101", "--n1", "96",
+                            "--n-max", "2145"], capsys)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (status, out, ok) == (1, "", 0)
+    assert err == ("error: Exceeds the limit (4300 digits) for printing an integer: "
+                   "row n=2146 has a 4302-digit predicted; use a smaller --n-max\n")
+
+
+def test_print_limit_is_exact_at_a_power_of_ten():
+    # 10^640 - 1 has 640 digits and prints under a 640-digit limit;
+    # -10^640 has 641 and does not
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = render(Report(("n", "v"), ((1, 10 ** 640 - 1),)), "csv")
+        with pytest.raises(ValueError, match="row n=2 has a 641-digit v;"):
+            render(Report(("n", "v"), ((1, 1), (2, -10 ** 640))), "csv")
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert text == "n,v\n1," + "9" * 640 + "\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -299,6 +299,37 @@ def test_approximation_rows_memory_bounded(zeros, x_max, K):
     assert peak < 2 * 2 ** 20
 
 
+def _evenly_spaced_zeros(count):
+    # increasing ordinates from the first zero's, 0.5 apart
+    return ZeroTable(tuple(14.134725141734693 + 0.5 * i for i in range(count)))
+
+
+def test_zero_terms_memory_bounded_for_long_tables():
+    # past 341 zeros one argument's (zeros x nodes) temporary would exceed
+    # the 2^14-element chunk; the zeros axis is sliced too
+    table = _evenly_spaced_zeros(20000)
+    tracemalloc.start()
+    try:
+        riemann_approx(100.5, table, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("count", [1, 150, 341, 342, 1000])
+@pytest.mark.parametrize("y", [2.5, 999.5, 1e6 + 0.5])
+def test_zero_terms_sliced_sum(y, count):
+    # up to 341 zeros are one slice, summed exactly as before slicing
+    gammas = np.array(_evenly_spaced_zeros(count).ordinates)
+    got = smooth_term(y, gammas)
+    want = smooth_term(y, np.array([])) - zero_pair_terms(y, gammas).sum()
+    if count <= 341:
+        assert got == want
+    else:
+        assert abs(got - want) < 1e-12 * count
+
+
 def test_approximation_rows_input_validation(pc, zeros):
     assert approximation_rows([], zeros, 0, pc) == []
     with pytest.raises(ValueError, match="K exceeds"):

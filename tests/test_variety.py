@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motives import variety
 from motives.finite_field import enumerate_elements, make_field, multiplicative_generator
 from motives.variety import (
     CountSequence,
@@ -219,6 +220,30 @@ def test_parallel_matches_serial():
                             chunk_size=1000) == serial
 
 
+def test_workers_match_serial_with_row_terms():
+    # odd p, an xy term (per-tuple Zech adds), tiles of a few rows each
+    mixed = parse_poly_system("y^2 + x*y + 2*y - x^3 - x^2 - 2*x - 1")
+    f = make_field(3, 5)
+    serial = count_affine(mixed, f, method="product", chunk_size=1000)
+    assert count_affine(mixed, f, method="product", workers=2, chunk_size=1000) == serial
+    assert serial == predict_affine_count(hasse_alpha(3, count_affine(mixed, make_field(3, 1))), 5)
+
+
+def test_one_pool_per_sequence(monkeypatch):
+    made = []
+
+    class CountingPool(variety.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(variety, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seq = affine_count_sequence(CURVE, 2, 12, method="product", workers=2)
+    assert seq.counts == EXPECTED_CURVE_COUNTS
+    assert made == [2]
+
+
 def test_workers_below_one_rejected():
     for method in ("product", "separable"):
         for w in (0, -3):
@@ -251,6 +276,24 @@ def test_separable_count_at_2_20_within_memory_budget():
         tracemalloc.stop()
     assert got == predict_affine_count(hasse_alpha(2, EXPECTED_CURVE_COUNTS[0]), 20)
     assert peak < budget_per_element * f.q, peak / f.q
+
+
+def test_product_count_one_variable_at_2_20_within_memory_budget():
+    # one row of q columns, sliced into 2^14-column tiles: the kernel's
+    # temporaries stay within a few tiles (the field's tables, 8 MB, are
+    # built before tracing)
+    f = make_field(2, 20)
+    line = parse_poly_system("x^5 + x + 1")
+    count_affine(line, f, method="product")
+    tracemalloc.start()
+    try:
+        got = count_affine(line, f, method="product")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x^5 + x + 1 = (x^2 + x + 1)(x^3 + x^2 + 1): F_2^20 holds the roots in F_4, not F_8
+    assert got == 2
+    assert peak < 2 ** 20, peak
 
 
 def test_large_exponents_count_exactly():
@@ -304,6 +347,45 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
         assert count_affine(system, f, method="separable") == product
 
 
+GRID_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+@st.composite
+def grid_cases(draw):
+    """Systems of one to three variables with mixed monomials, and chunk
+    sizes that split rows (1, 7, q - 1) or hold several (q + 1, 2^14).
+
+    k = 3 only over q <= 9 and k = 2 over q <= 27, so the scalar oracle
+    sees at most 729 tuples."""
+    p, n = draw(st.sampled_from(GRID_FIELDS))
+    q = p ** n
+    k = draw(st.integers(1, 3 if q <= 9 else 2 if q <= 27 else 1))
+    monomial = st.tuples(st.tuples(*[st.integers(0, 5)] * k), st.integers(-6, 6))
+    polys = tuple(tuple(draw(st.lists(monomial, min_size=1, max_size=5)))
+                  for _ in range(draw(st.integers(1, 2))))
+    chunk_size = draw(st.sampled_from([1, 7, max(1, q - 1), q + 1, 1 << 14]))
+    return PolySystem(k, polys), make_field(p, n), chunk_size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid_cases())
+def test_product_grid_matches_oracle_for_any_chunk_size(case):
+    system, f, chunk_size = case
+    assert count_affine(system, f, method="product", chunk_size=chunk_size) == \
+        naive_affine_count(system, f)
+
+
+@pytest.mark.parametrize("chunk_size", range(1, 31))
+def test_product_grid_tiles_every_row_once(chunk_size):
+    # nine rows of F_3^2 in blocks of chunk_size // 3 rows; at chunk_size 7
+    # the block of rows 6 and 7 would cross a batch of 7 rows, had batches
+    # not been whole blocks
+    sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
+    f = make_field(3, 1)
+    assert count_affine(sphere, f, method="product", chunk_size=chunk_size) == \
+        naive_affine_count(sphere, f)
+
+
 # ----------------------------------------------------------------------
 # projective counting
 
@@ -338,6 +420,26 @@ def test_projective_linear_form_is_a_line():
     for p in (2, 3):
         f = make_field(p, 1)
         assert count_projective_variety(line3, f) == p + 1
+
+
+@pytest.mark.parametrize("text", ["", "x^3 + y^3 + z^3"])
+def test_projective_count_within_memory_budget(text):
+    # each chart is counted on the tiled product grid, never as one block
+    # of q^(k - 1 - lead) ids (54 and 65 MB over F_2^10 before tiling)
+    f = make_field(2, 10)
+    tracemalloc.start()
+    try:
+        if text:
+            got = count_projective_variety(parse_poly_system(text), f)
+        else:
+            got = count_projective_space(2, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cubic has 3 points over F_2, so Frobenius eigenvalues +-i sqrt(2),
+    # and N_10 = 2^10 + 1 - 2 (-2)^5
+    assert got == (1089 if text else f.q ** 2 + f.q + 1)
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_projective_requires_homogeneous():
