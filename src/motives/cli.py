@@ -302,6 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="point counts over finite fields, local zeta functions, "
                     "eigenvalue motives, and the prime-counting explicit formula")
     sub = ap.add_subparsers(dest="command", required=True)
+    method_help = ("auto: the histogram join when the one equation separates as "
+                   "g(x') = h(y), else the product grid; product: every tuple, the "
+                   "oracle; separable: the join, refused when it does not apply")
 
     def common(sp):
         sp.add_argument("--format", choices=("csv", "json", "table"), default=None)
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--projective", action="store_true",
                     help="curve convention: affine count plus one")
     sp.add_argument("--method", choices=("product", "separable", "auto"),
-                    default="product")
+                    default="product", help=method_help)
     common(sp)
 
     sp = sub.add_parser("predict", help="Frobenius eigenvalue from N_1 and predictions")
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poly", help="optional system file for a brute-force column")
     sp.add_argument("--n-max", type=int, default=12)
     sp.add_argument("--method", choices=("product", "separable", "auto"),
-                    default="auto")
+                    default="auto", help=method_help)
     common(sp)
 
     sp = sub.add_parser("zeta", help="rational zeta function of a curve")

@@ -7,15 +7,15 @@ enumeration), evaluated as discrete logs through one set of FieldTables
 per field, so that whole tiles of the search space evaluate as numpy
 arrays.
 
-The product grid tests every point of F_q^k and is the oracle for the
-faster methods.  Rows are the tuples of the first k - 1 variables,
-columns the q values of the last one, y.  Grouped by powers of y, a
-polynomial costs per point only its terms whose coefficient depends on
-the row, plus one broadcast compare against a right-hand side computed
-once per row.  The grid is cut into fixed tiles of at most chunk_size
-points and the per-tile integer counts are summed, so results are
-identical for any chunk size and worker count.  Projective counts add
-up the affine charts x_lead = 1 on the same grid.
+The product grid tests every point of F_q^k and is the oracle.  Rows
+are the tuples of the first k - 1 variables, columns the q values of
+the last one, y.  Grouped by powers of y, a polynomial costs per point
+only its terms whose coefficient depends on the row, plus one compare
+against a right-hand side computed once per row.  A single polynomial
+with no such terms, g(x') = h(y), is counted by a histogram join of the
+right-hand sides with the column codes instead.  Integer counts summed
+over tiles of at most chunk_size points are identical for any chunk
+size and worker count.  Projective charts x_lead = 1 use the tiles.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import FieldSpec, is_prime, make_field, multiplicative_generator
+from .finite_field import (MAX_FIELD_SIZE, FieldSpec, is_prime, make_field,
+                            multiplicative_generator)
 
 DEFAULT_WORK_LIMIT = 2 ** 28
 DEFAULT_CHUNK_SIZE = 1 << 14
@@ -319,23 +320,27 @@ def _exp_table(spec: FieldSpec) -> np.ndarray:
     """exp[k] = id of g^k, built by doubling.
 
     Multiplication by g^B is F_p-linear, an n x n matrix on coefficient
-    vectors, and maps exp[0:B] to exp[B:2B].  Rows go through it
+    vectors, and maps exp[0:B] to exp[B:2B]; its row j is g^B x^j, the
+    row before times x reduced by the modulus.  Rows go through it
     TABLE_BUILD_ROWS at a time, which bounds the digit matrices.
     """
     p, n, q = spec.p, spec.n, spec.q
     powers = p ** np.arange(n, dtype=np.int64)
-    basis = [spec.from_index(p ** j) for j in range(n)]
+    modulus = np.array(spec.modulus, dtype=np.int64)
     exp = np.zeros(q, dtype=np.int32)
     exp[0] = 1
-    g_b, b = multiplicative_generator(spec), 1
+    g_b, b = np.array(multiplicative_generator(spec).coeffs, dtype=np.int64), 1
+    mat = np.empty((n, n), dtype=np.int64)
     while b < q - 1:
-        mat = np.array([(g_b * x).coeffs for x in basis], dtype=np.int64)
+        mat[0] = g_b
+        for j in range(1, n):
+            mat[j] = (np.append(0, mat[j - 1]) - mat[j - 1, -1] * modulus)[:n] % p
         rows = min(b, q - 1 - b)
         for s in range(0, rows, TABLE_BUILD_ROWS):
             t = min(s + TABLE_BUILD_ROWS, rows)
             digits = exp[s:t, None] // powers % p
             exp[b + s:b + t] = digits @ mat % p @ powers
-        g_b, b = g_b * g_b, 2 * b
+        g_b, b = g_b @ mat % p, 2 * b
     return exp
 
 
@@ -372,8 +377,8 @@ class _Grid:
 
     A tuple lies on f when its column code plus its terms equals its
     row's right-hand side: one broadcast compare per tile, and systems
-    AND their masks.  Every tuple is tested, so the grid is the oracle
-    for every other method.
+    AND their masks.  Every tuple is tested, so these tiles are the
+    oracle for the join.
 
     A tile holds max(1, chunk_size // q) rows and min(q, chunk_size)
     columns, so no per-tuple array exceeds chunk_size elements.  Tile i
@@ -396,6 +401,19 @@ class _Grid:
         for i in range(start, self.tiles if stop is None else stop):
             total += self._count_tile(*divmod(i, self.row_blocks))
         return total
+
+    def join(self) -> int:
+        """Points of one polynomial without row terms: the (row, column)
+        pairs whose codes are equal.  Each row batch adds its right-hand
+        sides into one q-length histogram, and each column slice sums the
+        histogram at its codes."""
+        hist = np.zeros(self.q, dtype=np.int64)
+        for bi in range(-(-self.q ** (self.k - 1) // self.batch)):
+            np.add.at(hist, self._rows(bi)[0][0], 1)
+        if not self.polys[0][1]:  # no column terms: every column codes zero
+            return int(hist[0 if self.tables.p == 2 else self.tables.m]) * self.q
+        return sum(int(np.take(hist, self._columns(ci)[0][0]).sum())
+                   for ci in range(-(-self.q // self.cols)))
 
     def _columns(self, ci: int):
         """Per polynomial, the column codes (or None) and the logs of y^j
@@ -494,27 +512,40 @@ def _count_tiles(payload) -> int:
     return _Grid(_worker_system, FieldSpec(p, n, modulus), chunk_size).count(start, stop)
 
 
-def _pool_size(requested: int, chunks: int) -> int:
-    """Worker processes to start: no more than there are chunks or CPUs."""
-    return min(requested, chunks, os.cpu_count() or 1)
+def _pool_size(requested: int, tiles: int) -> int:
+    """Worker processes to start: no more than there are tiles or CPUs."""
+    return min(requested, tiles, os.cpu_count() or 1)
 
 
 class _GridCounter:
-    """Product-grid counts of one system, field by field, serial or across
-    worker processes.
+    """The counting plan of one system over F_p and its extensions, with
+    the work limit charged once, for the largest field q_max, before any
+    field is built.
 
-    One pool serves every field counted through the counter.  It starts
-    at the first field with more than one tile, with as many workers as
-    the largest field q_max has tiles (at most `workers` and the CPUs),
-    and its initializer hands each worker the system once; a field then
-    travels as ranges of tiles, four per worker.
+    A single polynomial whose coefficients of y^j, j > 0, are constants
+    mod p is counted by the histogram join, q^(k - 1) + q tuples; any
+    other system by the tiles, q^k.  One pool serves every field.  It
+    starts at the first field with more than one tile, with as many
+    workers as the largest field has tiles (at most `workers` and the
+    CPUs), and its initializer hands each worker the system once; a
+    field then travels as ranges of tiles, four per worker.
     """
 
-    def __init__(self, system: PolySystem, workers: int, chunk_size: int, q_max: int):
+    def __init__(self, system: PolySystem, p: int, q_max: int, *, work_limit: int,
+                 workers: int, method: str, chunk_size: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if method not in ("auto", "product", "separable"):
+            raise ValueError(f"unknown method {method!r}")
+        polys = [_group_by_last(poly, p) for poly in system.polys]
+        self.join = method != "product" and len(polys) == 1 and not polys[0][2]
+        if method == "separable" and not self.join:
+            raise ValueError("system is not separable")
+        k = system.num_vars
+        if (q_max ** (k - 1) + q_max if self.join else q_max ** k) > work_limit:
+            raise ValueError("search space too large")
         self.system, self.chunk_size = system, chunk_size
-        self.workers = _pool_size(workers, _tiling(q_max, system.num_vars, chunk_size)[3])
+        self.workers = 1 if self.join else _pool_size(workers, _tiling(q_max, k, chunk_size)[3])
         self.pool = None
 
     def __enter__(self):
@@ -527,7 +558,8 @@ class _GridCounter:
     def count(self, spec: FieldSpec) -> int:
         tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
         if self.workers == 1 or tiles == 1:
-            return _Grid(self.system, spec, self.chunk_size).count()
+            grid = _Grid(self.system, spec, self.chunk_size)
+            return grid.join() if self.join else grid.count()
         if self.pool is None:
             self.pool = ProcessPoolExecutor(max_workers=self.workers, initializer=_init_worker,
                                             initargs=(self.system,))
@@ -535,22 +567,6 @@ class _GridCounter:
         cuts = [tiles * i // parts for i in range(parts + 1)]
         return sum(self.pool.map(_count_tiles, [
             (spec.p, spec.n, spec.modulus, self.chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
-
-
-def _separable_split(system: PolySystem):
-    """For a single 2-variable equation with no mixed monomials, return
-    (x_terms, y_terms) as univariate polynomials; otherwise None."""
-    if system.num_vars != 2 or len(system.polys) != 1:
-        return None
-    xs, ys = [], []
-    for (ex, ey), coeff in system.polys[0]:
-        if ex and ey:
-            return None
-        if ey:
-            ys.append(((ey,), coeff))
-        else:
-            xs.append(((ex,), coeff))
-    return tuple(xs), tuple(ys)
 
 
 def count_affine(system: PolySystem, spec: FieldSpec, *,
@@ -563,40 +579,16 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
     method: "product" tests every tuple of the q^k grid, laid out as
     rows (the first k - 1 variables) times columns (the last one), in
     tiles of at most chunk_size tuples, optionally across worker
-    processes; "separable" enumerates each variable once for
-    single-equation systems that split as g(x) + h(y); "auto" picks
-    "separable" when it applies.  All methods count exactly, for any
-    chunk_size; workers (at least 1) only affect the product grid, which
-    starts at most one process per tile and per CPU.
-
-    The work limit caps the number of tuples the chosen method will
-    enumerate (q^k for the product grid).
+    processes; "separable" joins a histogram of the rows' right-hand
+    sides with the columns' codes, for a single equation whose last
+    variable separates, g(x') = h(y); "auto" joins when it can.  All
+    methods count exactly, for any chunk_size; workers (at least 1) only
+    affect the tiles.  The work limit caps the tuples the chosen plan
+    enumerates: q^k for the tiles, q^(k - 1) + q for the join.
     """
-    with _GridCounter(system, workers, chunk_size, spec.q) as grid:
-        return _count_affine(system, spec, grid, work_limit, method)
-
-
-def _count_affine(system: PolySystem, spec: FieldSpec, grid: _GridCounter,
-                  work_limit: int, method: str) -> int:
-    q, k = spec.q, system.num_vars
-    split = _separable_split(system) if method in ("auto", "separable") else None
-    if method == "separable" and split is None:
-        raise ValueError("system is not separable")
-
-    if split is not None:
-        if 2 * q > work_limit:
-            raise ValueError("search space too large")
-        tables = _tables_for(spec)
-        # every element once, as its log; the order does not matter here
-        every = [np.arange(q, dtype=np.int32)]
-        # g(x) = -h(y): join the histograms of -g and h
-        neg_g = np.bincount(tables.values([(e, -c) for e, c in split[0]], every, q), minlength=q)
-        h = np.bincount(tables.values(split[1], every, q), minlength=q)
-        return int(neg_g @ h)
-
-    if q ** k > work_limit:
-        raise ValueError("search space too large")
-    return grid.count(spec)
+    with _GridCounter(system, spec.p, spec.q, work_limit=work_limit, workers=workers,
+                      method=method, chunk_size=chunk_size) as counter:
+        return counter.count(spec)
 
 
 def _projective_rep_count(k: int, q: int) -> int:
@@ -659,9 +651,14 @@ def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
     extra_point=True adds one point at infinity per field, the projective
     convention for curves given in affine form.
     """
-    counts = []
-    with _GridCounter(system, workers, DEFAULT_CHUNK_SIZE, p ** n_max) as grid:
-        for n in range(1, n_max + 1):
-            c = _count_affine(system, make_field(p, n), grid, work_limit, method)
-            counts.append(c + 1 if extra_point else c)
-    return CountSequence(p, tuple(counts), projective_flag=extra_point)
+    if n_max < 1:  # nothing to plan: refused as empty (or p as not prime)
+        return CountSequence(p, (), projective_flag=extra_point)
+    # charge the largest field make_field builds; a larger one is refused before any count
+    top = make_field(p, 1)
+    while top.n < n_max and top.q * p <= MAX_FIELD_SIZE:
+        top = make_field(p, top.n + 1)
+    with _GridCounter(system, p, top.q, work_limit=work_limit, workers=workers,
+                      method=method, chunk_size=DEFAULT_CHUNK_SIZE) as counter:
+        fields = [make_field(p, n) for n in range(1, n_max + 1)]
+        counts = tuple(counter.count(f) + extra_point for f in fields)
+    return CountSequence(p, counts, projective_flag=extra_point)

@@ -13,7 +13,6 @@ from motives.variety import (
     FieldTables,
     PolySystem,
     _pool_size,
-    _separable_split,
     affine_count_sequence,
     count_affine,
     count_projective_space,
@@ -251,6 +250,13 @@ def test_workers_below_one_rejected():
                 count_affine(CURVE, make_field(2, 2), method=method, workers=w)
 
 
+def test_unknown_method_rejected():
+    with pytest.raises(ValueError, match="unknown method 'fast'"):
+        count_affine(CURVE, make_field(2, 2), method="fast")
+    with pytest.raises(ValueError, match="unknown method 'fast'"):
+        affine_count_sequence(CURVE, 2, 3, method="fast")
+
+
 def test_pool_size_clamps_to_chunks_and_cpus(monkeypatch):
     # only the pure clamp is exercised: no pool of this size is ever started
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -276,6 +282,65 @@ def test_separable_count_at_2_20_within_memory_budget():
         tracemalloc.stop()
     assert got == predict_affine_count(hasse_alpha(2, EXPECTED_CURVE_COUNTS[0]), 20)
     assert peak < budget_per_element * f.q, peak / f.q
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
+def test_join_peak_warm_within_12_bytes_per_element(p, n):
+    # with the field's tables built, the join holds one int64 histogram of
+    # q entries and temporaries of at most 2^14 elements
+    f = make_field(p, n)
+    count_affine(CURVE, f, method="separable")
+    tracemalloc.start()
+    try:
+        got = count_affine(CURVE, f, method="separable")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == predict_affine_count(hasse_alpha(p, count_affine(CURVE, make_field(p, 1))), n)
+    assert peak < 12 * f.q, peak / f.q
+
+
+def test_sphere_joins_past_the_product_limit():
+    # 2^30 tuples on the product grid, 2^20 + 2^10 for the join; in
+    # characteristic 2 the sphere is the plane x + y + z = 1
+    sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
+    f = make_field(2, 10)
+    assert count_affine(sphere, f) == count_affine(sphere, f, method="separable") == f.q ** 2
+    with pytest.raises(ValueError, match="search space too large"):
+        count_affine(sphere, f, method="product")
+
+
+def test_join_charges_rows_plus_columns():
+    sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
+    f = make_field(2, 4)
+    assert count_affine(sphere, f, work_limit=f.q ** 2 + f.q) == f.q ** 2
+    with pytest.raises(ValueError, match="search space too large"):
+        count_affine(sphere, f, work_limit=f.q ** 2 + f.q - 1)
+
+
+def test_join_without_column_terms_spans_every_column_slice():
+    # no y at all: each of the q = 2^15 columns, two slices of 2^14, matches
+    # the rows where x^3 + x + 1 = 0, the three roots of its F_8 factor
+    cubic = parse_poly_system("x^3 + x + 1", num_vars=2)
+    f = make_field(2, 15)
+    assert count_affine(cubic, f) == 3 * f.q
+
+
+def test_join_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(variety, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seq = affine_count_sequence(CURVE, 2, 12, method="separable", workers=2)
+    assert seq.counts == EXPECTED_CURVE_COUNTS
+
+
+def test_sequence_refused_before_any_field_is_counted(monkeypatch):
+    # q^2 passes 2^28 at F_5^7: the whole sequence is charged for F_5^8 first
+    built = []
+    monkeypatch.setattr(variety, "_Grid", lambda *args: built.append(args))
+    genus2 = parse_poly_system("y^2 + x*y - x^5 - x - 1")
+    with pytest.raises(ValueError, match="search space too large"):
+        affine_count_sequence(genus2, 5, 8)
+    assert built == []
 
 
 def test_product_count_one_variable_at_2_20_within_memory_budget():
@@ -320,30 +385,38 @@ PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # F_4 .. F_2
 
 @st.composite
 def small_systems(draw):
-    """Random systems over small extension fields, mixed monomials included.
+    """Random systems over small extension fields, mixed monomials included,
+    and single equations whose last variable separates, g(x') = h(y).
 
     Three variables are drawn only over q <= 9, so the scalar oracle sees at
     most 729 tuples."""
     p, n = draw(st.sampled_from(PROPERTY_FIELDS))
-    k = draw(st.integers(2, 3 if p ** n <= 9 else 2))
-    separable = k == 2 and draw(st.booleans())
+    k = draw(st.integers(1, 3 if p ** n <= 9 else 2))
+    separable = draw(st.booleans())
     monomial = st.tuples(st.tuples(*[st.integers(0, 4)] * k), st.integers(-6, 6))
     polys = []
     for _ in range(1 if separable else draw(st.integers(1, 2))):
         terms = draw(st.lists(monomial, min_size=1, max_size=4))
-        if separable:  # keep one variable per monomial
-            terms = [((ex, 0) if ex else (0, ey), c) for (ex, ey), c in terms]
+        if separable:  # a monomial in y carries no other variable
+            terms = [(((0,) * (k - 1) + e[-1:]) if e[-1] else e, c) for e, c in terms]
         polys.append(tuple(terms))
     return PolySystem(k, tuple(polys)), make_field(p, n)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_systems())
 def test_product_and_separable_match_oracle_on_random_systems(case):
     system, f = case
     product = count_affine(system, f, method="product", chunk_size=97)
     assert product == naive_affine_count(system, f)
-    if _separable_split(system) is not None:
+    assert count_affine(system, f, method="auto") == product
+    # a row term: some y^j, j > 0, whose coefficient mod p involves x'
+    keeps_row_term = len(system.polys) > 1 or any(
+        c % f.p and e[-1] and any(e[:-1]) for e, c in system.polys[0])
+    if keeps_row_term:
+        with pytest.raises(ValueError, match="^system is not separable$"):
+            count_affine(system, f, method="separable")
+    else:
         assert count_affine(system, f, method="separable") == product
 
 
@@ -489,3 +562,11 @@ def test_count_sequence_validation():
         CountSequence(2, ())
     with pytest.raises(ValueError, match="negative"):
         CountSequence(2, (3, -1))
+
+
+def test_empty_sequence_refused_as_empty():
+    # n_max < 1 leaves nothing to plan: no "not separable" or work-limit refusal
+    mixed = parse_poly_system("x*y - 1")
+    for method in ("separable", "product"):
+        with pytest.raises(ValueError, match="empty count sequence"):
+            affine_count_sequence(mixed, 2, 0, method=method, work_limit=1)
