@@ -1,10 +1,12 @@
 """Command-line front end: point counts, eigenvalue predictions, zeta
 functions, motive calculus, and prime-counting approximations.
 
-Every subcommand emits a single report.  The format defaults to an
-aligned table on a terminal and CSV when redirected; --format forces
-csv, json, or table.  All numeric output is deterministic across runs
-and worker counts.
+A subcommand is one parser block in `build_parser`, which registers
+its handler with `set_defaults`, plus that handler: a function from the
+parsed namespace to a single report.  The format defaults to an aligned
+table on a terminal and CSV when redirected; --format forces csv, json,
+or table.  All numeric output is deterministic across runs and worker
+counts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import explicit_formula as ef
-from .finite_field import is_prime, make_field
+from .finite_field import MAX_FIELD_SIZE, make_field, prime_factors
 from .motive import (
     lefschetz_motive,
     motive_of_elliptic_curve,
@@ -36,28 +38,6 @@ from .variety import (
 )
 from .weil import hasse_alpha, predict_affine_counts
 from .zeta import curve_denominator, rational_reconstruct, zeta_series
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str
-    poly_path: str | None = None
-    p: int | None = None
-    n1: int | None = None
-    n_max: int = 1
-    dim: int = 0
-    q: int | None = None
-    genus: int | None = None
-    counts: tuple[int, ...] | None = None
-    expr: str | None = None
-    zeros_path: str | None = None
-    K: int = 0
-    work_limit: int = DEFAULT_WORK_LIMIT
-    workers: int = 1
-    method: str = "product"
-    projective: bool = False
-    x_max: float = 20.0
 
 
 @dataclass(frozen=True)
@@ -130,70 +110,53 @@ def _require(cond, msg):
 
 def _prime_power(q: int) -> tuple[int, int]:
     _require(q >= 2, "q must be >= 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            _require(m == 1 and is_prime(p), "q must be a prime power")
-            return p, n
-    raise ValueError("q must be a prime power")
+    _require(q <= MAX_FIELD_SIZE, "field too large")
+    factors = prime_factors(q)
+    _require(len(factors) == 1, "q must be a prime power")
+    p, n = factors[0], 1
+    while p ** n < q:
+        n += 1
+    return p, n
 
 
-def _load_system(config: RunConfig):
-    _require(config.poly_path is not None, "--poly file required")
-    with open(config.poly_path) as fh:
+def _load_system(path):
+    _require(path is not None, "--poly file required")
+    with open(path) as fh:
         return parse_poly_system(fh.read())
 
 
-def _cmd_count(config: RunConfig) -> Report:
-    _require(config.p is not None, "--p required")
-    system = _load_system(config)
-    seq = affine_count_sequence(system, config.p, config.n_max,
-                                extra_point=config.projective,
-                                work_limit=config.work_limit,
-                                workers=config.workers,
-                                method=config.method)
-    rows = tuple((n, config.p ** n, c) for n, c in enumerate(seq.counts, start=1))
+def _count_sequence(args, n_max: int, method: str, extra_point: bool = False) -> CountSequence:
+    return affine_count_sequence(_load_system(args.poly), args.p, n_max,
+                                 extra_point=extra_point, work_limit=args.work_limit,
+                                 workers=args.workers, method=method)
+
+
+def _cmd_count(args) -> Report:
+    seq = _count_sequence(args, args.n_max, args.method, extra_point=args.projective)
+    rows = tuple((n, args.p ** n, c) for n, c in enumerate(seq.counts, start=1))
     return Report(("n", "q", "count"), rows)
 
 
-def _cmd_predict(config: RunConfig) -> Report:
-    _require(config.p is not None, "--p required")
-    _require(config.n1 is not None, "--n1 required (affine count over F_p)")
-    alpha = hasse_alpha(config.p, config.n1)
+def _cmd_predict(args) -> Report:
+    alpha = hasse_alpha(args.p, args.n1)
     extra = (("alpha_re", alpha.re), ("alpha_im", alpha.im),
              ("trace", alpha.trace_a),
-             ("hasse_bound", 2.0 * math.sqrt(config.p)))
-    if config.poly_path:
-        system = _load_system(config)
-        seq = affine_count_sequence(system, config.p, config.n_max,
-                                    work_limit=config.work_limit,
-                                    workers=config.workers,
-                                    method=config.method)
+             ("hasse_bound", 2.0 * math.sqrt(args.p)))
+    if args.poly:
+        seq = _count_sequence(args, args.n_max, args.method)
         predicted = predict_affine_counts(alpha, len(seq.counts))
         rows = tuple((n, want, c, "ok" if want == c else "MISMATCH")
                      for n, (want, c) in enumerate(zip(predicted, seq.counts), start=1))
         return Report(("n", "predicted", "brute_force", "status"), rows, extra)
-    rows = tuple(enumerate(predict_affine_counts(alpha, config.n_max), start=1))
+    rows = tuple(enumerate(predict_affine_counts(alpha, args.n_max), start=1))
     return Report(("n", "predicted"), rows, extra)
 
 
-def _zeta_counts(config: RunConfig) -> tuple[int, CountSequence]:
-    if config.counts is not None:
-        _require(config.p is not None, "--p required with --counts")
-        return config.p, CountSequence(config.p, config.counts, projective_flag=True)
-    _require(config.genus is not None, "--genus required")
-    _require(config.p is not None, "--p required")
-    system = _load_system(config)
-    order = 2 * config.genus + 4
-    seq = affine_count_sequence(system, config.p, order, extra_point=True,
-                                work_limit=config.work_limit,
-                                workers=config.workers,
-                                method="auto")
-    return config.p, seq
+def _parse_counts(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ValueError(f"--counts must be comma-separated integers, got {text!r}") from None
 
 
 def _poly_str(coeffs) -> str:
@@ -212,9 +175,14 @@ def _poly_str(coeffs) -> str:
     return " ".join([head] + parts[1:])
 
 
-def _cmd_zeta(config: RunConfig) -> Report:
-    p, seq = _zeta_counts(config)
-    genus = config.genus if config.genus is not None else \
+def _cmd_zeta(args) -> Report:
+    p = args.p
+    if args.counts is not None:
+        seq = CountSequence(p, _parse_counts(args.counts), projective_flag=True)
+    else:
+        _require(args.genus is not None, "--genus required")
+        seq = _count_sequence(args, 2 * args.genus + 4, "auto", extra_point=True)
+    genus = args.genus if args.genus is not None else \
         max(1, (len(seq.counts) - 4) // 2)
     series = zeta_series(seq)
     rz = rational_reconstruct(series, 2 * genus, curve_denominator(p), p)
@@ -251,49 +219,36 @@ def _parse_motive_expr(expr: str, q: int | None):
     raise ValueError(f"cannot parse motive expression {expr!r}")
 
 
-def _cmd_motive(config: RunConfig) -> Report:
-    _require(config.expr is not None, "--expr required")
-    m = _parse_motive_expr(config.expr, config.q)
+def _cmd_motive(args) -> Report:
+    m = _parse_motive_expr(args.expr, args.q)
     pieces = {str(k): [[r.real, r.imag] for r in roots]
               for k, roots in m.weight_table().items()}
-    rows = tuple(enumerate(point_counts(m, config.n_max), start=1))
+    rows = tuple(enumerate(point_counts(m, args.n_max), start=1))
     return Report(("n", "count"), rows,
                   (("base_q", m.base_q), ("pieces", pieces)))
 
 
-def _cmd_pspace(config: RunConfig) -> Report:
-    _require(config.q is not None, "--q required")
-    p, n = _prime_power(config.q)
+def _cmd_pspace(args) -> Report:
+    p, n = _prime_power(args.q)
     rows = []
-    for m in range(1, config.n_max + 1):
+    for m in range(1, args.n_max + 1):
         f = make_field(p, n * m)
-        rows.append((m, f.q, count_projective_space(config.dim, f,
-                                                    work_limit=config.work_limit)))
+        rows.append((m, f.q, count_projective_space(args.dim, f,
+                                                    work_limit=args.work_limit)))
     return Report(("n", "q", "count"), tuple(rows),
-                  (("dim", config.dim), ("closed_form", "1 + q + ... + q^dim"),))
+                  (("dim", args.dim), ("closed_form", "1 + q + ... + q^dim"),))
 
 
-def _cmd_pi(config: RunConfig) -> Report:
-    zeros = ef.load_zeros(config.zeros_path) if config.zeros_path \
-        else ef.default_zero_table()
-    _require(config.K <= len(zeros), "K exceeds the zero table")
-    limit = max(3, int(math.floor(config.x_max)) + 1)
+def _cmd_pi(args) -> Report:
+    zeros = ef.load_zeros(args.zeros) if args.zeros else ef.default_zero_table()
+    ef.zero_ordinates(zeros, args.K)  # refuse a bad K before the sieve is built
+    limit = max(3, int(math.floor(args.x_max)) + 1)
     pc = ef.PrimeCounter.build(limit)
-    grid = ef.half_integer_grid(2.0, config.x_max)
+    grid = ef.half_integer_grid(2.0, args.x_max)
     rows = tuple((x, pi, li_x, approx) for x, pi, li_x, approx in
-                 ef.approximation_rows(grid, zeros, config.K, pc))
-    return Report(("x", "pi", "li", f"approx_{config.K}"), rows,
-                  (("zero_pairs", config.K),))
-
-
-_COMMANDS = {
-    "count": _cmd_count,
-    "predict": _cmd_predict,
-    "zeta": _cmd_zeta,
-    "motive": _cmd_motive,
-    "pspace": _cmd_pspace,
-    "pi": _cmd_pi,
-}
+                 ef.approximation_rows(grid, zeros, args.K, pc))
+    return Report(("x", "pi", "li", f"approx_{args.K}"), rows,
+                  (("zero_pairs", args.K),))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,11 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
                    "g(x') = h(y), else the product grid; product: every tuple, the "
                    "oracle; separable: the join, refused when it does not apply")
 
-    def common(sp):
+    def common(sp, handler):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--format", choices=("csv", "json", "table"), default=None)
         sp.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get("WEIL_WORKERS", "1")))
+        sp.add_argument("--workers", type=int, default=None)
 
     sp = sub.add_parser("count", help="count points of a polynomial system")
     sp.add_argument("--poly", required=True, help="polynomial system file")
@@ -320,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="curve convention: affine count plus one")
     sp.add_argument("--method", choices=("product", "separable", "auto"),
                     default="product", help=method_help)
-    common(sp)
+    common(sp, _cmd_count)
 
     sp = sub.add_parser("predict", help="Frobenius eigenvalue from N_1 and predictions")
     sp.add_argument("--p", type=int, required=True)
@@ -329,75 +284,63 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=12)
     sp.add_argument("--method", choices=("product", "separable", "auto"),
                     default="auto", help=method_help)
-    common(sp)
+    common(sp, _cmd_predict)
 
     sp = sub.add_parser("zeta", help="rational zeta function of a curve")
     sp.add_argument("--poly", help="curve file (with --genus)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--genus", type=int)
     sp.add_argument("--counts", help="comma-separated projective counts N_1,N_2,...")
-    common(sp)
+    common(sp, _cmd_zeta)
 
     sp = sub.add_parser("motive", help="evaluate a motive constructor expression")
     sp.add_argument("--expr", required=True,
                     help="'P^n' | 'L^k' | 'elliptic a=<trace> p=<prime>'")
     sp.add_argument("--q", type=int, help="base field size for P^n and L^k")
     sp.add_argument("--n-max", type=int, default=3)
-    common(sp)
+    common(sp, _cmd_motive)
 
     sp = sub.add_parser("pspace", help="points of projective space over F_{q^n}")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=1)
-    common(sp)
+    common(sp, _cmd_pspace)
 
     sp = sub.add_parser("pi", help="prime counts vs the explicit formula")
     sp.add_argument("--x-max", type=float, default=20.0)
     sp.add_argument("--K", type=int, default=0, help="number of zero pairs")
     sp.add_argument("--zeros", help="zero table path (default: bundled)")
-    common(sp)
+    common(sp, _cmd_pi)
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    counts = None
-    if getattr(args, "counts", None):
-        counts = tuple(int(c) for c in args.counts.split(","))
-    fmt = args.format or ("table" if sys.stdout.isatty() else "csv")
-    return RunConfig(
-        command=args.command,
-        fmt=fmt,
-        poly_path=getattr(args, "poly", None),
-        p=getattr(args, "p", None),
-        n1=getattr(args, "n1", None),
-        n_max=getattr(args, "n_max", 1),
-        dim=getattr(args, "dim", 0),
-        q=getattr(args, "q", None),
-        genus=getattr(args, "genus", None),
-        counts=counts,
-        expr=getattr(args, "expr", None),
-        zeros_path=getattr(args, "zeros", None),
-        K=getattr(args, "K", 0),
-        work_limit=args.work_limit,
-        workers=args.workers,
-        method=getattr(args, "method", "product"),
-        projective=getattr(args, "projective", False),
-        x_max=getattr(args, "x_max", 20.0),
-    )
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill in, in place, the defaults read from the environment: --format
+    from the terminal, --workers from WEIL_WORKERS (else 1).  `run` calls
+    it; calling it again changes nothing."""
+    if args.format is None:
+        args.format = "table" if sys.stdout.isatty() else "csv"
+    if args.workers is None:
+        raw = os.environ.get("WEIL_WORKERS", "1")
+        try:
+            args.workers = int(raw)
+        except ValueError:
+            raise ValueError(f"WEIL_WORKERS must be an integer, got {raw!r}") from None
+    return args
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one subcommand; (exit status, rendered report)."""
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parsed subcommand; (exit status, rendered report)."""
     try:
-        _require(config.workers >= 1, "workers must be >= 1")
-        return 0, render(_COMMANDS[config.command](config), config.fmt)
+        config_from_args(args)
+        _require(args.workers >= 1, "workers must be >= 1")
+        return 0, render(args.handler(args), args.format)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         return 1, f"error: {exc}"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    status, text = run(config_from_args(args))
+    status, text = run(build_parser().parse_args(argv))
     if status == 0:
         sys.stdout.write(text)
     else:

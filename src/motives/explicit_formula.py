@@ -340,8 +340,11 @@ def smooth_term(y: float, gammas: np.ndarray) -> float:
                                np.asarray(gammas, dtype=float))[1][0])
 
 
-def _ordinates(zeros: ZeroTable, K: int) -> np.ndarray:
-    if K < 0 or K > len(zeros):
+def zero_ordinates(zeros: ZeroTable, K: int) -> np.ndarray:
+    """The first K ordinates, refusing K < 0 and K past the table."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if K > len(zeros):
         raise ValueError("K exceeds the zero table")
     return np.asarray(zeros.ordinates[:K], dtype=float)
 
@@ -381,7 +384,7 @@ def riemann_approx(x: float, zeros: ZeroTable, K: int) -> float:
     """
     if x < 2:
         raise ValueError("x must be >= 2")
-    gammas = _ordinates(zeros, K)
+    gammas = zero_ordinates(zeros, K)
     return float(_explicit(np.array([x], dtype=float), gammas)[1][0])
 
 
@@ -391,7 +394,7 @@ def approximation_rows(xs, zeros: ZeroTable, K: int, pc: PrimeCounter):
     Evaluated in blocks of _ROWS points, so the working set stays near
     1 MB whatever the length of the grid.
     """
-    gammas = _ordinates(zeros, K)
+    gammas = zero_ordinates(zeros, K)
     xs = np.asarray(xs, dtype=float)
     if xs.size and xs.min() < 2:
         raise ValueError("x must be >= 2")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import motives
-from motives.cli import Report, build_parser, config_from_args, main, render
+from motives.cli import Report, _prime_power, build_parser, config_from_args, main, render
 
 CURVE_TEXT = "# reference curve\ny^2 + y - x^3 - x\n"
 
@@ -103,6 +103,24 @@ def test_zeta_from_counts(capsys):
     assert payload["numerator"] == [1, 2, 2]
     weights = sorted(row[0] for row in payload["rows"])
     assert weights == [0, 1, 1, 2]
+
+
+def test_zeta_at_bad_reduction(curve_file, capsys):
+    # the discriminant of y^2 + y = x^3 + x is -91 = -7 * 13, so at p = 7 the
+    # curve is singular and the numerator keeps only the node's eigenvalue
+    status, out, _ = run_cli(["zeta", "--poly", curve_file, "--p", "7", "--genus", "1",
+                              "--format", "json"], capsys)
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["numerator"] == [1, 1, 0]
+    assert payload["display"] == "(1 + t) / ((1 - t)(1 - 7 t))"
+
+
+@pytest.mark.parametrize("counts", ["5,x", "", "5,,5"])
+def test_zeta_malformed_counts_is_one_error_line(counts, capsys):
+    status, out, err = run_cli(["zeta", "--p", "2", "--counts", counts], capsys)
+    assert (status, out) == (1, "")
+    assert err == f"error: --counts must be comma-separated integers, got {counts!r}\n"
 
 
 def test_motive_projective_space(capsys):
@@ -289,6 +307,45 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("WEIL_WORKERS", "4")
     args = build_parser().parse_args(["pspace", "--dim", "1", "--q", "2"])
     assert config_from_args(args).workers == 4
+
+
+def test_workers_env_malformed_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("WEIL_WORKERS", "x")
+    status, out, err = run_cli(["pspace", "--dim", "1", "--q", "2"], capsys)
+    assert (status, out, err) == (1, "", "error: WEIL_WORKERS must be an integer, got 'x'\n")
+
+
+@pytest.mark.parametrize("env", ["x", "0"])
+def test_explicit_workers_wins_over_env(env, monkeypatch, capsys):
+    monkeypatch.setenv("WEIL_WORKERS", env)
+    status, out, _ = run_cli(["pspace", "--dim", "1", "--q", "2", "--workers", "1",
+                              "--format", "csv"], capsys)
+    assert (status, out) == (0, "n,q,count\n1,2,3\n")
+
+
+def test_prime_power_factors_without_a_scan():
+    assert _prime_power(2 ** 26) == (2, 26)
+    assert _prime_power(3 ** 16) == (3, 16)
+    assert _prime_power(8191) == (8191, 1)
+    with pytest.raises(ValueError, match="q must be a prime power"):
+        _prime_power(12)
+    with pytest.raises(ValueError, match="field too large"):
+        _prime_power(2 ** 26 + 1)
+
+
+def test_pspace_refuses_a_large_q_at_once():
+    # a scan over every candidate factor of this 13-digit prime would not end
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "motives.cli", "pspace", "--dim", "1", "--q", "1000000000039"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "error: field too large\n")
+
+
+def test_pi_negative_K_is_refused_before_the_sieve(capsys):
+    # x_max 1e8 would pass the sieve cap; the K check comes first
+    status, _, err = run_cli(["pi", "--x-max", "1e8", "--K", "-1"], capsys)
+    assert (status, err) == (1, "error: K must be >= 0\n")
 
 
 def test_table_format_renders(curve_file, capsys):

@@ -334,6 +334,8 @@ def test_approximation_rows_input_validation(pc, zeros):
     assert approximation_rows([], zeros, 0, pc) == []
     with pytest.raises(ValueError, match="K exceeds"):
         approximation_rows([2.5], zeros, len(zeros) + 1, pc)
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        approximation_rows([2.5], zeros, -1, pc)
     with pytest.raises(ValueError, match="x must be >= 2"):
         approximation_rows([2.5, 1.5], zeros, 0, pc)
 
