@@ -5,8 +5,7 @@ A subcommand is one parser block in `build_parser`, which registers
 its handler with `set_defaults`, plus that handler: a function from the
 parsed namespace to a single report.  The format defaults to an aligned
 table on a terminal and CSV when redirected; --format forces csv, json,
-or table.  All numeric output is deterministic across runs and worker
-counts.
+or table.  All numeric output is deterministic across runs.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 from . import explicit_formula as ef
-from .finite_field import MAX_FIELD_SIZE, make_field, prime_factors
+from .finite_field import MAX_FIELD_SIZE, is_prime, make_field
 from .motive import (
     lefschetz_motive,
     motive_of_elliptic_curve,
@@ -108,15 +106,27 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+def _iroot(m: int, n: int) -> int:
+    """floor(m^(1/n)) for m >= 1, by Newton's method in integers."""
+    r = 1 << -(-m.bit_length() // n)
+    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+        r = s
+    return r
+
+
+def _prime_root(q: int) -> tuple[int, int]:
+    """(p, n) with p prime and p^n = q >= 2, from q's integer n-th roots."""
+    for n in range(1, q.bit_length()):
+        p = _iroot(q, n)
+        if p ** n == q and is_prime(p):
+            return p, n
+    raise ValueError("q must be a prime power")
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     _require(q >= 2, "q must be >= 2")
     _require(q <= MAX_FIELD_SIZE, "field too large")
-    factors = prime_factors(q)
-    _require(len(factors) == 1, "q must be a prime power")
-    p, n = factors[0], 1
-    while p ** n < q:
-        n += 1
-    return p, n
+    return _prime_root(q)
 
 
 def _load_system(path):
@@ -128,7 +138,7 @@ def _load_system(path):
 def _count_sequence(args, n_max: int, method: str, extra_point: bool = False) -> CountSequence:
     return affine_count_sequence(_load_system(args.poly), args.p, n_max,
                                  extra_point=extra_point, work_limit=args.work_limit,
-                                 workers=args.workers, method=method)
+                                 method=method)
 
 
 def _cmd_count(args) -> Report:
@@ -198,25 +208,39 @@ def _cmd_zeta(args) -> Report:
 
 def _parse_motive_expr(expr: str, q: int | None):
     expr = expr.strip()
+    unparsed = f"cannot parse motive expression {expr!r}"
+
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(unparsed) from None
+
+    def check_base(name: str) -> None:
+        _require(q is not None, f"--q required for {name}")
+        if q >= 2:  # below 2, Motive refuses the base itself
+            _prime_root(q)
+
     if expr.startswith("P^"):
-        _require(q is not None, "--q required for P^n")
-        return motive_of_projective_space(int(expr[2:]), q)
+        check_base("P^n")
+        return motive_of_projective_space(number(expr[2:]), q)
     if expr == "P":
-        _require(q is not None, "--q required for P^n")
+        check_base("P^n")
         return motive_of_projective_space(1, q)
     if expr.startswith("L^"):
-        _require(q is not None, "--q required for L^k")
-        return tensor_power(lefschetz_motive(q), int(expr[2:]))
+        check_base("L^k")
+        return tensor_power(lefschetz_motive(q), number(expr[2:]))
     if expr == "L":
-        _require(q is not None, "--q required for L")
+        check_base("L")
         return lefschetz_motive(q)
     if expr.startswith("elliptic"):
-        kv = dict(part.split("=") for part in expr.split()[1:])
+        pairs = [part.split("=") for part in expr.split()[1:]]
+        _require(all(len(kv) == 2 for kv in pairs), unparsed)
+        kv = dict(pairs)
         _require("a" in kv and "p" in kv, "elliptic needs a=<trace> p=<prime>")
-        p = int(kv["p"])
-        a = int(kv["a"])
-        return motive_of_elliptic_curve(hasse_alpha(p, p - a))
-    raise ValueError(f"cannot parse motive expression {expr!r}")
+        p = number(kv["p"])
+        return motive_of_elliptic_curve(hasse_alpha(p, p - number(kv["a"])))
+    raise ValueError(unparsed)
 
 
 def _cmd_motive(args) -> Report:
@@ -242,6 +266,7 @@ def _cmd_pspace(args) -> Report:
 def _cmd_pi(args) -> Report:
     zeros = ef.load_zeros(args.zeros) if args.zeros else ef.default_zero_table()
     ef.zero_ordinates(zeros, args.K)  # refuse a bad K before the sieve is built
+    _require(math.isfinite(args.x_max), f"--x-max must be a finite number, got {args.x_max}")
     limit = max(3, int(math.floor(args.x_max)) + 1)
     pc = ef.PrimeCounter.build(limit)
     grid = ef.half_integer_grid(2.0, args.x_max)
@@ -265,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
         sp.add_argument("--format", choices=("csv", "json", "table"), default=None)
         sp.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
-        sp.add_argument("--workers", type=int, default=None)
 
     sp = sub.add_parser("count", help="count points of a polynomial system")
     sp.add_argument("--poly", required=True, help="polynomial system file")
@@ -315,17 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill in, in place, the defaults read from the environment: --format
-    from the terminal, --workers from WEIL_WORKERS (else 1).  `run` calls
-    it; calling it again changes nothing."""
+    """Fill in, in place, --format from the terminal: a table on one, else
+    CSV.  `run` calls it; calling it again changes nothing."""
     if args.format is None:
         args.format = "table" if sys.stdout.isatty() else "csv"
-    if args.workers is None:
-        raw = os.environ.get("WEIL_WORKERS", "1")
-        try:
-            args.workers = int(raw)
-        except ValueError:
-            raise ValueError(f"WEIL_WORKERS must be an integer, got {raw!r}") from None
     return args
 
 
@@ -333,7 +350,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     """Execute one parsed subcommand; (exit status, rendered report)."""
     try:
         config_from_args(args)
-        _require(args.workers >= 1, "workers must be >= 1")
+        _require(getattr(args, "n_max", 1) >= 1, "--n-max must be >= 1")
         return 0, render(args.handler(args), args.format)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         return 1, f"error: {exc}"

@@ -295,7 +295,8 @@ def _zero_terms(y: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """2 Re li(y^rho) for each y (rows) and rho = 1/2 + i gamma (columns)."""
     w = np.multiply.outer(-np.log(y), 0.5 + 1j * gammas)
     z = w[..., None] + _RAY_U
-    return -2.0 * (np.exp(-w) * (np.reciprocal(z, out=z) @ _RAY_EW)).real
+    # einsum, not @: a complex-by-float matmul goes through BLAS and its threads
+    return -2.0 * (np.exp(-w) * np.einsum("...k,k->...", np.reciprocal(z, out=z), _RAY_EW)).real
 
 
 def zero_pair_terms(y: float, gammas: np.ndarray) -> np.ndarray:

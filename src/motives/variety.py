@@ -15,7 +15,7 @@ against a right-hand side computed once per row.  A single polynomial
 with no such terms, g(x') = h(y), is counted by a histogram join of the
 right-hand sides with the column codes instead.  Integer counts summed
 over tiles of at most chunk_size points are identical for any chunk
-size and worker count.  Projective charts x_lead = 1 use the tiles.
+size and worker count.  Projective charts x_lead = 1 are affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,10 @@ from .finite_field import (MAX_FIELD_SIZE, FieldSpec, is_prime, make_field,
 
 DEFAULT_WORK_LIMIT = 2 ** 28
 DEFAULT_CHUNK_SIZE = 1 << 14
+# the smallest grid a pool pays for: y^2 + xy + y = x^3 + x^2 + x, warm, 2 CPUs,
+# serial vs a new 2-worker pool, 0.26-0.29 vs 0.30-0.34 s at 2^26 tuples (F_2^13),
+# 1.13-1.29 vs 0.66-0.78 s at 2^28 (F_2^14)
+POOL_MIN_TUPLES = 2 ** 27
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
 Monomial = tuple[tuple[int, ...], int]
@@ -512,9 +515,10 @@ def _count_tiles(payload) -> int:
     return _Grid(_worker_system, FieldSpec(p, n, modulus), chunk_size).count(start, stop)
 
 
-def _pool_size(requested: int, tiles: int) -> int:
-    """Worker processes to start: no more than there are tiles or CPUs."""
-    return min(requested, tiles, os.cpu_count() or 1)
+def _pool_size(cap: int | None, tiles: int) -> int:
+    """Worker processes to start: no more than the cap, tiles or CPUs."""
+    cpus = os.cpu_count() or 1
+    return min(cpus if cap is None else cap, tiles, cpus)
 
 
 class _GridCounter:
@@ -524,16 +528,16 @@ class _GridCounter:
 
     A single polynomial whose coefficients of y^j, j > 0, are constants
     mod p is counted by the histogram join, q^(k - 1) + q tuples; any
-    other system by the tiles, q^k.  One pool serves every field.  It
-    starts at the first field with more than one tile, with as many
-    workers as the largest field has tiles (at most `workers` and the
-    CPUs), and its initializer hands each worker the system once; a
-    field then travels as ranges of tiles, four per worker.
+    other system by the tiles, q^k.  One pool serves every field whose
+    tiles hold at least POOL_MIN_TUPLES tuples, with as many workers as
+    the largest field has tiles (at most `workers` and the CPUs); its
+    initializer hands each worker the system once, and a field then
+    travels as ranges of tiles, four per worker.
     """
 
     def __init__(self, system: PolySystem, p: int, q_max: int, *, work_limit: int,
-                 workers: int, method: str, chunk_size: int):
-        if workers < 1:
+                 workers: int | None, method: str, chunk_size: int):
+        if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if method not in ("auto", "product", "separable"):
             raise ValueError(f"unknown method {method!r}")
@@ -557,10 +561,11 @@ class _GridCounter:
 
     def count(self, spec: FieldSpec) -> int:
         tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
-        if self.workers == 1 or tiles == 1:
+        if self.workers == 1 or spec.q ** self.system.num_vars < POOL_MIN_TUPLES:
             grid = _Grid(self.system, spec, self.chunk_size)
             return grid.join() if self.join else grid.count()
         if self.pool is None:
+            from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
             self.pool = ProcessPoolExecutor(max_workers=self.workers, initializer=_init_worker,
                                             initargs=(self.system,))
         parts = min(tiles, 4 * self.workers)
@@ -571,20 +576,20 @@ class _GridCounter:
 
 def count_affine(system: PolySystem, spec: FieldSpec, *,
                  work_limit: int = DEFAULT_WORK_LIMIT,
-                 workers: int = 1,
+                 workers: int | None = None,
                  method: str = "auto",
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
     """Number of points of F_q^k at which every polynomial vanishes.
 
     method: "product" tests every tuple of the q^k grid, laid out as
     rows (the first k - 1 variables) times columns (the last one), in
-    tiles of at most chunk_size tuples, optionally across worker
-    processes; "separable" joins a histogram of the rows' right-hand
-    sides with the columns' codes, for a single equation whose last
-    variable separates, g(x') = h(y); "auto" joins when it can.  All
-    methods count exactly, for any chunk_size; workers (at least 1) only
-    affect the tiles.  The work limit caps the tuples the chosen plan
-    enumerates: q^k for the tiles, q^(k - 1) + q for the join.
+    tiles of at most chunk_size tuples, across up to `workers` processes
+    (default the CPUs) from POOL_MIN_TUPLES tuples on; "separable" joins
+    a histogram of the rows' right-hand sides with the columns' codes,
+    for a single equation whose last variable separates, g(x') = h(y);
+    "auto" joins when it can.  All methods count exactly, for any
+    chunk_size and worker count.  The work limit caps the tuples the
+    chosen plan enumerates: q^k for the tiles, q^(k - 1) + q for the join.
     """
     with _GridCounter(system, spec.p, spec.q, work_limit=work_limit, workers=workers,
                       method=method, chunk_size=chunk_size) as counter:
@@ -609,19 +614,21 @@ def count_projective_variety(system: PolySystem, spec: FieldSpec, *,
     Representatives are normalized so the first nonzero coordinate is 1,
     scanning left to right; each projective point is enumerated once.
     The points with leading coordinate `lead` form an affine chart in
-    the k - 1 - lead later coordinates, counted on the product grid; the
-    last chart is the single point (0, ..., 0, 1).
+    the k - 1 - lead later coordinates, counted by count_affine's plan;
+    the last chart is the single point (0, ..., 0, 1).  The work limit
+    is charged once for all representatives, which bound each chart.
     """
     if not system.homogeneous_flag or not system.is_homogeneous():
         raise ValueError("not homogeneous")
     k, q = system.num_vars, spec.q
-    if _projective_rep_count(k, q) > work_limit:
+    reps = _projective_rep_count(k, q)
+    if reps > work_limit:
         raise ValueError("search space too large")
     total = 0
     for lead in range(k):
         chart, free = _chart(system.polys, lead), k - 1 - lead
         if free:
-            total += _Grid(PolySystem(free, chart), spec, DEFAULT_CHUNK_SIZE).count()
+            total += count_affine(PolySystem(free, chart), spec, work_limit=reps)
         else:
             total += all(sum(c for _, c in poly) % spec.p == 0 for poly in chart)
     return total
@@ -644,7 +651,7 @@ def count_projective_space(dim: int, spec: FieldSpec, *,
 def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
                           extra_point: bool = False,
                           work_limit: int = DEFAULT_WORK_LIMIT,
-                          workers: int = 1,
+                          workers: int | None = None,
                           method: str = "auto") -> CountSequence:
     """Counts over F_{p^1}..F_{p^n_max} by exhaustive enumeration.
 

@@ -4,9 +4,11 @@ Each test prints a single PASS line once its assertions hold; run with
 `pytest tests/test_acceptance.py -v -s` to see the checklist.
 """
 
+import concurrent.futures
 import csv
 import io
 import math
+import os
 import random
 import time
 
@@ -23,6 +25,7 @@ from motives.explicit_formula import (
     sieve_pi,
 )
 from motives.finite_field import make_field
+from motives import variety
 from motives.motive import (
     direct_sum,
     make_motive,
@@ -83,7 +86,7 @@ def test_criterion_01_golden_table():
     assert eight == EXPECTED_COUNTS[-1]
     assert eight_s < 15.0
     record(1, f"brute-force table n=1..12 exact "
-              f"(serial {serial_s:.1f}s, n=12 with 8 workers {eight_s:.1f}s)")
+              f"(serial {serial_s:.1f}s, n=12 capped at 8 workers {eight_s:.1f}s)")
 
 
 def test_criterion_02_correction_terms(brute_counts):
@@ -240,18 +243,29 @@ def test_criterion_09_rh_bound_echo():
               f"({elapsed:.1f}s)")
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
     curve_file = tmp_path / "curve.txt"
     curve_file.write_text("y^2 + y - x^3 - x\n")
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    # every field through the pool, with as many workers as the CPUs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 1)
     outputs = []
     for w in (1, 2, 4, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda w=w: w)
         for _ in range(2 if w == 1 else 1):
             status = cli_main(["count", "--poly", str(curve_file), "--p", "2",
-                               "--n-max", "12", "--workers", str(w),
-                               "--format", "csv"])
+                               "--n-max", "12", "--format", "csv"])
             assert status == 0
             outputs.append(capsys.readouterr().out)
     assert len(set(outputs)) == 1
+    assert made == [2, 4, 8]
     rows = list(csv.reader(io.StringIO(outputs[0])))
     assert [int(r[2]) for r in rows[1:]] == list(EXPECTED_COUNTS)
 
@@ -262,7 +276,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
         assert status == 0
         zeta_reports.append(capsys.readouterr().out)
     assert zeta_reports[0] == zeta_reports[1]
-    record(10, "byte-identical reports across repeats and workers {1,2,4,8}")
+    record(10, "byte-identical reports across repeats and 1, 2, 4, 8 CPUs, pooled")
 
 
 def test_zz_summary():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import motives
-from motives.cli import Report, _prime_power, build_parser, config_from_args, main, render
+from motives import variety
+from motives.cli import Report, _prime_power, main, render
 
 CURVE_TEXT = "# reference curve\ny^2 + y - x^3 - x\n"
 
@@ -37,12 +38,14 @@ def test_count_reference_table(curve_file, capsys):
                                              544, 1024, 1984, 4224]
 
 
-def test_count_workers_identical_output(curve_file, capsys):
+def test_count_workers_identical_output(curve_file, capsys, monkeypatch):
+    # every field through the pool, with as many workers as the CPUs
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 1)
     outs = []
-    for w in ("1", "2", "4", "8"):
+    for w in (1, 2, 4, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda w=w: w)
         status, out, _ = run_cli(["count", "--poly", curve_file, "--p", "2",
-                                  "--n-max", "10", "--workers", w,
-                                  "--format", "csv"], capsys)
+                                  "--n-max", "10", "--format", "csv"], capsys)
         assert status == 0
         outs.append(out)
     assert len(set(outs)) == 1
@@ -198,24 +201,58 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert e.value.code != 0
 
 
-def test_workers_below_one_is_an_error(curve_file, capsys):
-    status, out, err = run_cli(["count", "--poly", curve_file, "--p", "2",
-                                "--workers", "0"], capsys)
-    assert status == 1
-    assert out == ""
-    assert err == "error: workers must be >= 1\n"
+@pytest.mark.parametrize("argv", [
+    ["count", "--poly", "curve.txt", "--p", "2", "--workers", "0"],
+    ["predict", "--p", "2", "--n1", "4", "--workers", "2"],
+    ["zeta", "--p", "2", "--counts", "5,5,5", "--workers", "2"],
+    ["motive", "--expr", "P^2", "--q", "2", "--workers", "-3"],
+    ["pspace", "--dim", "1", "--q", "2", "--workers", "0"],
+    ["pi", "--x-max", "3", "--workers", "0"],
+], ids=lambda argv: argv[0])
+def test_workers_is_a_usage_error_for_every_command(argv, capsys):
+    # the counting plan decides parallelism: no subcommand takes --workers
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert "--workers" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
-    ["pi", "--x-max", "3", "--workers", "0"],
-    ["pspace", "--dim", "1", "--q", "2", "--workers", "0"],
-    ["motive", "--expr", "P^2", "--q", "2", "--workers", "-3"],
-])
-def test_workers_below_one_is_an_error_for_every_command(argv, capsys):
-    status, out, err = run_cli(argv, capsys)
-    assert status == 1
-    assert out == ""
-    assert err == "error: workers must be >= 1\n"
+    ["count", "--poly", "curve.txt", "--p", "2", "--n-max", "0"],
+    ["predict", "--p", "2", "--n1", "4", "--n-max", "0"],
+    ["motive", "--expr", "P^2", "--q", "2", "--n-max", "-1"],
+    ["pspace", "--dim", "1", "--q", "2", "--n-max", "0"],
+], ids=lambda argv: argv[0])
+def test_n_max_below_one_is_an_error(argv, capsys):
+    assert run_cli(argv, capsys) == (1, "", "error: --n-max must be >= 1\n")
+
+
+@pytest.mark.parametrize("q", [6, 12, 100])
+def test_motive_base_must_be_a_prime_power(q, capsys):
+    status, out, err = run_cli(["motive", "--expr", "P^2", "--q", str(q)], capsys)
+    assert (status, out, err) == (1, "", "error: q must be a prime power\n")
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 8191, 3 ** 20, 2 ** 100, 10007 ** 5])
+def test_motive_accepts_every_prime_power_base(q, capsys):
+    status, out, _ = run_cli(["motive", "--expr", "P^1", "--q", str(q),
+                              "--n-max", "1", "--format", "csv"], capsys)
+    assert (status, out) == (0, f"n,count\n1,{q + 1}\n")
+
+
+@pytest.mark.parametrize("expr", ["P^x", "L^", "elliptic a=x p=2", "elliptic a", "elliptic a=1=2"])
+def test_motive_parse_errors_name_the_expression(expr, capsys):
+    status, out, err = run_cli(["motive", "--expr", expr, "--q", "2"], capsys)
+    assert (status, out, err) == (1, "", f"error: cannot parse motive expression {expr!r}\n")
+
+
+@pytest.mark.parametrize("x_max", ["nan", "inf", "-inf"])
+def test_pi_x_max_must_be_finite(x_max, capsys):
+    status, out, err = run_cli(["pi", f"--x-max={x_max}"], capsys)
+    assert (status, out, err) == (1, "", f"error: --x-max must be a finite number, got {x_max}\n")
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -303,24 +340,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout == "False\n"
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("WEIL_WORKERS", "4")
-    args = build_parser().parse_args(["pspace", "--dim", "1", "--q", "2"])
-    assert config_from_args(args).workers == 4
-
-
-def test_workers_env_malformed_is_one_error_line(monkeypatch, capsys):
-    monkeypatch.setenv("WEIL_WORKERS", "x")
-    status, out, err = run_cli(["pspace", "--dim", "1", "--q", "2"], capsys)
-    assert (status, out, err) == (1, "", "error: WEIL_WORKERS must be an integer, got 'x'\n")
-
-
-@pytest.mark.parametrize("env", ["x", "0"])
-def test_explicit_workers_wins_over_env(env, monkeypatch, capsys):
+@pytest.mark.parametrize("env", ["4", "x", "0"])
+def test_weil_workers_env_is_ignored(env, monkeypatch, capsys):
+    # the variable no longer sets anything; a value left in the environment is harmless
     monkeypatch.setenv("WEIL_WORKERS", env)
-    status, out, _ = run_cli(["pspace", "--dim", "1", "--q", "2", "--workers", "1",
-                              "--format", "csv"], capsys)
-    assert (status, out) == (0, "n,q,count\n1,2,3\n")
+    status, out, err = run_cli(["pspace", "--dim", "1", "--q", "2", "--format", "csv"], capsys)
+    assert (status, out, err) == (0, "n,q,count\n1,2,3\n", "")
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, motives.cli; print(sorted(m for m in sys.modules "
+         "if m in ('concurrent.futures.process', 'multiprocessing')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "[]\n"
 
 
 def test_prime_power_factors_without_a_scan():

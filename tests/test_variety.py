@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 import tracemalloc
@@ -211,36 +212,71 @@ def test_count_invariance_under_permutation_and_unit_scaling():
         assert count_affine(scaled, f) == want
 
 
-def test_parallel_matches_serial():
+@pytest.fixture()
+def pools(monkeypatch):
+    """Pools started, as {"made": [workers per pool], "fields": {(p, n) counted
+    by a pool}}, on a 4-CPU machine; the pool threshold is left to the test."""
+    log = {"made": [], "fields": set()}
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            log["made"].append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            log["fields"].add(payloads[0][:2])
+            return super().map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return log
+
+
+def test_parallel_matches_serial(pools, monkeypatch):
     f = make_field(2, 7)  # 16384 pairs
     serial = count_affine(CURVE, f, method="product", chunk_size=1000)
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 1)
     for w in (2, 4):
         assert count_affine(CURVE, f, method="product", workers=w,
                             chunk_size=1000) == serial
+    assert pools["made"] == [2, 4]
 
 
-def test_workers_match_serial_with_row_terms():
+def test_workers_match_serial_with_row_terms(pools, monkeypatch):
     # odd p, an xy term (per-tuple Zech adds), tiles of a few rows each
     mixed = parse_poly_system("y^2 + x*y + 2*y - x^3 - x^2 - 2*x - 1")
     f = make_field(3, 5)
     serial = count_affine(mixed, f, method="product", chunk_size=1000)
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 1)
     assert count_affine(mixed, f, method="product", workers=2, chunk_size=1000) == serial
+    assert pools["made"] == [2]
     assert serial == predict_affine_count(hasse_alpha(3, count_affine(mixed, make_field(3, 1))), 5)
 
 
-def test_one_pool_per_sequence(monkeypatch):
-    made = []
-
-    class CountingPool(variety.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(variety, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_one_pool_per_sequence(pools, monkeypatch):
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 16)  # from F_2^8 on
     seq = affine_count_sequence(CURVE, 2, 12, method="product", workers=2)
     assert seq.counts == EXPECTED_CURVE_COUNTS
-    assert made == [2]
+    assert pools["made"] == [2]
+
+
+def test_pool_starts_at_the_threshold_field(pools, monkeypatch):
+    # F_2^10 has exactly 2^20 tuples; F_2^9, with 2^18, is counted serially
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 20)
+    seq = affine_count_sequence(CURVE, 2, 12, method="product")
+    assert seq.counts == EXPECTED_CURVE_COUNTS
+    assert pools["made"] == [4]
+    assert pools["fields"] == {(2, 10), (2, 11), (2, 12)}
+
+
+def test_pool_is_off_below_the_threshold(pools):
+    # at the default threshold, 2^27 tuples, the golden sequence to F_2^12
+    # (2^24) is counted serially, whatever the cap
+    for w in (None, 4):
+        seq = affine_count_sequence(CURVE, 2, 12, method="product", workers=w)
+        assert seq.counts == EXPECTED_CURVE_COUNTS
+    assert pools["made"] == []
 
 
 def test_workers_below_one_rejected():
@@ -260,6 +296,8 @@ def test_unknown_method_rejected():
 def test_pool_size_clamps_to_chunks_and_cpus(monkeypatch):
     # only the pure clamp is exercised: no pool of this size is ever started
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool_size(None, 10 ** 9) == 2
+    assert _pool_size(None, 1) == 1
     assert _pool_size(10 ** 12, 10 ** 9) == 2
     assert _pool_size(10 ** 12, 1) == 1
     assert _pool_size(1, 10 ** 9) == 1
@@ -326,11 +364,13 @@ def test_join_without_column_terms_spans_every_column_slice():
     assert count_affine(cubic, f) == 3 * f.q
 
 
-def test_join_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(variety, "ProcessPoolExecutor", None)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seq = affine_count_sequence(CURVE, 2, 12, method="separable", workers=2)
-    assert seq.counts == EXPECTED_CURVE_COUNTS
+def test_join_starts_no_pool(pools, monkeypatch):
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 1)
+    for method in ("separable", "auto"):
+        for w in (None, 1, 2, 8):
+            seq = affine_count_sequence(CURVE, 2, 12, method=method, workers=w)
+            assert seq.counts == EXPECTED_CURVE_COUNTS
+    assert pools["made"] == []
 
 
 def test_sequence_refused_before_any_field_is_counted(monkeypatch):
@@ -513,6 +553,37 @@ def test_projective_count_within_memory_budget(text):
     # and N_10 = 2^10 + 1 - 2 (-2)^5
     assert got == (1089 if text else f.q ** 2 + f.q + 1)
     assert peak < 2 * 2 ** 20, peak
+
+
+CONE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """One or two homogeneous polynomials of degree 1..4 in 2 or 3 variables,
+    over a field with q <= 13."""
+    p, n = draw(st.sampled_from(CONE_FIELDS))
+    k = draw(st.integers(2, 3))
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(1, 4))
+        exps = st.lists(st.integers(0, d), min_size=k - 1, max_size=k - 1).filter(
+            lambda e: sum(e) <= d).map(lambda e: (*e, d - sum(e)))
+        terms = draw(st.dictionaries(exps, st.integers(-6, 6).filter(bool), min_size=1,
+                                     max_size=4))
+        polys.append(tuple(sorted(terms.items())))
+    return PolySystem(k, tuple(polys), homogeneous_flag=True), make_field(p, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(homogeneous_systems())
+def test_projective_count_is_the_cone_over_q_minus_one(case):
+    # the affine cone of a system of positive degree is the origin plus
+    # q - 1 points on each line through a projective point
+    system, f = case
+    cone = count_affine(system, f, method="product")
+    assert (cone - 1) % (f.q - 1) == 0
+    assert count_projective_variety(system, f) == (cone - 1) // (f.q - 1)
 
 
 def test_projective_requires_homogeneous():
