@@ -27,6 +27,7 @@ from .zeta import (
     expand_rational,
     rational_reconstruct,
     trace_formula_count,
+    zeta_from_counts,
     zeta_series,
 )
 from .motive import (

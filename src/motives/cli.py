@@ -35,7 +35,7 @@ from .variety import (
     parse_poly_system,
 )
 from .weil import hasse_alpha, predict_affine_counts
-from .zeta import curve_denominator, rational_reconstruct, zeta_series
+from .zeta import curve_denominator, zeta_from_counts
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,7 @@ def _cmd_zeta(args) -> Report:
         seq = _count_sequence(args, 2 * args.genus + 4, "auto", extra_point=True)
     genus = args.genus if args.genus is not None else \
         max(1, (len(seq.counts) - 4) // 2)
-    series = zeta_series(seq)
-    rz = rational_reconstruct(series, 2 * genus, curve_denominator(p), p)
+    rz = zeta_from_counts(seq.counts, 2 * genus, curve_denominator(p), p)
     rows = []
     for k, roots in rz.roots_by_weight:
         for r in roots:
@@ -267,6 +266,7 @@ def _cmd_pi(args) -> Report:
     zeros = ef.load_zeros(args.zeros) if args.zeros else ef.default_zero_table()
     ef.zero_ordinates(zeros, args.K)  # refuse a bad K before the sieve is built
     _require(math.isfinite(args.x_max), f"--x-max must be a finite number, got {args.x_max}")
+    _require(args.x_max >= 2.5, f"--x-max must be >= 2.5, the first grid point, got {args.x_max}")
     limit = max(3, int(math.floor(args.x_max)) + 1)
     pc = ef.PrimeCounter.build(limit)
     grid = ef.half_integer_grid(2.0, args.x_max)

@@ -54,7 +54,6 @@ class PolySystem:
 
     num_vars: int
     polys: tuple[Poly, ...]
-    homogeneous_flag: bool = False
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -194,10 +193,7 @@ def parse_poly_system(text: str, num_vars: int | None = None) -> PolySystem:
                 vec[idx - 1] = e
             mono.append((tuple(vec), coeff))
         polys.append(tuple(mono))
-    system = PolySystem(k, tuple(polys))
-    if system.is_homogeneous():
-        system = PolySystem(k, tuple(polys), homogeneous_flag=True)
-    return system
+    return PolySystem(k, tuple(polys))
 
 
 def format_poly_system(system: PolySystem) -> str:
@@ -347,7 +343,7 @@ def _exp_table(spec: FieldSpec) -> np.ndarray:
     return exp
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # the field being counted; a sequence moves on
 def _tables_for(spec: FieldSpec) -> FieldTables:
     return FieldTables(spec)
 
@@ -532,7 +528,8 @@ class _GridCounter:
     tiles hold at least POOL_MIN_TUPLES tuples, with as many workers as
     the largest field has tiles (at most `workers` and the CPUs); its
     initializer hands each worker the system once, and a field then
-    travels as ranges of tiles, four per worker.
+    travels as ranges of tiles, four per worker.  A system with no
+    equation mod p counts q^k at once, with the same charge.
     """
 
     def __init__(self, system: PolySystem, p: int, q_max: int, *, work_limit: int,
@@ -542,6 +539,7 @@ class _GridCounter:
         if method not in ("auto", "product", "separable"):
             raise ValueError(f"unknown method {method!r}")
         polys = [_group_by_last(poly, p) for poly in system.polys]
+        self.free = not any(map(any, polys))  # no equation mod p: every tuple counts
         self.join = method != "product" and len(polys) == 1 and not polys[0][2]
         if method == "separable" and not self.join:
             raise ValueError("system is not separable")
@@ -560,6 +558,8 @@ class _GridCounter:
             self.pool.shutdown()
 
     def count(self, spec: FieldSpec) -> int:
+        if self.free:
+            return spec.q ** self.system.num_vars
         tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
         if self.workers == 1 or spec.q ** self.system.num_vars < POOL_MIN_TUPLES:
             grid = _Grid(self.system, spec, self.chunk_size)
@@ -618,7 +618,7 @@ def count_projective_variety(system: PolySystem, spec: FieldSpec, *,
     the last chart is the single point (0, ..., 0, 1).  The work limit
     is charged once for all representatives, which bound each chart.
     """
-    if not system.homogeneous_flag or not system.is_homogeneous():
+    if not system.is_homogeneous():
         raise ValueError("not homogeneous")
     k, q = system.num_vars, spec.q
     reps = _projective_rep_count(k, q)
@@ -637,10 +637,11 @@ def count_projective_variety(system: PolySystem, spec: FieldSpec, *,
 def count_projective_space(dim: int, spec: FieldSpec, *,
                            work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """|P^dim(F_q)| by enumerating representatives, checked against
-    1 + q + ... + q^dim."""
+    1 + q + ... + q^dim.  The system is empty, so every chart holds no
+    equation mod p and counts as q^free without building field tables."""
     if dim < 0:
         raise ValueError("dimension must be >= 0")
-    empty = PolySystem(dim + 1, ((),), homogeneous_flag=True)
+    empty = PolySystem(dim + 1, ((),))
     enumerated = count_projective_variety(empty, spec, work_limit=work_limit)
     closed = (spec.q ** (dim + 1) - 1) // (spec.q - 1)
     if enumerated != closed:

@@ -163,13 +163,13 @@ def _signed_count(pieces, n: int) -> int:
     return _signed_counts(pieces, n)[-1]
 
 
-def _newton_coeffs(s, d: int) -> tuple[int, ...]:
+def _newton_coeffs(s, d: int, refusal: str = "inconsistent counts") -> tuple[int, ...]:
     """b_0..b_d from power sums s_1..s_d, dividing exactly or refusing."""
     b = [1]
     for j in range(1, d + 1):
         acc = sum(s[i] * b[j - i] for i in range(1, j + 1))
         if acc % j:
-            raise ValueError("inconsistent counts")
+            raise ValueError(refusal)
         b.append(-acc // j)
     return tuple(b)
 

@@ -1,8 +1,9 @@
 """Local zeta functions: exact series, rational form, trace formula.
 
 The generating function exp(sum N_n t^n / n) is carried as a power
-series with exact rational coefficients; reconstruction against a known
-denominator is a truncated series product, so the recovered numerator
+series with exact rational coefficients.  Reconstruction against a known
+denominator runs in integers through the Newton core of motives.weil:
+the numerator's reciprocal roots have power sums s_n(den) - N_n, so its
 coefficients are exact integers or the input was not rational of the
 declared shape.  Floating point enters only at root finding, weight
 assignment and float input to the integer trace formula of motives.weil.
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .variety import CountSequence
-from .weil import _integer_poly, _reciprocal_roots, _root_key, _signed_count
+from .weil import (_integer_poly, _newton_coeffs, _newton_power_sums, _reciprocal_roots,
+                   _root_key, _signed_count)
 
 WEIGHT_WINDOW = 0.1
 
@@ -81,17 +83,12 @@ def zeta_series(counts) -> PowerSeries:
 
 
 def series_log(s: PowerSeries) -> PowerSeries:
-    """Formal log of a series with constant term 1 (inverse of the exp)."""
+    """Formal log of a series with constant term 1 (inverse of the exp):
+    -s_n / n, from the power sums of the series read as a polynomial."""
     if s.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
-    m = s.order
-    ell = [Fraction(0)]
-    for n in range(1, m + 1):
-        acc = Fraction(n) * s.coeffs[n]
-        for j in range(1, n):
-            acc -= Fraction(j) * ell[j] * s.coeffs[n - j]
-        ell.append(acc / n)
-    return PowerSeries(tuple(ell))
+    return PowerSeries(tuple(Fraction(-s_n, n) if n else Fraction(0)
+                             for n, s_n in enumerate(_newton_power_sums(s.coeffs, s.order))))
 
 
 def expand_rational(num, den, order: int) -> PowerSeries:
@@ -127,40 +124,49 @@ def assign_weight(alpha: complex, q: int) -> int:
     return hits[0]
 
 
-def rational_reconstruct(series: PowerSeries, num_degree: int, den,
-                         base_q: int) -> RationalZeta:
-    """Solve P(t) = series * den(t) mod t^(num_degree+1) and verify.
-
-    Every available series coefficient beyond the numerator degree must
-    also match (overdetermination check), which needs the truncation
-    order to be at least num_degree + deg(den) + 2.
-    """
+def _denominator(den) -> tuple[int, ...]:
     den = tuple(int(c) for c in den)
     if den[0] != 1:
         raise ValueError("denominator must have constant term 1")
-    if series.coeffs[0] != 1:
-        raise ValueError("zeta series must start at 1")
-    den_deg = len(den) - 1
-    if series.order < num_degree + den_deg + 2:
+    return den
+
+
+def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
+    """The numerator P with exp(sum N_n t^n / n) = P(t) / den(t), from
+    counts N_1..N_m, through the integer Newton core.
+
+    P's reciprocal roots have power sums s_n = s_n(den) - N_n; Newton's
+    identities turn s_1..s_d into P, dividing exactly or refusing.  Every
+    surplus s_n must then come out of P forward (overdetermination
+    check), which needs m >= num_degree + deg(den) + 2.
+    """
+    den = _denominator(den)
+    m = len(counts)
+    if num_degree < 0 or m < num_degree + len(den) + 1:
         raise ValueError("insufficient or inconsistent counts")
-    prod = series * PowerSeries(tuple(Fraction(c) for c in den)
-                                + (Fraction(0),) * (series.order - den_deg))
-    num = []
-    for j in range(num_degree + 1):
-        c = prod.coeffs[j]
-        if c.denominator != 1:
-            raise ValueError("not rational of declared shape")
-        num.append(int(c))
-    for j in range(num_degree + 1, series.order + 1):
-        if prod.coeffs[j] != 0:
-            raise ValueError("insufficient or inconsistent counts")
+    s = [a - b for a, b in zip(_newton_power_sums(den, m), (0, *counts))]
+    num = _newton_coeffs(s, num_degree, "not rational of declared shape")
+    if _newton_power_sums(num, m)[num_degree + 1:] != s[num_degree + 1:]:
+        raise ValueError("insufficient or inconsistent counts")
 
     grouped: dict[int, list[complex]] = {}
-    for root in _reciprocal_roots(tuple(num)) + _reciprocal_roots(den):
+    for root in _reciprocal_roots(num) + _reciprocal_roots(den):
         grouped.setdefault(assign_weight(root, base_q), []).append(root)
     table = tuple(sorted(
         (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items()))
-    return RationalZeta(tuple(num), den, base_q, table)
+    return RationalZeta(num, den, base_q, table)
+
+
+def rational_reconstruct(series: PowerSeries, num_degree: int, den,
+                         base_q: int) -> RationalZeta:
+    """zeta_from_counts on the counts of a zeta series, N_n = -s_n(series)
+    with the series read as a polynomial; the series may be any exact
+    rational one starting at 1."""
+    den = _denominator(den)
+    if series.coeffs[0] != 1:
+        raise ValueError("zeta series must start at 1")
+    counts = [-s_n for s_n in _newton_power_sums(series.coeffs, series.order)[1:]]
+    return zeta_from_counts(counts, num_degree, den, base_q)
 
 
 def trace_formula_count(alpha_table, n: int) -> int:

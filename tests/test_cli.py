@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,43 @@ def test_zeta_at_bad_reduction(curve_file, capsys):
     assert payload["display"] == "(1 + t) / ((1 - t)(1 - 7 t))"
 
 
+ZETA_README_CSV = ("weight,re,im,abs\n0,1.0,0.0,1.0\n1,-1.0,-1.0,1.4142135623730951\n"
+                   "1,-1.0,1.0,1.4142135623730951\n2,2.0,0.0,2.0\n")
+ZETA_GENUS2_CSV = ("weight,re,im,abs\n0,1.0,0.0,1.0\n"
+                   "1,-1.0000000000000004,-1.0000000000000004,1.4142135623730956\n"
+                   "1,-1.0000000000000004,1.0000000000000004,1.4142135623730956\n"
+                   "1,1.0,-1.0000000000000002,1.4142135623730951\n"
+                   "1,1.0,1.0000000000000002,1.4142135623730951\n2,2.0,0.0,2.0\n")
+
+
+def test_zeta_runs_without_the_fraction_series(tmp_path, monkeypatch, capsys):
+    # the CLI reconstructs through the integer Newton core alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction series on the zeta path")
+
+    monkeypatch.setattr("motives.zeta.PowerSeries", refuse)
+    monkeypatch.setattr("motives.zeta.zeta_series", refuse)
+    genus2 = tmp_path / "genus2.txt"
+    genus2.write_text("y^2 + y - x^5\n")
+    assert run_cli(["zeta", "--p", "2", "--counts", "5,5,5,25,25,65,145",
+                    "--format", "csv"], capsys) == (0, ZETA_README_CSV, "")
+    assert run_cli(["zeta", "--poly", str(genus2), "--p", "2", "--genus", "2",
+                    "--format", "csv"], capsys) == (0, ZETA_GENUS2_CSV, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--genus", "-1"], "insufficient or inconsistent counts"),
+    (["--genus", "2"], "insufficient or inconsistent counts"),
+    (["--genus", "0"], "insufficient or inconsistent counts"),
+    (["--counts", "5,6,5,25,25,65,145"], "not rational of declared shape"),
+    (["--counts", "5,5,5,25,25,65,146"], "insufficient or inconsistent counts"),
+])
+def test_zeta_refuses_counts_of_another_shape(argv, message, capsys):
+    if "--counts" not in argv:
+        argv = argv + ["--counts", "5,5,5,25,25,65,145"]
+    assert run_cli(["zeta", "--p", "2"] + argv, capsys) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("counts", ["5,x", "", "5,,5"])
 def test_zeta_malformed_counts_is_one_error_line(counts, capsys):
     status, out, err = run_cli(["zeta", "--p", "2", "--counts", counts], capsys)
@@ -168,6 +206,18 @@ def test_pi_columns(capsys):
     assert xs == [2.5, 3.5, 4.5, 5.5, 6.5, 7.5]
     # pi column is exact
     assert [int(r[1]) for r in rows[1:]] == [1, 2, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("x_max", ["-5", "2", "2.4"])
+def test_pi_refuses_an_empty_grid(x_max, capsys):
+    status, out, err = run_cli(["pi", "--x-max", x_max], capsys)
+    assert (status, out) == (1, "")
+    assert err == f"error: --x-max must be >= 2.5, the first grid point, got {float(x_max)}\n"
+
+
+def test_pi_first_grid_point_is_one_row(capsys):
+    _, out, _ = run_cli(["pi", "--x-max", "2.5", "--format", "csv"], capsys)
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["x", "2.5"]
 
 
 def test_pi_with_custom_zero_file(tmp_path, capsys):
@@ -388,3 +438,25 @@ def test_table_format_renders(curve_file, capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["n", "q", "count"]
     assert lines[2].split() == ["1", "2", "4"]
+
+
+def readme_commands():
+    """The curve file and the `motives ...` lines of the README's
+    command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```sh")[1:] if "\nmotives " in b).split("```")[0]
+    curve = block.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0] + "\n"
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("motives ")]
+    return curve, commands
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    curve, commands = readme_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.txt").write_text(curve)
+    for argv in commands:
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, ""), argv
+        assert out, argv

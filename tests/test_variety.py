@@ -94,7 +94,7 @@ def test_parse_curve():
     assert CURVE.num_vars == 2
     assert dict((e, c) for e, c in CURVE.polys[0]) == {
         (0, 2): 1, (0, 1): 1, (3, 0): -1, (1, 0): -1}
-    assert not CURVE.homogeneous_flag
+    assert not CURVE.is_homogeneous()
 
 
 def test_parse_indexed_variables_and_comments():
@@ -133,10 +133,10 @@ def test_format_round_trip():
         assert sys1.polys == sys2.polys
 
 
-def test_homogeneous_flag_detection():
-    assert parse_poly_system("y^2*z + y*z^2 - x^3 - x*z^2").homogeneous_flag
-    assert parse_poly_system("x + y").homogeneous_flag
-    assert not parse_poly_system("x^2 + y").homogeneous_flag
+def test_homogeneity_detection():
+    assert parse_poly_system("y^2*z + y*z^2 - x^3 - x*z^2").is_homogeneous()
+    assert parse_poly_system("x + y").is_homogeneous()
+    assert not parse_poly_system("x^2 + y").is_homogeneous()
 
 
 # ----------------------------------------------------------------------
@@ -524,12 +524,37 @@ def test_projective_curve_equals_affine_plus_infinity():
 
 
 def test_projective_zero_system_is_whole_space():
-    empty = PolySystem(3, ((),), homogeneous_flag=True)
+    empty = PolySystem(3, ((),))
     assert count_projective_variety(empty, make_field(2, 1)) == 7
 
 
+def test_system_without_equations_mod_p_needs_no_tables(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("tables built for a system without equations")
+
+    variety._tables_for.cache_clear()
+    monkeypatch.setattr(variety, "FieldTables", refuse)
+    f = make_field(2, 20)
+    assert count_projective_space(1, f) == f.q + 1
+    f = make_field(2, 3)
+    vanishing = parse_poly_system("2*x - 2*y")
+    assert count_affine(vanishing, f) == naive_affine_count(vanishing, f) == f.q ** 2
+
+
+def test_table_cache_keeps_only_the_field_being_counted(monkeypatch):
+    variety._tables_for.cache_clear()
+    affine_count_sequence(CURVE, 2, 6)
+    assert variety._tables_for.cache_info().currsize == 1
+    built = []
+    monkeypatch.setattr(variety, "FieldTables", lambda spec: built.append(spec) or
+                        FieldTables(spec))
+    f = make_field(3, 2)
+    assert count_projective_variety(parse_poly_system("x^3 + y^3 + z^3"), f) == 10
+    assert built == [f]
+
+
 def test_projective_linear_form_is_a_line():
-    line3 = PolySystem(3, ((((1, 0, 0), 1),),), homogeneous_flag=True)
+    line3 = PolySystem(3, ((((1, 0, 0), 1),),))
     for p in (2, 3):
         f = make_field(p, 1)
         assert count_projective_variety(line3, f) == p + 1
@@ -572,7 +597,7 @@ def homogeneous_systems(draw):
         terms = draw(st.dictionaries(exps, st.integers(-6, 6).filter(bool), min_size=1,
                                      max_size=4))
         polys.append(tuple(sorted(terms.items())))
-    return PolySystem(k, tuple(polys), homogeneous_flag=True), make_field(p, n)
+    return PolySystem(k, tuple(polys)), make_field(p, n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -589,9 +614,17 @@ def test_projective_count_is_the_cone_over_q_minus_one(case):
 def test_projective_requires_homogeneous():
     with pytest.raises(ValueError, match="not homogeneous"):
         count_projective_variety(CURVE, make_field(2, 1))
-    lied = PolySystem(2, ((((0, 2), 1), ((1, 0), 1)),), homogeneous_flag=True)
+    lied = PolySystem(2, ((((0, 2), 1), ((1, 0), 1)),))  # y^2 + x, built directly
     with pytest.raises(ValueError, match="not homogeneous"):
         count_projective_variety(lied, make_field(2, 1))
+
+
+def test_projective_counts_a_directly_built_homogeneous_system():
+    # x^2 + y^2 - z^2 built without the parser: 4 points over F_3, as parsed
+    conic = PolySystem(3, ((((0, 0, 2), -1), ((0, 2, 0), 1), ((2, 0, 0), 1)),))
+    f = make_field(3, 1)
+    assert count_projective_variety(conic, f) == \
+        count_projective_variety(parse_poly_system("x^2 + y^2 - z^2"), f) == 4
 
 
 def test_projective_no_double_counting():

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
-from motives.weil import verify_weil_rh
+from motives.weil import _reciprocal_roots, _root_key, verify_weil_rh
 from motives.zeta import (
     PowerSeries,
     assign_weight,
@@ -13,6 +15,7 @@ from motives.zeta import (
     rational_reconstruct,
     series_log,
     trace_formula_count,
+    zeta_from_counts,
     zeta_series,
 )
 
@@ -170,3 +173,104 @@ def test_power_series_multiplication():
     a = PowerSeries((Fraction(1), Fraction(2), Fraction(1)))
     b = PowerSeries((Fraction(1), Fraction(-1), Fraction(0)))
     assert (a * b).coeffs == (Fraction(1), Fraction(1), Fraction(-1))
+
+
+# ----------------------------------------------------------------------
+# reconstruction against a Fraction series product
+
+def reference_exp(counts) -> list[Fraction]:
+    """exp(sum N_n t^n / n) to order len(counts), by m z_m = sum N_j z_{m-j}."""
+    z = [Fraction(1)]
+    for m in range(1, len(counts) + 1):
+        z.append(sum(Fraction(counts[j - 1]) * z[m - j] for j in range(1, m + 1)) / m)
+    return z
+
+
+def reference_reconstruct(series, num_degree, den, base_q):
+    """P = series * den mod t^(m + 1): the first num_degree + 1 coefficients
+    must be integers and every later one zero; roots grouped by weight."""
+    den = tuple(int(c) for c in den)
+    if den[0] != 1:
+        raise ValueError("denominator must have constant term 1")
+    m = len(series) - 1
+    if m < num_degree + len(den) + 1:
+        raise ValueError("insufficient or inconsistent counts")
+    prod = [sum(series[i] * den[k - i] for i in range(max(0, k - len(den) + 1), k + 1))
+            for k in range(m + 1)]
+    head = max(0, num_degree + 1)
+    if any(c.denominator != 1 for c in prod[:head]):
+        raise ValueError("not rational of declared shape")
+    if any(prod[head:]):
+        raise ValueError("insufficient or inconsistent counts")
+    num = tuple(int(c) for c in prod[:head])
+    grouped = {}
+    for root in _reciprocal_roots(num) + _reciprocal_roots(den):
+        grouped.setdefault(assign_weight(root, base_q), []).append(root)
+    return num, den, tuple(sorted((k, tuple(sorted(v, key=_root_key)))
+                                  for k, v in grouped.items()))
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.numerator, result.denominator, result.roots_by_weight
+
+
+# (denominator, q): curves over F_2 and F_3, no poles, one pole, and P^2's
+DENOMINATORS = [(curve_denominator(2), 2), (curve_denominator(3), 3), ((1,), 2),
+                ((1, -1), 2), ((1, -7, 14, -8), 2)]
+
+
+def _power_sums(coeffs, m):
+    """s_1..s_m of the reciprocal roots: log 1/prod (1 - alpha t) = sum s_n t^n / n."""
+    ell = series_log(expand_rational([1], coeffs, m))
+    return [n * ell.coeffs[n] for n in range(1, m + 1)]
+
+
+@st.composite
+def count_cases(draw):
+    """Counts of a zeta function with Weil-polynomial numerator over a
+    denominator above, some perturbed, and a declared degree in -3..8."""
+    den, q = draw(st.sampled_from(DENOMINATORS))
+    bound = int(2 * q ** 0.5)
+    num = [1]
+    for a in draw(st.lists(st.integers(-bound, bound), max_size=3)):
+        num = [x - a * y + q * z for x, y, z in zip(num + [0, 0], [0] + num + [0], [0, 0] + num)]
+    m = max(1, len(num) + len(den) + draw(st.integers(-3, 3)))  # enough from + 1 on
+    counts = [int(d - n) for d, n in zip(_power_sums(den, m), _power_sums(num, m))]
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, m - 1))] += draw(st.sampled_from((-2, -1, 1, 2)))
+    degree = draw(st.one_of(st.just(len(num) - 1), st.integers(-3, 8)))
+    return counts, degree, den, q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(count_cases())
+def test_reconstruction_agrees_with_the_series_product(case):
+    counts, degree, den, q = case
+    want = outcome(reference_reconstruct, reference_exp(counts), degree, den, q)
+    assert outcome(zeta_from_counts, counts, degree, den, q) == want
+    assert outcome(rational_reconstruct, zeta_series(counts), degree, den, q) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(count_cases(), st.integers(1, 14), st.fractions(-3, 3, max_denominator=7))
+def test_reconstruction_of_any_rational_series(case, at, shift):
+    counts, degree, den, q = case
+    series = reference_exp(counts)
+    series[min(at, len(series) - 1)] += shift
+    assert outcome(rational_reconstruct, PowerSeries(tuple(series)), degree, den, q) == \
+        outcome(reference_reconstruct, series, degree, den, q)
+
+
+def test_zeta_from_counts_elliptic_and_refusals():
+    counts = (5, 5, 5, 25, 25, 65, 145)
+    assert zeta_from_counts(counts, 2, curve_denominator(2), 2).numerator == (1, 2, 2)
+    with pytest.raises(ValueError, match="insufficient or inconsistent counts"):
+        zeta_from_counts(counts, -1, curve_denominator(2), 2)
+    with pytest.raises(ValueError, match="denominator must have constant term 1"):
+        zeta_from_counts(counts, 2, (2, -3, 2), 2)
