@@ -11,6 +11,7 @@ or table.  All numeric output is deterministic across runs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import io
 import json
@@ -27,13 +28,7 @@ from .motive import (
     point_counts,
     tensor_power,
 )
-from .variety import (
-    DEFAULT_WORK_LIMIT,
-    CountSequence,
-    affine_count_sequence,
-    count_projective_space,
-    parse_poly_system,
-)
+from .variety import CountSequence, affine_count_sequence, count_projective_space, parse_poly_system
 from .weil import hasse_alpha, predict_affine_counts
 from .zeta import curve_denominator, zeta_from_counts
 
@@ -137,8 +132,7 @@ def _load_system(path):
 
 def _count_sequence(args, n_max: int, method: str, extra_point: bool = False) -> CountSequence:
     return affine_count_sequence(_load_system(args.poly), args.p, n_max,
-                                 extra_point=extra_point, work_limit=args.work_limit,
-                                 method=method)
+                                 extra_point=extra_point, method=method)
 
 
 def _cmd_count(args) -> Report:
@@ -153,7 +147,7 @@ def _cmd_predict(args) -> Report:
              ("trace", alpha.trace_a),
              ("hasse_bound", 2.0 * math.sqrt(args.p)))
     if args.poly:
-        seq = _count_sequence(args, args.n_max, args.method)
+        seq = _count_sequence(args, args.n_max, "auto")
         predicted = predict_affine_counts(alpha, len(seq.counts))
         rows = tuple((n, want, c, "ok" if want == c else "MISMATCH")
                      for n, (want, c) in enumerate(zip(predicted, seq.counts), start=1))
@@ -237,8 +231,9 @@ def _parse_motive_expr(expr: str, q: int | None):
         _require(all(len(kv) == 2 for kv in pairs), unparsed)
         kv = dict(pairs)
         _require("a" in kv and "p" in kv, "elliptic needs a=<trace> p=<prime>")
-        p = number(kv["p"])
-        return motive_of_elliptic_curve(hasse_alpha(p, p - number(kv["a"])))
+        a, p = number(kv["a"]), number(kv["p"])
+        _require(q is None or q == p, f"--q {q} differs from the elliptic curve's p = {p}")
+        return motive_of_elliptic_curve(hasse_alpha(p, p - a))
     raise ValueError(unparsed)
 
 
@@ -256,8 +251,7 @@ def _cmd_pspace(args) -> Report:
     rows = []
     for m in range(1, args.n_max + 1):
         f = make_field(p, n * m)
-        rows.append((m, f.q, count_projective_space(args.dim, f,
-                                                    work_limit=args.work_limit)))
+        rows.append((m, f.q, count_projective_space(args.dim, f)))
     return Report(("n", "q", "count"), tuple(rows),
                   (("dim", args.dim), ("closed_form", "1 + q + ... + q^dim"),))
 
@@ -282,14 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="point counts over finite fields, local zeta functions, "
                     "eigenvalue motives, and the prime-counting explicit formula")
     sub = ap.add_subparsers(dest="command", required=True)
-    method_help = ("auto: the histogram join when the one equation separates as "
-                   "g(x') = h(y), else the product grid; product: every tuple, the "
-                   "oracle; separable: the join, refused when it does not apply")
 
     def common(sp, handler):
         sp.set_defaults(handler=handler)
         sp.add_argument("--format", choices=("csv", "json", "table"), default=None)
-        sp.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
 
     sp = sub.add_parser("count", help="count points of a polynomial system")
     sp.add_argument("--poly", required=True, help="polynomial system file")
@@ -297,8 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=1)
     sp.add_argument("--projective", action="store_true",
                     help="curve convention: affine count plus one")
-    sp.add_argument("--method", choices=("product", "separable", "auto"),
-                    default="product", help=method_help)
+    sp.add_argument("--method", choices=("product", "auto"), default="product",
+                    help="product: every tuple, the oracle; auto: the histogram join "
+                         "when the one equation separates as g(x') = h(y), else the "
+                         "product grid; either refuses a plan past 2^28 tuples")
     common(sp, _cmd_count)
 
     sp = sub.add_parser("predict", help="Frobenius eigenvalue from N_1 and predictions")
@@ -306,15 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n1", type=int, required=True, help="affine count over F_p")
     sp.add_argument("--poly", help="optional system file for a brute-force column")
     sp.add_argument("--n-max", type=int, default=12)
-    sp.add_argument("--method", choices=("product", "separable", "auto"),
-                    default="auto", help=method_help)
     common(sp, _cmd_predict)
 
     sp = sub.add_parser("zeta", help="rational zeta function of a curve")
-    sp.add_argument("--poly", help="curve file (with --genus)")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--poly", help="curve file (with --genus)")
+    source.add_argument("--counts", help="comma-separated projective counts N_1,N_2,...")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--genus", type=int)
-    sp.add_argument("--counts", help="comma-separated projective counts N_1,N_2,...")
     common(sp, _cmd_zeta)
 
     sp = sub.add_parser("motive", help="evaluate a motive constructor expression")
@@ -356,7 +347,30 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         return 1, f"error: {exc}"
 
 
+def _keep_heap_top() -> None:
+    """Keep glibc's heap from shrinking and regrowing around each large
+    temporary.
+
+    The quadrature and counting loops free 2^14-element temporaries in
+    turn.  Under glibc's default thresholds, whether each free hands the
+    pages back to the system, to be faulted in again on the next pass,
+    depends only on the heap's layout: on 2 CPUs with glibc 2.36,
+    `pi --x-max 600 --K 150` took 177,000 minor page faults and 0.8-1.0 s
+    in such a layout, against 5,200 and 0.5-0.6 s.  The values set are
+    the most glibc's own adaptive thresholds reach: blocks below 32 MB
+    come from the heap, and up to 64 MB of it may stay free.  Without
+    mallopt nothing changes.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _keep_heap_top()
     status, text = run(build_parser().parse_args(argv))
     if status == 0:
         sys.stdout.write(text)

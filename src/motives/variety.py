@@ -36,7 +36,7 @@ import numpy as np
 from .finite_field import (MAX_FIELD_SIZE, FieldSpec, is_prime, make_field,
                             multiplicative_generator)
 
-DEFAULT_WORK_LIMIT = 2 ** 28
+WORK_LIMIT = 2 ** 28  # tuples a count may enumerate
 DEFAULT_CHUNK_SIZE = 1 << 14
 # the smallest grid a pool pays for: y^2 + xy + y = x^3 + x^2 + x, warm, 2 CPUs,
 # serial vs a new 2-worker pool, 0.26-0.29 vs 0.30-0.34 s at 2^26 tuples (F_2^13),
@@ -136,6 +136,7 @@ def _parse_poly(line: str) -> dict[tuple[int, ...], int]:
             if kind == "num":
                 coeff *= val
                 i += 1
+                saw_factor = True
             elif kind == "var":
                 if val in _ALIASES:
                     idx = _ALIASES[val]
@@ -154,11 +155,11 @@ def _parse_poly(line: str) -> dict[tuple[int, ...], int]:
                     e = tokens[i][1]
                     i += 1
                 exps[idx] = exps.get(idx, 0) + e
+                saw_factor = True
             elif kind == "mul":
                 i += 1
             else:
                 raise ValueError(f"misplaced token in {line!r}")
-            saw_factor = True
         if not saw_factor:
             raise ValueError(f"empty term in {line!r}")
         key = tuple(sorted(exps.items()))
@@ -519,7 +520,7 @@ def _pool_size(cap: int | None, tiles: int) -> int:
 
 class _GridCounter:
     """The counting plan of one system over F_p and its extensions, with
-    the work limit charged once, for the largest field q_max, before any
+    WORK_LIMIT charged once, for the largest field q_max, before any
     field is built.
 
     A single polynomial whose coefficients of y^j, j > 0, are constants
@@ -532,7 +533,7 @@ class _GridCounter:
     equation mod p counts q^k at once, with the same charge.
     """
 
-    def __init__(self, system: PolySystem, p: int, q_max: int, *, work_limit: int,
+    def __init__(self, system: PolySystem, p: int, q_max: int, *,
                  workers: int | None, method: str, chunk_size: int):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -544,7 +545,7 @@ class _GridCounter:
         if method == "separable" and not self.join:
             raise ValueError("system is not separable")
         k = system.num_vars
-        if (q_max ** (k - 1) + q_max if self.join else q_max ** k) > work_limit:
+        if (q_max ** (k - 1) + q_max if self.join else q_max ** k) > WORK_LIMIT:
             raise ValueError("search space too large")
         self.system, self.chunk_size = system, chunk_size
         self.workers = 1 if self.join else _pool_size(workers, _tiling(q_max, k, chunk_size)[3])
@@ -575,7 +576,6 @@ class _GridCounter:
 
 
 def count_affine(system: PolySystem, spec: FieldSpec, *,
-                 work_limit: int = DEFAULT_WORK_LIMIT,
                  workers: int | None = None,
                  method: str = "auto",
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
@@ -588,11 +588,12 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
     a histogram of the rows' right-hand sides with the columns' codes,
     for a single equation whose last variable separates, g(x') = h(y);
     "auto" joins when it can.  All methods count exactly, for any
-    chunk_size and worker count.  The work limit caps the tuples the
-    chosen plan enumerates: q^k for the tiles, q^(k - 1) + q for the join.
+    chunk_size and worker count.  WORK_LIMIT, a fixed 2^28, caps the
+    tuples the chosen plan enumerates: q^k for the tiles, q^(k - 1) + q
+    for the join.
     """
-    with _GridCounter(system, spec.p, spec.q, work_limit=work_limit, workers=workers,
-                      method=method, chunk_size=chunk_size) as counter:
+    with _GridCounter(system, spec.p, spec.q, workers=workers, method=method,
+                      chunk_size=chunk_size) as counter:
         return counter.count(spec)
 
 
@@ -607,42 +608,40 @@ def _chart(polys, lead: int):
                  for poly in polys)
 
 
-def count_projective_variety(system: PolySystem, spec: FieldSpec, *,
-                             work_limit: int = DEFAULT_WORK_LIMIT) -> int:
+def count_projective_variety(system: PolySystem, spec: FieldSpec) -> int:
     """Points of projective (k-1)-space at which all polynomials vanish.
 
     Representatives are normalized so the first nonzero coordinate is 1,
     scanning left to right; each projective point is enumerated once.
     The points with leading coordinate `lead` form an affine chart in
     the k - 1 - lead later coordinates, counted by count_affine's plan;
-    the last chart is the single point (0, ..., 0, 1).  The work limit
-    is charged once for all representatives, which bound each chart.
+    the last chart is the single point (0, ..., 0, 1).  WORK_LIMIT is
+    charged once for all representatives, which bound each chart.
     """
     if not system.is_homogeneous():
         raise ValueError("not homogeneous")
     k, q = system.num_vars, spec.q
     reps = _projective_rep_count(k, q)
-    if reps > work_limit:
+    if reps > WORK_LIMIT:
         raise ValueError("search space too large")
     total = 0
     for lead in range(k):
         chart, free = _chart(system.polys, lead), k - 1 - lead
         if free:
-            total += count_affine(PolySystem(free, chart), spec, work_limit=reps)
+            total += count_affine(PolySystem(free, chart), spec)
         else:
             total += all(sum(c for _, c in poly) % spec.p == 0 for poly in chart)
     return total
 
 
-def count_projective_space(dim: int, spec: FieldSpec, *,
-                           work_limit: int = DEFAULT_WORK_LIMIT) -> int:
+def count_projective_space(dim: int, spec: FieldSpec) -> int:
     """|P^dim(F_q)| by enumerating representatives, checked against
     1 + q + ... + q^dim.  The system is empty, so every chart holds no
     equation mod p and counts as q^free without building field tables."""
     if dim < 0:
         raise ValueError("dimension must be >= 0")
     empty = PolySystem(dim + 1, ((),))
-    enumerated = count_projective_variety(empty, spec, work_limit=work_limit)
+    enumerated = count_projective_variety(empty, spec)
     closed = (spec.q ** (dim + 1) - 1) // (spec.q - 1)
     if enumerated != closed:
         raise AssertionError("projective enumeration disagrees with closed form")
@@ -651,7 +650,6 @@ def count_projective_space(dim: int, spec: FieldSpec, *,
 
 def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
                           extra_point: bool = False,
-                          work_limit: int = DEFAULT_WORK_LIMIT,
                           workers: int | None = None,
                           method: str = "auto") -> CountSequence:
     """Counts over F_{p^1}..F_{p^n_max} by exhaustive enumeration.
@@ -665,8 +663,8 @@ def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
     top = make_field(p, 1)
     while top.n < n_max and top.q * p <= MAX_FIELD_SIZE:
         top = make_field(p, top.n + 1)
-    with _GridCounter(system, p, top.q, work_limit=work_limit, workers=workers,
-                      method=method, chunk_size=DEFAULT_CHUNK_SIZE) as counter:
+    with _GridCounter(system, p, top.q, workers=workers, method=method,
+                      chunk_size=DEFAULT_CHUNK_SIZE) as counter:
         fields = [make_field(p, n) for n in range(1, n_max + 1)]
         counts = tuple(counter.count(f) + extra_point for f in fields)
     return CountSequence(p, counts, projective_flag=extra_point)

@@ -138,7 +138,10 @@ def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
     P's reciprocal roots have power sums s_n = s_n(den) - N_n; Newton's
     identities turn s_1..s_d into P, dividing exactly or refusing.  Every
     surplus s_n must then come out of P forward (overdetermination
-    check), which needs m >= num_degree + deg(den) + 2.
+    check), which needs m >= num_degree + deg(den) + 2.  A num_degree
+    above P's true degree passes, with trailing zero coefficients: the
+    counts alone cannot tell it from bad reduction, where P's degree
+    drops.
     """
     den = _denominator(den)
     m = len(counts)

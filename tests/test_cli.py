@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import motives
-from motives import variety
-from motives.cli import Report, _prime_power, main, render
+from motives import cli, variety
+from motives.cli import Report, _prime_power, build_parser, main, render
 
 CURVE_TEXT = "# reference curve\ny^2 + y - x^3 - x\n"
 
@@ -270,6 +271,57 @@ def test_workers_is_a_usage_error_for_every_command(argv, capsys):
     assert "--workers" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--poly", "curve.txt", "--p", "2", "--work-limit", "1099511627776"],
+     "--work-limit"),
+    (["predict", "--p", "2", "--n1", "4", "--work-limit", "10"], "--work-limit"),
+    (["zeta", "--p", "2", "--counts", "5,5,5", "--work-limit", "10"], "--work-limit"),
+    (["motive", "--expr", "P^2", "--q", "2", "--work-limit", "10"], "--work-limit"),
+    (["pspace", "--dim", "1", "--q", "2", "--work-limit", "10"], "--work-limit"),
+    (["pi", "--x-max", "3", "--work-limit", "10"], "--work-limit"),
+    (["predict", "--p", "2", "--n1", "4", "--method", "auto"], "--method"),
+    (["count", "--poly", "curve.txt", "--p", "2", "--method", "separable"], "separable"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_plan_knobs_are_usage_errors(argv, flag, capsys):
+    # the planner owns the work limit and the plan: no subcommand sets either,
+    # and count offers only the oracle and the planner's own choice
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert flag not in capsys.readouterr().out
+
+
+def test_every_benchmark_operation_parses(tmp_path, monkeypatch):
+    # a CLI trim that breaks a bench/workloads.py invocation fails here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    parser = build_parser()
+    for name, build in workloads.WORKLOADS.items():
+        for seed in (1, 2):
+            for op in build(random.Random(seed), tmp_path):
+                assert parser.parse_args(list(op.argv)).command == op.argv[0], (name, seed)
+
+
+def test_zeta_poly_and_counts_together_is_a_usage_error(curve_file, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["zeta", "--poly", curve_file, "--p", "2", "--counts", "5,5,5,25,25,65,145"])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_motive_elliptic_q_must_be_its_p(capsys):
+    argv = ["motive", "--expr", "elliptic a=-2 p=2", "--n-max", "4", "--format", "csv"]
+    assert run_cli(argv + ["--q", "7"], capsys) == \
+        (1, "", "error: --q 7 differs from the elliptic curve's p = 2\n")
+    accepted = run_cli(argv, capsys)
+    assert accepted[0] == 0
+    assert run_cli(argv + ["--q", "2"], capsys) == accepted
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--poly", "curve.txt", "--p", "2", "--n-max", "0"],
     ["predict", "--p", "2", "--n1", "4", "--n-max", "0"],
@@ -430,6 +482,22 @@ def test_pi_negative_K_is_refused_before_the_sieve(capsys):
     # x_max 1e8 would pass the sieve cap; the K check comes first
     status, _, err = run_cli(["pi", "--x-max", "1e8", "--K", "-1"], capsys)
     assert (status, err) == (1, "error: K must be >= 0\n")
+
+
+def test_cli_sets_the_heap_thresholds_once_per_command(monkeypatch, capsys):
+    # the values glibc's adaptive thresholds reach at most; see _keep_heap_top
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    assert run_cli(["pspace", "--dim", "1", "--q", "2"], capsys)[0] == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt
+    assert run_cli(["pspace", "--dim", "1", "--q", "2"], capsys)[0] == 0
 
 
 def test_table_format_renders(curve_file, capsys):

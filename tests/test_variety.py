@@ -126,6 +126,20 @@ def test_parse_rejects_garbage():
         parse_poly_system("   ")
 
 
+@pytest.mark.parametrize("text", ["*", "x + *", "-*", "y^2 + * - x"])
+def test_parse_refuses_a_term_without_a_factor(text):
+    # a lone '*' is no number or variable: it used to read as +-1
+    with pytest.raises(ValueError, match="^empty term in "):
+        parse_poly_system(text)
+
+
+def test_parse_star_next_to_a_factor():
+    assert dict(parse_poly_system("x*").polys[0]) == {(1,): 1}
+    assert dict(parse_poly_system("* x").polys[0]) == {(1,): 1}
+    assert dict(parse_poly_system("3*x*y").polys[0]) == {(1, 1): 3}
+    assert dict(parse_poly_system("2 3 x").polys[0]) == {(1,): 6}
+
+
 def test_format_round_trip():
     for text in ["y^2 + y - x^3 - x", "x1*x2 - 5*x3^4 + 7", "0"]:
         sys1 = parse_poly_system(text)
@@ -348,12 +362,14 @@ def test_sphere_joins_past_the_product_limit():
         count_affine(sphere, f, method="product")
 
 
-def test_join_charges_rows_plus_columns():
+def test_join_charges_rows_plus_columns(monkeypatch):
     sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
     f = make_field(2, 4)
-    assert count_affine(sphere, f, work_limit=f.q ** 2 + f.q) == f.q ** 2
+    monkeypatch.setattr(variety, "WORK_LIMIT", f.q ** 2 + f.q)
+    assert count_affine(sphere, f) == f.q ** 2
+    monkeypatch.setattr(variety, "WORK_LIMIT", f.q ** 2 + f.q - 1)
     with pytest.raises(ValueError, match="search space too large"):
-        count_affine(sphere, f, work_limit=f.q ** 2 + f.q - 1)
+        count_affine(sphere, f)
 
 
 def test_join_without_column_terms_spans_every_column_slice():
@@ -412,12 +428,14 @@ def test_large_exponents_count_exactly():
         assert count_affine(system, f, method="separable") == f.q
 
 
-def test_work_limit_enforced():
+def test_work_limit_enforced(monkeypatch):
     f = make_field(2, 10)
+    monkeypatch.setattr(variety, "WORK_LIMIT", 1000)
     with pytest.raises(ValueError, match="search space too large"):
-        count_affine(CURVE, f, method="product", work_limit=1000)
+        count_affine(CURVE, f, method="product")
+    monkeypatch.setattr(variety, "WORK_LIMIT", 100)
     with pytest.raises(ValueError, match="search space too large"):
-        count_affine(CURVE, f, method="separable", work_limit=100)
+        count_affine(CURVE, f, method="separable")
 
 
 PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # F_4 .. F_27
@@ -627,6 +645,27 @@ def test_projective_counts_a_directly_built_homogeneous_system():
         count_projective_variety(parse_poly_system("x^2 + y^2 - z^2"), f) == 4
 
 
+@pytest.mark.parametrize("text, p, n, want", [
+    ("x^2 + y^2 - z^2", 3, 1, 4),
+    ("x^2 + x*y + y^2", 2, 2, 2),  # its one chart joins at 1 + q, exactly the reps
+])
+def test_projective_charge_is_the_representatives(text, p, n, want, monkeypatch):
+    system, f = parse_poly_system(text), make_field(p, n)
+    reps = variety._projective_rep_count(system.num_vars, f.q)
+    charts = []
+    count = variety.count_affine
+    monkeypatch.setattr(variety, "count_affine",
+                        lambda *args, **kw: charts.append(args) or count(*args, **kw))
+    monkeypatch.setattr(variety, "WORK_LIMIT", reps)
+    assert count_projective_variety(system, f) == want
+    assert len(charts) == system.num_vars - 1
+    charts.clear()
+    monkeypatch.setattr(variety, "WORK_LIMIT", reps - 1)
+    with pytest.raises(ValueError, match="search space too large"):
+        count_projective_variety(system, f)
+    assert charts == []
+
+
 def test_projective_no_double_counting():
     # brute check with explicit scalar projective enumeration on P^2(F_3)
     f = make_field(3, 1)
@@ -668,9 +707,10 @@ def test_count_sequence_validation():
         CountSequence(2, (3, -1))
 
 
-def test_empty_sequence_refused_as_empty():
+def test_empty_sequence_refused_as_empty(monkeypatch):
     # n_max < 1 leaves nothing to plan: no "not separable" or work-limit refusal
     mixed = parse_poly_system("x*y - 1")
+    monkeypatch.setattr(variety, "WORK_LIMIT", 1)
     for method in ("separable", "product"):
         with pytest.raises(ValueError, match="empty count sequence"):
-            affine_count_sequence(mixed, 2, 0, method=method, work_limit=1)
+            affine_count_sequence(mixed, 2, 0, method=method)
