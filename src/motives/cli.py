@@ -19,7 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import explicit_formula as ef
 from .finite_field import MAX_FIELD_SIZE, is_prime, make_field
 from .motive import (
     lefschetz_motive,
@@ -257,6 +256,8 @@ def _cmd_pspace(args) -> Report:
 
 
 def _cmd_pi(args) -> Report:
+    from . import explicit_formula as ef  # it imports numpy; only pi needs it
+
     zeros = ef.load_zeros(args.zeros) if args.zeros else ef.default_zero_table()
     ef.zero_ordinates(zeros, args.K)  # refuse a bad K before the sieve is built
     _require(math.isfinite(args.x_max), f"--x-max must be a finite number, got {args.x_max}")

@@ -1,11 +1,10 @@
 """Polynomial systems over Z and exhaustive point counting over F_q.
 
 A PolySystem is a list of multivariate polynomials with integer
-coefficients.  Counting reduces every coefficient mod p.  Elements of
-F_q are integer ids (the position in the field's canonical
-enumeration), evaluated as discrete logs through one set of FieldTables
-per field, so that whole tiles of the search space evaluate as numpy
-arrays.
+coefficients.  Counting reduces every coefficient mod p.  This module
+parses, plans and charges each count in pure Python; the plan's arrays
+(field tables, tiles, the join) live in `grid`, which imports numpy and
+is itself imported only when a count builds its first grid.
 
 The product grid tests every point of F_q^k and is the oracle.  Rows
 are the tuples of the first k - 1 variables, columns the q values of
@@ -26,15 +25,11 @@ joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .finite_field import (MAX_FIELD_SIZE, FieldSpec, is_prime, make_field,
-                            multiplicative_generator)
+from .finite_field import MAX_FIELD_SIZE, FieldSpec, is_prime, make_field
 
 WORK_LIMIT = 2 ** 28  # tuples a count may enumerate
 DEFAULT_CHUNK_SIZE = 1 << 14
@@ -223,260 +218,13 @@ def format_poly_system(system: PolySystem) -> str:
 
 
 # ----------------------------------------------------------------------
-# field tables: nonzero elements as discrete logs
-
-TABLE_BUILD_ROWS = 1 << 14
-
-
-class FieldTables:
-    """Discrete log tables for one FieldSpec, prime fields included.
-
-    An element's id is its position in the field's enumeration order.
-    For the smallest multiplicative generator g, exp[k] is the id of g^k
-    for k < q - 1 and exp[q - 1] = 0; log inverts exp, so q - 1 is the
-    log of zero.  Both are int32.  A monomial c * x^a * y^b is one sum
-    of logs mod q - 1 plus a zero mask.  Sums are carried in one of two
-    codes, chosen by p: for p = 2 the ids themselves, added by XOR; for
-    odd p the logs, added through Zech logarithms, log(1 + g^k), since
-    g^a + g^b = g^a (1 + g^(b - a)) (K. Huber, IEEE Trans. Inf. Theory
-    36(4), 1990).
-    """
-
-    def __init__(self, spec: FieldSpec):
-        self.p, self.m = spec.p, spec.q - 1
-        self.exp = _exp_table(spec)
-        self.log = np.empty(spec.q, dtype=np.int32)
-        self.log[self.exp] = np.arange(spec.q, dtype=np.int32)
-
-    @functools.cached_property
-    def zech(self) -> np.ndarray:
-        """zech[k] = log(1 + exp[k]); q - 1 where 1 + g^k = 0."""
-        # adding 1 adds it to digit 0 of the id, wrapping p - 1 to 0
-        ids = self.exp
-        return self.log[np.where(ids % self.p == self.p - 1, ids - (self.p - 1), ids + 1)]
-
-    def _term_logs(self, coeff: int, exps, variables, size: int) -> np.ndarray:
-        """Logs of coeff * prod x_j^e_j, given the logs of the x_j."""
-        m = self.m
-        lc = int(self.log[coeff % self.p])
-        used = [(v, e % m) for v, e in zip(variables, exps) if e]
-        top = lc + m * sum(e for _, e in used)
-        out = np.full(size, lc, dtype=np.int32 if top < 2 ** 31 else np.int64)
-        if used:
-            for v, e in used:
-                out += e * v.astype(out.dtype, copy=False)
-            _reduce(out, m)
-            for v, _ in used:
-                out[v == m] = m
-        return out
-
-    def values(self, terms, variables, size: int) -> np.ndarray:
-        """Codes of the sum of the terms: ids for p = 2, logs for odd p."""
-        acc = None
-        for exps, c in terms:
-            if c % self.p == 0:
-                continue
-            t = self._term_logs(c, exps, variables, size)
-            if self.p == 2:
-                t = np.take(self.exp, t)
-                acc = t if acc is None else np.bitwise_xor(acc, t, out=acc)
-            else:
-                acc = t if acc is None else self._add_logs(acc, t)
-        if acc is None:
-            return np.full(size, 0 if self.p == 2 else self.m, dtype=np.int32)
-        return acc
-
-    def _add_logs(self, a, b):
-        """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero.
-
-        a and b lie in [0, q - 1] and broadcast against each other."""
-        m = self.m
-        z = np.take(self.zech, _wrap(b - a, m))
-        out = a + z
-        out -= m
-        _wrap(out, m)
-        np.copyto(out, m, where=z == m)
-        np.copyto(out, a, where=b == m)
-        np.copyto(out, b, where=a == m)
-        return out
-
-
-def _reduce(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m in place (floor division is much faster than % in numpy)."""
-    x -= x // m * m
-    return x
-
-
-def _wrap(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m in place for x in [-m, m): m added where x is negative,
-    through the sign bit (a masked add branches on every element)."""
-    sign = x >> (8 * x.itemsize - 1)
-    sign &= m
-    x += sign
-    return x
-
-
-def _exp_table(spec: FieldSpec) -> np.ndarray:
-    """exp[k] = id of g^k, built by doubling.
-
-    Multiplication by g^B is F_p-linear, an n x n matrix on coefficient
-    vectors, and maps exp[0:B] to exp[B:2B]; its row j is g^B x^j, the
-    row before times x reduced by the modulus.  Rows go through it
-    TABLE_BUILD_ROWS at a time, which bounds the digit matrices.
-    """
-    p, n, q = spec.p, spec.n, spec.q
-    powers = p ** np.arange(n, dtype=np.int64)
-    modulus = np.array(spec.modulus, dtype=np.int64)
-    exp = np.zeros(q, dtype=np.int32)
-    exp[0] = 1
-    g_b, b = np.array(multiplicative_generator(spec).coeffs, dtype=np.int64), 1
-    mat = np.empty((n, n), dtype=np.int64)
-    while b < q - 1:
-        mat[0] = g_b
-        for j in range(1, n):
-            mat[j] = (np.append(0, mat[j - 1]) - mat[j - 1, -1] * modulus)[:n] % p
-        rows = min(b, q - 1 - b)
-        for s in range(0, rows, TABLE_BUILD_ROWS):
-            t = min(s + TABLE_BUILD_ROWS, rows)
-            digits = exp[s:t, None] // powers % p
-            exp[b + s:b + t] = digits @ mat % p @ powers
-        g_b, b = g_b @ mat % p, 2 * b
-    return exp
-
-
-@functools.lru_cache(maxsize=1)  # the field being counted; a sequence moves on
-def _tables_for(spec: FieldSpec) -> FieldTables:
-    return FieldTables(spec)
-
-
-# ----------------------------------------------------------------------
-# the product grid: rows x last-variable columns
-
-_ZERO_LOG = 1 << 29  # log of zero in a term: past q - 1 <= 2^26 after one subtract
-
+# the counting plan; the arrays it counts with live in grid.py
 
 def _tiling(q: int, k: int, chunk_size: int) -> tuple[int, int, int, int]:
     """(rows per tile, columns per tile, row blocks, tiles) of the q^k grid."""
     rows, cols = max(1, chunk_size // q), min(q, chunk_size)
     row_blocks = -(-q ** (k - 1) // rows)
     return rows, cols, row_blocks, row_blocks * -(-q // cols)
-
-
-class _Grid:
-    """The q^k points of one system over one field, as rows x columns.
-
-    Rows are the tuples of the first k - 1 variables x', columns the q
-    values of the last variable y.  Each polynomial is grouped by powers
-    of y, f = sum_j c_j(x') y^j, coefficients reduced mod p:
-
-    - the constant c_j, j > 0, fold into one code per column;
-    - c_0, negated, gives one code per row, the right-hand side;
-    - each non-constant c_j, j > 0, adds the term log c_j(row) + log y^j
-      per tuple: one add, one conditional subtract, a clamp that maps any
-      zero factor to the log of zero, then XOR (p = 2) or a Zech add.
-
-    A tuple lies on f when its column code plus its terms equals its
-    row's right-hand side: one broadcast compare per tile, and systems
-    AND their masks.  Every tuple is tested, so these tiles are the
-    oracle for the join.
-
-    A tile holds max(1, chunk_size // q) rows and min(q, chunk_size)
-    columns, so no per-tuple array exceeds chunk_size elements.  Tile i
-    is row block i % row_blocks of column slice i // row_blocks.  Column
-    codes are kept per slice, and row codes per batch of up to
-    chunk_size rows, so that their per-call cost is shared by many tiles.
-    """
-
-    def __init__(self, system: PolySystem, spec: FieldSpec, chunk_size: int):
-        self.tables = _tables_for(spec)
-        self.q, self.k = spec.q, system.num_vars
-        self.rows, self.cols, self.row_blocks, self.tiles = _tiling(spec.q, self.k, chunk_size)
-        self.batch = self.rows * max(1, chunk_size // self.rows)
-        self.polys = [_group_by_last(poly, spec.p) for poly in system.polys]
-        self._slice = self._row_batch = (None, None)
-
-    def count(self, start: int = 0, stop: int | None = None) -> int:
-        """Points in tiles start..stop - 1."""
-        total = 0
-        for i in range(start, self.tiles if stop is None else stop):
-            total += self._count_tile(*divmod(i, self.row_blocks))
-        return total
-
-    def join(self) -> int:
-        """Points of one polynomial without row terms: the (row, column)
-        pairs whose codes are equal.  Each row batch adds its right-hand
-        sides into one q-length histogram, and each column slice sums the
-        histogram at its codes."""
-        hist = np.zeros(self.q, dtype=np.int64)
-        for bi in range(-(-self.q ** (self.k - 1) // self.batch)):
-            np.add.at(hist, self._rows(bi)[0][0], 1)
-        if not self.polys[0][1]:  # no column terms: every column codes zero
-            return int(hist[0 if self.tables.p == 2 else self.tables.m]) * self.q
-        return sum(int(np.take(hist, self._columns(ci)[0][0]).sum())
-                   for ci in range(-(-self.q // self.cols)))
-
-    def _columns(self, ci: int):
-        """Per polynomial, the column codes (or None) and the logs of y^j
-        of its row terms, over column slice ci."""
-        if self._slice[0] != ci:
-            t = self.tables
-            ylog = t.log[ci * self.cols:(ci + 1) * self.cols]
-            self._slice = (ci, [(t.values(col, [ylog], ylog.size) if col else None,
-                                 [self._zero_log(t._term_logs(1, (j,), [ylog], ylog.size))
-                                  for j, _ in terms])
-                                for _, col, terms in self.polys])
-        return self._slice[1]
-
-    def _rows(self, bi: int):
-        """Per polynomial, the right-hand sides and the logs of c_j of its
-        row terms, over row batch bi, first variable slowest."""
-        if self._row_batch[0] != bi:
-            t, q, k = self.tables, self.q, self.k
-            idx = np.arange(bi * self.batch, min((bi + 1) * self.batch, q ** (k - 1)),
-                            dtype=np.int64)
-            xs = [t.log[idx // q ** (k - 2 - j) % q] for j in range(k - 1)]
-            self._row_batch = (bi, [(t.values(rhs, xs, idx.size),
-                                     [self._zero_log(t.values(c, xs, idx.size), ids=t.p == 2)
-                                      for _, c in terms])
-                                    for rhs, _, terms in self.polys])
-        return self._row_batch[1]
-
-    def _zero_log(self, codes: np.ndarray, ids: bool = False) -> np.ndarray:
-        """int32 logs of the given codes, with _ZERO_LOG for zero."""
-        t = self.tables
-        logs = t.log[codes] if ids else codes.astype(np.int32)
-        logs[logs == t.m] = _ZERO_LOG
-        return logs
-
-    def _count_tile(self, ci: int, ri: int) -> int:
-        t = self.tables
-        m = t.m
-        bi, r0 = divmod(ri * self.rows, self.batch)
-        rows = slice(r0, r0 + self.rows)
-        mask = None
-        for (rhs, lcs), (col, powers) in zip(self._rows(bi), self._columns(ci)):
-            acc = col
-            for lc, power in zip(lcs, powers):
-                s = lc[rows, None] + power
-                s -= m
-                _wrap(s, m)
-                # a zero factor leaves s >= 2^29 - q: clipped, it is the log of zero
-                if t.p == 2:
-                    s = np.take(t.exp, s, mode="clip")
-                    acc = s if acc is None else np.bitwise_xor(s, acc, out=s)
-                else:
-                    np.minimum(s, m, out=s)
-                    acc = s if acc is None else t._add_logs(acc, s)
-            if acc is None:
-                acc = 0 if t.p == 2 else m
-            hit = np.equal(acc, rhs[rows, None])
-            mask = hit if mask is None else mask & hit
-        tuples = (min(self.rows, self.q ** (self.k - 1) - ri * self.rows)
-                  * min(self.cols, self.q - ci * self.cols))
-        if mask is None:
-            return tuples
-        # a mask that never met a column (or a row) term is the same along that axis
-        return int(np.count_nonzero(mask)) * (tuples // mask.size)
 
 
 def _group_by_last(poly, p: int):
@@ -497,19 +245,6 @@ def _group_by_last(poly, p: int):
         else:
             col.extend(((j,), c) for _, c in terms)
     return rhs, col, row
-
-
-_worker_system: PolySystem | None = None  # the system a pool worker counts
-
-
-def _init_worker(system: PolySystem) -> None:
-    global _worker_system
-    _worker_system = system
-
-
-def _count_tiles(payload) -> int:
-    p, n, modulus, chunk_size, start, stop = payload
-    return _Grid(_worker_system, FieldSpec(p, n, modulus), chunk_size).count(start, stop)
 
 
 def _pool_size(cap: int | None, tiles: int) -> int:
@@ -561,17 +296,19 @@ class _GridCounter:
     def count(self, spec: FieldSpec) -> int:
         if self.free:
             return spec.q ** self.system.num_vars
+        from . import grid  # the array kernel: numpy loads with the first grid
         tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
         if self.workers == 1 or spec.q ** self.system.num_vars < POOL_MIN_TUPLES:
-            grid = _Grid(self.system, spec, self.chunk_size)
-            return grid.join() if self.join else grid.count()
+            g = grid._Grid(self.system, spec, self.chunk_size)
+            return g.join() if self.join else g.count()
         if self.pool is None:
             from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
-            self.pool = ProcessPoolExecutor(max_workers=self.workers, initializer=_init_worker,
+            self.pool = ProcessPoolExecutor(max_workers=self.workers,
+                                            initializer=grid._init_worker,
                                             initargs=(self.system,))
         parts = min(tiles, 4 * self.workers)
         cuts = [tiles * i // parts for i in range(parts + 1)]
-        return sum(self.pool.map(_count_tiles, [
+        return sum(self.pool.map(grid._count_tiles, [
             (spec.p, spec.n, spec.modulus, self.chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
 
 

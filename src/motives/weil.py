@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .finite_field import is_prime
 from .variety import CountSequence
 
@@ -178,6 +176,8 @@ def _integer_poly(roots) -> tuple[int, ...]:
     """prod (1 - alpha t) of float eigenvalues, rounded; refused unless each
     coefficient is near an integer, and once doubles there are spaced wider
     than that tolerance (from 2^33), where nearness stops meaning anything."""
+    import numpy as np  # only float eigenvalues reach here
+
     out = []
     for c in np.poly(np.array(roots, dtype=complex)):
         if math.ulp(abs(c)) > INTEGRALITY_TOL:
@@ -204,6 +204,7 @@ def _reciprocal_roots(coeffs) -> list[complex]:
         r = cmath.sqrt(b[1] * b[1] - 4 * b[2])
         roots = [(-b[1] - r) / 2, (-b[1] + r) / 2]
     else:
+        import numpy as np  # degree 3 and up
         roots = [complex(r) for r in np.roots(np.array(b, dtype=float))]
     return sorted(roots, key=_root_key)
 

@@ -434,12 +434,80 @@ def test_print_limit_is_exact_at_a_power_of_ten():
     assert text == "n,v\n1," + "9" * 640 + "\n"
 
 
-def test_cli_import_leaves_scipy_unloaded():
+_LOADED_PROBE = """\
+import contextlib, io, sys
+__import__(sys.argv[1])
+if sys.argv[2:]:
+    from motives.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[2:]) == 0
+print(sorted(m for m in ("numpy", "scipy", "concurrent.futures.process", "multiprocessing")
+             if m in sys.modules))
+"""
+
+
+# each probe: the module a fresh interpreter imports, then the command it runs, if any
+NUMPY_FREE = [
+    "motives",
+    "motives.cli",
+    "motives.cli motive --expr P^2 --q 2",
+    "motives.cli motive --expr L^3 --q 3",
+    "motives.cli motive --expr 'elliptic a=-2 p=2'",
+    "motives.cli predict --p 101 --n1 96 --n-max 300",
+    "motives.cli zeta --p 2 --counts 5,5,5,25,25,65,145",
+    "motives.cli pspace --dim 2 --q 4 --n-max 2",
+]
+NUMPY_PATHS = [  # the array paths, so that the probe itself can fail
+    "motives.cli count --poly curve.txt --p 2 --n-max 3",
+    "motives.cli zeta --poly curve.txt --p 2 --genus 1",
+    "motives.cli pi --x-max 20 --K 13",
+]
+
+
+@pytest.mark.parametrize("probe, loaded",
+                         [(c, []) for c in NUMPY_FREE] + [(c, ["numpy"]) for c in NUMPY_PATHS],
+                         ids=NUMPY_FREE + NUMPY_PATHS)
+def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, tmp_path):
+    # numpy only on the array paths; scipy and the worker pool on none of these
+    (tmp_path / "curve.txt").write_text(CURVE_TEXT)
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, motives.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout == "False\n"
+    done = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *shlex.split(probe)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{loaded}\n"
+
+
+# the package's public names: 46 re-exports and the six submodules that define them
+PACKAGE_ALL = [
+    "CountSequence", "FFElement", "FieldSpec", "FrobeniusAlpha", "Motive", "PolySystem",
+    "PowerSeries", "PrimeCounter", "RationalZeta", "WeilNumbers", "ZeroTable",
+    "affine_count_sequence", "arith", "correction_term", "count_affine",
+    "count_projective_space", "count_projective_variety", "curve_denominator",
+    "default_zero_table", "direct_sum", "enumerate_elements", "expand_rational",
+    "explicit_formula", "finite_field", "hasse_alpha", "lefschetz_motive", "li",
+    "load_zeros", "make_field", "make_motive", "mobius", "motive", "motive_of_elliptic_curve",
+    "motive_of_projective_space", "parse_poly_system", "point_count", "predict_affine_count",
+    "rational_reconstruct", "rh_bound_ratio", "riemann_approx", "sieve_pi", "tensor",
+    "trace_formula_count", "unit_motive", "variety", "verify_weil_rh", "weil",
+    "weil_numbers_from_counts", "zero_motive", "zeta", "zeta_from_counts", "zeta_series",
+]
+SUBMODULES = ["explicit_formula", "finite_field", "motive", "variety", "weil", "zeta"]
+
+
+def test_lazy_package_surface():
+    assert sorted(motives.__all__) == PACKAGE_ALL
+    listed = dir(motives)
+    for name in PACKAGE_ALL:
+        obj = getattr(motives, name)
+        assert name in listed
+        if name in SUBMODULES:
+            assert obj is sys.modules[f"motives.{name}"]
+        else:
+            home = sys.modules[obj.__module__]
+            assert home.__name__ in [f"motives.{m}" for m in SUBMODULES]
+            assert getattr(home, name) is obj
+    with pytest.raises(AttributeError, match="no_such_name"):
+        motives.no_such_name
 
 
 @pytest.mark.parametrize("env", ["4", "x", "0"])
@@ -448,15 +516,6 @@ def test_weil_workers_env_is_ignored(env, monkeypatch, capsys):
     monkeypatch.setenv("WEIL_WORKERS", env)
     status, out, err = run_cli(["pspace", "--dim", "1", "--q", "2", "--format", "csv"], capsys)
     assert (status, out, err) == (0, "n,q,count\n1,2,3\n", "")
-
-
-def test_cli_import_leaves_the_pool_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, motives.cli; print(sorted(m for m in sys.modules "
-         "if m in ('concurrent.futures.process', 'multiprocessing')))"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout == "[]\n"
 
 
 def test_prime_power_factors_without_a_scan():

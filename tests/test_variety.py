@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motives import variety
+from motives import grid, variety
 from motives.finite_field import enumerate_elements, make_field, multiplicative_generator
+from motives.grid import FieldTables
 from motives.variety import (
     CountSequence,
-    FieldTables,
     PolySystem,
     _pool_size,
     affine_count_sequence,
@@ -392,7 +392,7 @@ def test_join_starts_no_pool(pools, monkeypatch):
 def test_sequence_refused_before_any_field_is_counted(monkeypatch):
     # q^2 passes 2^28 at F_5^7: the whole sequence is charged for F_5^8 first
     built = []
-    monkeypatch.setattr(variety, "_Grid", lambda *args: built.append(args))
+    monkeypatch.setattr(grid, "_Grid", lambda *args: built.append(args))
     genus2 = parse_poly_system("y^2 + x*y - x^5 - x - 1")
     with pytest.raises(ValueError, match="search space too large"):
         affine_count_sequence(genus2, 5, 8)
@@ -550,8 +550,8 @@ def test_system_without_equations_mod_p_needs_no_tables(monkeypatch):
     def refuse(spec):
         raise AssertionError("tables built for a system without equations")
 
-    variety._tables_for.cache_clear()
-    monkeypatch.setattr(variety, "FieldTables", refuse)
+    grid._tables_for.cache_clear()
+    monkeypatch.setattr(grid, "FieldTables", refuse)
     f = make_field(2, 20)
     assert count_projective_space(1, f) == f.q + 1
     f = make_field(2, 3)
@@ -560,11 +560,11 @@ def test_system_without_equations_mod_p_needs_no_tables(monkeypatch):
 
 
 def test_table_cache_keeps_only_the_field_being_counted(monkeypatch):
-    variety._tables_for.cache_clear()
+    grid._tables_for.cache_clear()
     affine_count_sequence(CURVE, 2, 6)
-    assert variety._tables_for.cache_info().currsize == 1
+    assert grid._tables_for.cache_info().currsize == 1
     built = []
-    monkeypatch.setattr(variety, "FieldTables", lambda spec: built.append(spec) or
+    monkeypatch.setattr(grid, "FieldTables", lambda spec: built.append(spec) or
                         FieldTables(spec))
     f = make_field(3, 2)
     assert count_projective_variety(parse_poly_system("x^3 + y^3 + z^3"), f) == 10
