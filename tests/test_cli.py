@@ -434,6 +434,23 @@ def test_print_limit_is_exact_at_a_power_of_ten():
     assert text == "n,v\n1," + "9" * 640 + "\n"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, motives.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, motives.cli; print(sorted(m for m in sys.modules "
+         "if m in ('concurrent.futures.process', 'multiprocessing')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "[]\n"
+
+
 _LOADED_PROBE = """\
 import contextlib, io, sys
 __import__(sys.argv[1])
