@@ -54,9 +54,14 @@ def _digits(v: int) -> int:
     return max(d, 1)
 
 
+def _str_digit_limit() -> int:
+    """Python's int-to-str digit limit, 0 for none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def _check_printable(report: Report) -> None:
     """Refuse, naming the row, an integer past Python's int-to-str limit."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _str_digit_limit()
     if not limit:
         return
     safe_bits = int(limit * 3.3219280948873623) - 1  # 2^safe_bits < 10^limit
@@ -67,6 +72,18 @@ def _check_printable(report: Report) -> None:
                     f"Exceeds the limit ({limit} digits) for printing an integer: row "
                     f"{report.columns[0]}={row[0]} has a {_digits(v)}-digit {column}; "
                     f"use a smaller --n-max")
+
+
+def _numbered_rows(columns: tuple[str, ...], values, n_max: int) -> tuple:
+    """The rows (n, values(n_max)[n - 1]) for n = 1..n_max.  Under an
+    int-to-str limit, prefixes of doubling length below n_max / 2 are
+    built and checked first, so that a row too long to print is refused
+    before more than four times as many rows are computed."""
+    m = 1
+    while 2 * m < n_max and _str_digit_limit():
+        _check_printable(Report(columns, tuple(enumerate(values(m), start=1))))
+        m *= 2
+    return tuple(enumerate(values(n_max), start=1))
 
 
 def render(report: Report, fmt: str) -> str:
@@ -151,8 +168,9 @@ def _cmd_predict(args) -> Report:
         rows = tuple((n, want, c, "ok" if want == c else "MISMATCH")
                      for n, (want, c) in enumerate(zip(predicted, seq.counts), start=1))
         return Report(("n", "predicted", "brute_force", "status"), rows, extra)
-    rows = tuple(enumerate(predict_affine_counts(alpha, args.n_max), start=1))
-    return Report(("n", "predicted"), rows, extra)
+    columns = ("n", "predicted")
+    rows = _numbered_rows(columns, lambda n: predict_affine_counts(alpha, n), args.n_max)
+    return Report(columns, rows, extra)
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
@@ -213,15 +231,29 @@ def _parse_motive_expr(expr: str, q: int | None):
         if q >= 2:  # below 2, Motive refuses the base itself
             _prime_root(q)
 
+    def check_float_range(powers) -> None:
+        """Motive.weight_table's refusal, before the pieces are built:
+        weight 2j holds the eigenvalue q^j, which has no double once it
+        nears 2^1024, so for q >= 2 at every j >= 1024."""
+        for j in powers if q >= 2 else ():
+            try:
+                float(q ** min(j, 1024))
+            except OverflowError:
+                raise ValueError(f"weight {2 * j} eigenvalues exceed the float range") from None
+
     if expr.startswith("P^"):
         check_base("P^n")
-        return motive_of_projective_space(number(expr[2:]), q)
+        dim = number(expr[2:])
+        check_float_range(range(min(dim, 1024) + 1))
+        return motive_of_projective_space(dim, q)
     if expr == "P":
         check_base("P^n")
         return motive_of_projective_space(1, q)
     if expr.startswith("L^"):
         check_base("L^k")
-        return tensor_power(lefschetz_motive(q), number(expr[2:]))
+        k = number(expr[2:])
+        check_float_range([k])
+        return tensor_power(lefschetz_motive(q), k)
     if expr == "L":
         check_base("L")
         return lefschetz_motive(q)
@@ -240,7 +272,7 @@ def _cmd_motive(args) -> Report:
     m = _parse_motive_expr(args.expr, args.q)
     pieces = {str(k): [[r.real, r.imag] for r in roots]
               for k, roots in m.weight_table().items()}
-    rows = tuple(enumerate(point_counts(m, args.n_max), start=1))
+    rows = _numbered_rows(("n", "count"), lambda n: point_counts(m, n), args.n_max)
     return Report(("n", "count"), rows,
                   (("base_q", m.base_q), ("pieces", pieces)))
 
@@ -289,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--projective", action="store_true",
                     help="curve convention: affine count plus one")
     sp.add_argument("--method", choices=("product", "auto"), default="product",
-                    help="product: every tuple, the oracle; auto: the histogram join "
-                         "when the one equation separates as g(x') = h(y), else the "
-                         "product grid; either refuses a plan past 2^28 tuples")
+                    help="product: every tuple, the oracle; auto: the first plan of "
+                         "motives.variety.PLANS that applies; either refuses a plan "
+                         "past 2^28 tuples")
     common(sp, _cmd_count)
 
     sp = sub.add_parser("predict", help="Frobenius eigenvalue from N_1 and predictions")
@@ -345,7 +377,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         _require(getattr(args, "n_max", 1) >= 1, "--n-max must be >= 1")
         return 0, render(args.handler(args), args.format)
     except Exception as exc:  # single-line diagnostic, nonzero exit
-        return 1, f"error: {exc}"
+        return 1, f"error: {str(exc) or type(exc).__name__}"
 
 
 def _keep_heap_top() -> None:

@@ -3,9 +3,8 @@
 Elements of F_q are integer ids (the position in the field's canonical
 enumeration), evaluated as discrete logs through one set of FieldTables
 per field, so that whole tiles of the search space evaluate as numpy
-arrays.  `variety` plans the count and imports this module the first
-time it builds a grid; parsing, planning and every count that needs no
-grid run without numpy.
+arrays.  `variety` plans each count and imports this module with its
+first grid, so that parsing, planning and gridless counts need no numpy.
 """
 
 from __future__ import annotations
@@ -165,8 +164,7 @@ class _Grid:
 
     A tuple lies on f when its column code plus its terms equals its
     row's right-hand side: one broadcast compare per tile, and systems
-    AND their masks.  Every tuple is tested, so these tiles are the
-    oracle for the join.
+    AND their masks.
 
     A tile holds max(1, chunk_size // q) rows and min(q, chunk_size)
     columns, so no per-tuple array exceeds chunk_size elements.  Tile i
@@ -191,10 +189,9 @@ class _Grid:
         return total
 
     def join(self) -> int:
-        """Points of one polynomial without row terms: the (row, column)
-        pairs whose codes are equal.  Each row batch adds its right-hand
-        sides into one q-length histogram, and each column slice sums the
-        histogram at its codes."""
+        """Points of one polynomial without row terms: a q-entry histogram
+        of the rows' right-hand sides, summed at each column slice's
+        codes."""
         hist = np.zeros(self.q, dtype=np.int64)
         for bi in range(-(-self.q ** (self.k - 1) // self.batch)):
             np.add.at(hist, self._rows(bi)[0][0], 1)

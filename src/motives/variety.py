@@ -1,20 +1,13 @@
 """Polynomial systems over Z and exhaustive point counting over F_q.
 
 A PolySystem is a list of multivariate polynomials with integer
-coefficients.  Counting reduces every coefficient mod p.  This module
-parses, plans and charges each count in pure Python; the plan's arrays
-(field tables, tiles, the join) live in `grid`, which imports numpy and
-is itself imported only when a count builds its first grid.
-
-The product grid tests every point of F_q^k and is the oracle.  Rows
-are the tuples of the first k - 1 variables, columns the q values of
-the last one, y.  Grouped by powers of y, a polynomial costs per point
-only its terms whose coefficient depends on the row, plus one compare
-against a right-hand side computed once per row.  A single polynomial
-with no such terms, g(x') = h(y), is counted by a histogram join of the
-right-hand sides with the column codes instead.  Integer counts summed
-over tiles of at most chunk_size points are identical for any chunk
-size and worker count.  Projective charts x_lead = 1 are affine counts.
+coefficients.  Counting reduces every coefficient mod p and lays F_q^k
+out as rows, the tuples of the first k - 1 variables, times columns, the
+q values of the last one, y.  This module parses, plans (`PLANS`) and
+charges each count in pure Python; the arrays (field tables, tiles, the
+join) live in `grid`, which imports numpy and is itself imported only
+when a count builds its first grid.  Projective charts x_lead = 1 are
+affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
@@ -27,7 +20,9 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .finite_field import MAX_FIELD_SIZE, FieldSpec, is_prime, make_field
 
@@ -218,7 +213,7 @@ def format_poly_system(system: PolySystem) -> str:
 
 
 # ----------------------------------------------------------------------
-# the counting plan; the arrays it counts with live in grid.py
+# the counting plans; the arrays they count with live in grid.py
 
 def _tiling(q: int, k: int, chunk_size: int) -> tuple[int, int, int, int]:
     """(rows per tile, columns per tile, row blocks, tiles) of the q^k grid."""
@@ -247,6 +242,26 @@ def _group_by_last(poly, p: int):
     return rhs, col, row
 
 
+class Plan(NamedTuple):
+    applies: Callable[[list], bool]  # on _group_by_last of every polynomial
+    charge: Callable[[int, int], int]  # tuples enumerated over F_q^k, from (q, k)
+    count: Callable  # grid._Grid -> points
+    pools: bool = False
+
+
+# The ways to count the grid, in the order `auto` tries them; `method` names
+# one, and each is exact for any chunk_size and worker count.  "separable":
+# one polynomial without row terms, g(x') = h(y), joins a q-entry histogram
+# of the rows' right-hand sides with the columns' codes.  "product" tests
+# every tuple, paying only for row terms; it always applies, is the oracle
+# and alone runs over a pool.
+PLANS = {
+    "separable": Plan(lambda polys: len(polys) == 1 and not polys[0][2],
+                      lambda q, k: q ** (k - 1) + q, lambda g: g.join()),
+    "product": Plan(lambda polys: True, lambda q, k: q ** k, lambda g: g.count(), pools=True),
+}
+
+
 def _pool_size(cap: int | None, tiles: int) -> int:
     """Worker processes to start: no more than the cap, tiles or CPUs."""
     cpus = os.cpu_count() or 1
@@ -254,37 +269,32 @@ def _pool_size(cap: int | None, tiles: int) -> int:
 
 
 class _GridCounter:
-    """The counting plan of one system over F_p and its extensions, with
-    WORK_LIMIT charged once, for the largest field q_max, before any
-    field is built.
+    """One plan of PLANS for a system over F_p and its extensions, charged
+    once, for the largest field q_max, before any field is built.
 
-    A single polynomial whose coefficients of y^j, j > 0, are constants
-    mod p is counted by the histogram join, q^(k - 1) + q tuples; any
-    other system by the tiles, q^k.  One pool serves every field whose
-    tiles hold at least POOL_MIN_TUPLES tuples, with as many workers as
-    the largest field has tiles (at most `workers` and the CPUs); its
-    initializer hands each worker the system once, and a field then
-    travels as ranges of tiles, four per worker.  A system with no
-    equation mod p counts q^k at once, with the same charge.
+    One pool serves every field whose tiles hold at least POOL_MIN_TUPLES
+    tuples, with as many workers as the largest field has tiles (at most
+    `workers` and the CPUs); its initializer hands each worker the system
+    once, and a field then travels as ranges of tiles, four per worker.
+    A system with no equation mod p counts q^k at once, at the same charge.
     """
 
     def __init__(self, system: PolySystem, p: int, q_max: int, *,
                  workers: int | None, method: str, chunk_size: int):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if method not in ("auto", "product", "separable"):
+        if method != "auto" and method not in PLANS:
             raise ValueError(f"unknown method {method!r}")
         polys = [_group_by_last(poly, p) for poly in system.polys]
         self.free = not any(map(any, polys))  # no equation mod p: every tuple counts
-        self.join = method != "product" and len(polys) == 1 and not polys[0][2]
-        if method == "separable" and not self.join:
-            raise ValueError("system is not separable")
-        k = system.num_vars
-        if (q_max ** (k - 1) + q_max if self.join else q_max ** k) > WORK_LIMIT:
+        fits = [name for name, plan in PLANS.items() if plan.applies(polys)]
+        if method != "auto" and method not in fits:
+            raise ValueError(f"system is not {method}")
+        self.plan, k = PLANS[fits[0] if method == "auto" else method], system.num_vars
+        if self.plan.charge(q_max, k) > WORK_LIMIT:
             raise ValueError("search space too large")
-        self.system, self.chunk_size = system, chunk_size
-        self.workers = 1 if self.join else _pool_size(workers, _tiling(q_max, k, chunk_size)[3])
-        self.pool = None
+        self.system, self.chunk_size, self.pool = system, chunk_size, None
+        self.workers = _pool_size(workers, _tiling(q_max, k, chunk_size)[3]) if self.plan.pools else 1
 
     def __enter__(self):
         return self
@@ -297,15 +307,14 @@ class _GridCounter:
         if self.free:
             return spec.q ** self.system.num_vars
         from . import grid  # the array kernel: numpy loads with the first grid
-        tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
         if self.workers == 1 or spec.q ** self.system.num_vars < POOL_MIN_TUPLES:
-            g = grid._Grid(self.system, spec, self.chunk_size)
-            return g.join() if self.join else g.count()
+            return self.plan.count(grid._Grid(self.system, spec, self.chunk_size))
         if self.pool is None:
             from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
             self.pool = ProcessPoolExecutor(max_workers=self.workers,
                                             initializer=grid._init_worker,
                                             initargs=(self.system,))
+        tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
         parts = min(tiles, 4 * self.workers)
         cuts = [tiles * i // parts for i in range(parts + 1)]
         return sum(self.pool.map(grid._count_tiles, [
@@ -318,16 +327,10 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
     """Number of points of F_q^k at which every polynomial vanishes.
 
-    method: "product" tests every tuple of the q^k grid, laid out as
-    rows (the first k - 1 variables) times columns (the last one), in
-    tiles of at most chunk_size tuples, across up to `workers` processes
-    (default the CPUs) from POOL_MIN_TUPLES tuples on; "separable" joins
-    a histogram of the rows' right-hand sides with the columns' codes,
-    for a single equation whose last variable separates, g(x') = h(y);
-    "auto" joins when it can.  All methods count exactly, for any
-    chunk_size and worker count.  WORK_LIMIT, a fixed 2^28, caps the
-    tuples the chosen plan enumerates: q^k for the tiles, q^(k - 1) + q
-    for the join.
+    method is "auto", the first of PLANS that applies, or a plan's name.
+    Tiles hold at most chunk_size tuples, over up to `workers` processes
+    (default the CPUs) from POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a
+    fixed 2^28, caps the plan's charge.
     """
     with _GridCounter(system, spec.p, spec.q, workers=workers, method=method,
                       chunk_size=chunk_size) as counter:
@@ -335,7 +338,7 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
 
 
 def _projective_rep_count(k: int, q: int) -> int:
-    return sum(q ** (k - 1 - i) for i in range(k))
+    return (q ** k - 1) // (q - 1)
 
 
 def _chart(polys, lead: int):
@@ -358,8 +361,8 @@ def count_projective_variety(system: PolySystem, spec: FieldSpec) -> int:
     if not system.is_homogeneous():
         raise ValueError("not homogeneous")
     k, q = system.num_vars, spec.q
-    reps = _projective_rep_count(k, q)
-    if reps > WORK_LIMIT:
+    # reps >= q^(k - 1) >= 2^(k - 1): past the limit by the exponent alone, before any power
+    if k > WORK_LIMIT.bit_length() or _projective_rep_count(k, q) > WORK_LIMIT:
         raise ValueError("search space too large")
     total = 0
     for lead in range(k):

@@ -114,9 +114,13 @@ def predict_affine_count(alpha: FrobeniusAlpha, n: int) -> int:
 
 
 def predict_affine_counts(alpha: FrobeniusAlpha, n_max: int) -> list[int]:
-    """The predictions for n = 1..n_max from one Newton run."""
-    s = _newton_power_sums((1, -alpha.trace_a, alpha.p), n_max)
-    return [alpha.p ** n - s[n] for n in range(1, n_max + 1)]
+    """The predictions for n = 1..n_max from one Newton run, with p^n
+    carried from row to row rather than raised afresh for each."""
+    out, p_n = [], 1
+    for s_n in _newton_power_sums((1, -alpha.trace_a, alpha.p), n_max)[1:]:
+        p_n *= alpha.p
+        out.append(p_n - s_n)
+    return out
 
 
 def correction_term(alpha: FrobeniusAlpha, n: int) -> int:

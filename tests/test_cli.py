@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import motives
 from motives import cli, variety
 from motives.cli import Report, _prime_power, build_parser, main, render
+from motives.weil import hasse_alpha, predict_affine_count
 
 CURVE_TEXT = "# reference curve\ny^2 + y - x^3 - x\n"
 
@@ -416,6 +418,86 @@ def test_count_too_long_to_print_names_the_row(capsys):
     assert (status, out, ok) == (1, "", 0)
     assert err == ("error: Exceeds the limit (4300 digits) for printing an integer: "
                    "row n=2146 has a 4302-digit predicted; use a smaller --n-max\n")
+
+
+def test_print_limit_zero_cuts_no_row(capsys):
+    # with no int-to-str limit every row is built and printed
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        status, out, err = run_cli(["predict", "--p", "101", "--n1", "96",
+                                    "--n-max", "2200", "--format", "csv"], capsys)
+        last = f"2200,{predict_affine_count(hasse_alpha(101, 96), 2200)}"
+    finally:
+        sys.set_int_max_str_digits(default)
+    rows = out.splitlines()
+    assert (status, err, len(rows)) == (0, "", 2201)
+    assert rows[-1] == last
+
+
+# each refusal ends before the input is built, in under 1 s and 64 MB on 2
+# CPUs; summing the representatives took 54 s at --q 2, their closed form 8 s
+# at --q 3^16 without the refusal by dimension, and the others more than 90 s,
+# 48 s (about 2.5 GB), more than 90 s and 1 s (360 MB)
+CAPPED = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from motives.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+DIGITS = "Exceeds the limit (4300 digits) for printing an integer: row n=2146 has a 4302-digit"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("pspace --dim 1000000 --q 2", "search space too large"),
+    ("pspace --dim 1000000 --q 43046721", "search space too large"),
+    ("predict --p 101 --n1 96 --n-max 100000", f"{DIGITS} predicted; use a smaller --n-max"),
+    ("motive --expr P^200000 --q 2", "weight 2048 eigenvalues exceed the float range"),
+    ("motive --expr L^1000000 --q 2", "weight 2000000 eigenvalues exceed the float range"),
+    ("motive --expr 'elliptic a=5 p=101' --n-max 20000", f"{DIGITS} count; use a smaller --n-max"),
+])
+def test_large_inputs_are_refused_before_they_are_built(argv, message):
+    if "digits" in message and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]),
+               PYTHONINTMAXSTRDIGITS="4300")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", CAPPED, *shlex.split(argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 5
+
+
+def test_motive_past_the_float_range_builds_no_piece(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("pieces built")
+
+    monkeypatch.setattr(cli, "motive_of_projective_space", refuse)
+    monkeypatch.setattr(cli, "tensor_power", refuse)
+    for expr, q, weight in [("P^1024", 2, 2048), ("P^5000", 3, 1294), ("L^1024", 2, 2048),
+                            ("L^34", 2 ** 31, 68), ("L^1025", 2, 2050)]:
+        status, out, err = run_cli(["motive", "--expr", expr, "--q", str(q)], capsys)
+        assert (status, out) == (1, ""), expr
+        assert err == f"error: weight {weight} eigenvalues exceed the float range\n", expr
+
+
+@pytest.mark.parametrize("expr, q", [("P^1023", 2), ("L^1023", 2), ("L^33", 2 ** 31)])
+def test_motive_at_the_float_range_edge_is_counted(expr, q, capsys):
+    status, out, err = run_cli(["motive", "--expr", expr, "--q", str(q), "--n-max", "1",
+                                "--format", "json"], capsys)
+    assert (status, err) == (0, "")
+    assert json.loads(out)["base_q"] == q
+
+
+def test_an_error_without_a_message_is_named_by_its_type():
+    def fail(args):
+        raise MemoryError()
+
+    args = build_parser().parse_args(["pspace", "--dim", "1", "--q", "2"])
+    args.handler = fail
+    assert cli.run(args) == (1, "error: MemoryError")
 
 
 def test_print_limit_is_exact_at_a_power_of_ten():

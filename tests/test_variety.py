@@ -464,18 +464,47 @@ def small_systems(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_systems())
 def test_product_and_separable_match_oracle_on_random_systems(case):
+    # every plan in the table that applies counts what the oracle counts;
+    # every other one refuses the system by its name
     system, f = case
     product = count_affine(system, f, method="product", chunk_size=97)
     assert product == naive_affine_count(system, f)
     assert count_affine(system, f, method="auto") == product
+    polys = [variety._group_by_last(poly, f.p) for poly in system.polys]
+    for name, plan in variety.PLANS.items():
+        if plan.applies(polys):
+            assert count_affine(system, f, method=name) == product, name
+        else:
+            with pytest.raises(ValueError, match=f"^system is not {name}$"):
+                count_affine(system, f, method=name)
     # a row term: some y^j, j > 0, whose coefficient mod p involves x'
     keeps_row_term = len(system.polys) > 1 or any(
         c % f.p and e[-1] and any(e[:-1]) for e, c in system.polys[0])
-    if keeps_row_term:
-        with pytest.raises(ValueError, match="^system is not separable$"):
-            count_affine(system, f, method="separable")
-    else:
-        assert count_affine(system, f, method="separable") == product
+    assert variety.PLANS["separable"].applies(polys) == (not keeps_row_term)
+
+
+def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch):
+    # a plan is one entry of PLANS: its test, its charge and its kernel
+    seen = []
+    stub = variety.Plan(lambda polys: len(polys) == 2, lambda q, k: q,
+                        lambda g: seen.append(g.q) or 7)
+    plans = variety.PLANS
+    two, f = parse_poly_system("x - y\nx + y"), make_field(3, 1)
+    monkeypatch.setattr(variety, "PLANS", {"stub": stub, **plans})
+    assert count_affine(two, f, method="stub") == 7
+    assert count_affine(two, f) == 7  # auto: the first entry that applies
+    assert count_affine(CURVE, make_field(2, 3)) == EXPECTED_CURVE_COUNTS[2]
+    with pytest.raises(ValueError, match="^system is not stub$"):
+        count_affine(CURVE, f, method="stub")
+    monkeypatch.setattr(variety, "WORK_LIMIT", f.q - 1)  # the stub's own charge
+    with pytest.raises(ValueError, match="search space too large"):
+        count_affine(two, f, method="stub")
+    assert seen == [3, 3]
+    monkeypatch.setattr(variety, "WORK_LIMIT", 2 ** 28)
+    monkeypatch.setattr(variety, "PLANS", {**plans, "stub": stub})
+    assert count_affine(two, f) == 1  # the product grid comes first now: x = y = 0
+    assert count_affine(two, f, method="stub") == 7
+    assert seen == [3, 3, 3]
 
 
 GRID_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
@@ -664,6 +693,20 @@ def test_projective_charge_is_the_representatives(text, p, n, want, monkeypatch)
     with pytest.raises(ValueError, match="search space too large"):
         count_projective_variety(system, f)
     assert charts == []
+
+
+def test_projective_charge_in_closed_form():
+    for k in range(1, 8):
+        for q in (2, 3, 4, 7, 2 ** 26):
+            assert variety._projective_rep_count(k, q) == sum(q ** i for i in range(k))
+
+
+def test_projective_space_past_the_limit_is_refused_by_its_dimension():
+    # 2^999999 representatives: refused by the exponent, before any power is formed
+    for dim in (28, 10 ** 6):
+        with pytest.raises(ValueError, match="search space too large"):
+            count_projective_space(dim, make_field(2, 1))
+    assert count_projective_space(27, make_field(2, 1)) == 2 ** 28 - 1
 
 
 def test_projective_no_double_counting():
