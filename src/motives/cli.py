@@ -11,7 +11,6 @@ or table.  All numeric output is deterministic across runs.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import csv
 import io
 import json
@@ -257,10 +256,10 @@ def _parse_motive_expr(expr: str, q: int | None):
     if expr == "L":
         check_base("L")
         return lefschetz_motive(q)
-    if expr.startswith("elliptic"):
+    if expr.split()[:1] == ["elliptic"]:
         pairs = [part.split("=") for part in expr.split()[1:]]
-        _require(all(len(kv) == 2 for kv in pairs), unparsed)
-        kv = dict(pairs)
+        kv = dict(kv for kv in pairs if len(kv) == 2)  # a repeated key counts once
+        _require(len(kv) == len(pairs) and kv.keys() <= {"a", "p"}, unparsed)
         _require("a" in kv and "p" in kv, "elliptic needs a=<trace> p=<prime>")
         a, p = number(kv["a"]), number(kv["p"])
         _require(q is None or q == p, f"--q {q} differs from the elliptic curve's p = {p}")
@@ -380,30 +379,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         return 1, f"error: {str(exc) or type(exc).__name__}"
 
 
-def _keep_heap_top() -> None:
-    """Keep glibc's heap from shrinking and regrowing around each large
-    temporary.
-
-    The quadrature and counting loops free 2^14-element temporaries in
-    turn.  Under glibc's default thresholds, whether each free hands the
-    pages back to the system, to be faulted in again on the next pass,
-    depends only on the heap's layout: on 2 CPUs with glibc 2.36,
-    `pi --x-max 600 --K 150` took 177,000 minor page faults and 0.8-1.0 s
-    in such a layout, against 5,200 and 0.5-0.6 s.  The values set are
-    the most glibc's own adaptive thresholds reach: blocks below 32 MB
-    come from the heap, and up to 64 MB of it may stay free.  Without
-    mallopt nothing changes.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    except (AttributeError, OSError, TypeError):
-        pass
-
-
 def main(argv=None) -> int:
-    _keep_heap_top()
     status, text = run(build_parser().parse_args(argv))
     if status == 0:
         sys.stdout.write(text)

@@ -26,10 +26,12 @@ ray of li(y^rho) has 48 nodes on [0, 8, 24, 60], within 1.0e-15 of a
 384-node rule for y in [2, 1500] and all 150 tabled zeros.  Blocks of
 512 points, cut into chunks of at most 2^14 elements per temporary, keep
 the working set near 1 MB whatever x_max, for up to 341 zeros (one
-argument's zero terms fill a chunk beyond that).  The one-point functions
-(li beyond 2, archimedean_tail, zero_pair_terms, smooth_term,
-riemann_approx) are the same code on a block of one, and li_grid is li
-beyond 2 on a block of integers.
+argument's zero terms fill a chunk beyond that).  The temporaries of a
+pass over the chunks live in one workspace that the pass allocates and
+every chunk reuses, so no chunk allocates and frees its own.  The
+one-point functions (li beyond 2, archimedean_tail, zero_pair_terms,
+smooth_term, riemann_approx) are the same code on a block of one, and
+li_grid is li beyond 2 on a block of integers.
 """
 
 from __future__ import annotations
@@ -109,22 +111,26 @@ def mobius(m: int) -> int:
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _DEPTH = 40  # panels per graded end; the last two span 2^-39 of it each
-_BLOCK = 2 ** 14  # elements in any one per-node temporary: 256 KB complex
+_BLOCK = 2 ** 14  # elements in any one per-node temporary, each a view of
+                  # the pass's reused workspace: 256 KB complex
 
 
-def _rule(edges) -> tuple[np.ndarray, np.ndarray]:
+def _rule(edges, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (..., panels, 16) and half-lengths (..., panels) of the
-    16-node Gauss-Legendre rule on each panel [edges[..., i], edges[..., i+1]]."""
+    16-node Gauss-Legendre rule on each panel [edges[..., i], edges[..., i+1]];
+    the nodes are written into out when it is given."""
     edges = np.asarray(edges, dtype=float)
     half = np.diff(edges, axis=-1) / 2.0
-    return (edges[..., :-1] + half)[..., None] + half[..., None] * _NODES, half
+    nodes = np.multiply(half[..., None], _NODES, out=out)
+    nodes += (edges[..., :-1] + half)[..., None]
+    return nodes, half
 
 
-def _panels(f, edges) -> np.ndarray:
+def _panels(f, edges, out=None) -> np.ndarray:
     """Integral of f over each panel, one partition per leading index of
-    edges.  f maps the node array elementwise and may broadcast leading
-    axes of its own."""
-    nodes, half = _rule(edges)
+    edges.  f maps the node array elementwise, in place or not, and may
+    broadcast leading axes of its own; out holds the nodes if given."""
+    nodes, half = _rule(edges, out)
     return f(nodes) @ _WEIGHTS * half
 
 
@@ -134,11 +140,14 @@ def _fixed_rule(edges) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), (half[:, None] * _WEIGHTS).ravel()
 
 
-def _chunked(f, y: np.ndarray, width: int) -> np.ndarray:
-    """f over consecutive slices of y, where f builds width elements per
-    argument: each slice keeps that temporary within _BLOCK elements."""
-    step = max(1, _BLOCK // width)
-    return np.concatenate([f(y[i:i + step]) for i in range(0, y.size, step)])
+def _chunked(f, y: np.ndarray, width: int, dtype=float, buffers: int = 1) -> np.ndarray:
+    """f(slice, work) over consecutive slices of y, where f builds width
+    elements per argument: each slice keeps that temporary within _BLOCK
+    elements.  Every slice reuses work, `buffers` such temporaries of
+    (arguments, width), and f returns a new array."""
+    step = max(1, _BLOCK // max(width, 1))
+    work = np.empty((buffers, min(step, y.size), width), dtype)
+    return np.concatenate([f(y[i:i + step], work) for i in range(0, y.size, step)])
 
 
 def _toward(a: float, b: float) -> np.ndarray:
@@ -153,7 +162,8 @@ def _graded(a: float, b: float) -> np.ndarray:
 
 
 def _inv_log(t: np.ndarray) -> np.ndarray:
-    return 1.0 / np.log(t)
+    """1 / ln t, in place."""
+    return np.divide(1.0, np.log(t, out=t), out=t)
 
 
 def _folded(s: np.ndarray) -> np.ndarray:
@@ -164,15 +174,15 @@ def _folded(s: np.ndarray) -> np.ndarray:
 _LI_2 = float(_panels(_folded, _toward(0.0, 1.0)).sum())  # (0, 2) folded about 1
 
 
-def _li_from_2(y: np.ndarray) -> np.ndarray:
+def _li_from_2(y: np.ndarray, work: np.ndarray) -> np.ndarray:
     """li at each y >= 2: li(2), a prefix sum of the panels
     [1 + 2^(j-1), 1 + 2^j] that double in length, and one partial panel
-    from the last of them to y."""
+    from the last of them to y, whose nodes go into work[0]."""
     k = np.maximum(np.ceil(np.log2(y - 1.0)), 1.0).astype(np.intp)
     starts = 1.0 + np.ldexp(1.0, np.arange(k.max()))  # 2, 3, 5, 9, ...
     before = np.append(0.0, np.cumsum(_panels(_inv_log, starts)))
     last = np.stack([starts[k - 1], y], axis=-1)
-    return _LI_2 + before[k - 1] + _panels(_inv_log, last)[:, 0]
+    return _LI_2 + before[k - 1] + _panels(_inv_log, last, work[0, :y.size, None])[:, 0]
 
 
 def li(x: float) -> float:
@@ -190,7 +200,7 @@ def li(x: float) -> float:
     if x == 1:
         raise ValueError("divergent")
     if x >= 2.0:
-        return float(_li_from_2(np.array([x], dtype=float))[0])
+        return float(_chunked(_li_from_2, np.array([x], dtype=float), _NODES.size)[0])
     h = abs(x - 1.0)
     total = _panels(_inv_log, _graded(0.0, 1.0 - h)).sum()
     if x > 1.0:
@@ -216,11 +226,14 @@ _TAIL_S, _TAIL_W = _fixed_rule(_graded(0.0, 1.0))
 _TAIL_LOG_S = np.log(_TAIL_S)
 
 
-def _tails(y: np.ndarray) -> np.ndarray:
-    """archimedean_tail at each y > 1."""
-    ln_y = np.log(y)[:, None]
-    s = _TAIL_S / y[:, None]
-    return (s / ((1.0 - s * s) * (ln_y - _TAIL_LOG_S))) @ _TAIL_W / y
+def _tails(y: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """archimedean_tail at each y > 1; the integrand is built in the
+    three rows of work."""
+    s, den, ln = work[:, :y.size]
+    np.divide(_TAIL_S, y[:, None], out=s)
+    np.subtract(1.0, np.multiply(s, s, out=den), out=den)
+    den *= np.subtract(np.log(y)[:, None], _TAIL_LOG_S, out=ln)
+    return np.divide(s, den, out=den) @ _TAIL_W / y
 
 
 def archimedean_tail(y: float) -> float:
@@ -232,7 +245,7 @@ def archimedean_tail(y: float) -> float:
     """
     if y <= 1:
         raise ValueError("y must be > 1")
-    return float(_tails(np.array([y], dtype=float))[0])
+    return float(_chunked(_tails, np.array([y], dtype=float), _TAIL_S.size, buffers=3)[0])
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +261,8 @@ class ZeroTable:
         if not self.ordinates:
             raise ValueError("no zeros")
         arr = self.ordinates
+        if not all(map(math.isfinite, arr)):
+            raise ValueError("ordinates must be finite numbers")
         if arr[0] <= 0:
             raise ValueError("ordinates must be positive")
         if any(b <= a for a, b in zip(arr, arr[1:])):
@@ -291,10 +306,11 @@ _RAY_EW *= np.exp(-_RAY_U)
 _ROWS = 2 ** 9  # grid points per block; below 10^7 each has <= 16 arguments
 
 
-def _zero_terms(y: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """2 Re li(y^rho) for each y (rows) and rho = 1/2 + i gamma (columns)."""
+def _zero_terms(y: np.ndarray, gammas: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """2 Re li(y^rho) for each y (rows) and rho = 1/2 + i gamma (columns);
+    the ray's nodes go into the complex work[0]."""
     w = np.multiply.outer(-np.log(y), 0.5 + 1j * gammas)
-    z = w[..., None] + _RAY_U
+    z = np.add(w[..., None], _RAY_U, out=work[0, :y.size].reshape(*w.shape, _RAY_U.size))
     # einsum, not @: a complex-by-float matmul goes through BLAS and its threads
     return -2.0 * (np.exp(-w) * np.einsum("...k,k->...", np.reciprocal(z, out=z), _RAY_EW)).real
 
@@ -315,20 +331,22 @@ def zero_pair_terms(y: float, gammas: np.ndarray) -> np.ndarray:
     """
     if y < 2:
         raise ValueError("y must be >= 2")
-    return _zero_terms(np.array([y], dtype=float),
-                       np.asarray(gammas, dtype=float))[0]
+    gammas = np.asarray(gammas, dtype=float)
+    return _chunked(lambda c, work: _zero_terms(c, gammas, work), np.array([y], dtype=float),
+                    gammas.size * _RAY_U.size, complex)[0]
 
 
 def _smooth_terms(y: np.ndarray, gammas: np.ndarray):
     """li(y) and f(y) at each y >= 2."""
     li_y = _chunked(_li_from_2, y, _NODES.size)
-    f = li_y - LN2 + _chunked(_tails, y, _TAIL_S.size)
+    f = li_y - LN2 + _chunked(_tails, y, _TAIL_S.size, buffers=3)
     # zeros go in slices of at most 341, so that one argument's
     # (zeros x nodes) temporary also stays within _BLOCK elements
     width = _BLOCK // _RAY_U.size
     for i in range(0, gammas.size, width):
         part = gammas[i:i + width]
-        f -= _chunked(lambda c: _zero_terms(c, part).sum(axis=1), y, part.size * _RAY_U.size)
+        f -= _chunked(lambda c, work: _zero_terms(c, part, work).sum(axis=1), y,
+                      part.size * _RAY_U.size, complex)
     return li_y, f
 
 

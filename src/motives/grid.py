@@ -116,7 +116,9 @@ def _exp_table(spec: FieldSpec) -> np.ndarray:
     Multiplication by g^B is F_p-linear, an n x n matrix on coefficient
     vectors, and maps exp[0:B] to exp[B:2B]; its row j is g^B x^j, the
     row before times x reduced by the modulus.  Rows go through it
-    TABLE_BUILD_ROWS at a time, which bounds the digit matrices.
+    TABLE_BUILD_ROWS at a time, through one pair of digit matrices that
+    every doubling step reuses: the build's temporaries live in one
+    workspace.
     """
     p, n, q = spec.p, spec.n, spec.q
     powers = p ** np.arange(n, dtype=np.int64)
@@ -125,6 +127,7 @@ def _exp_table(spec: FieldSpec) -> np.ndarray:
     exp[0] = 1
     g_b, b = np.array(multiplicative_generator(spec).coeffs, dtype=np.int64), 1
     mat = np.empty((n, n), dtype=np.int64)
+    work = np.empty((2, min(TABLE_BUILD_ROWS, q // 2), n), dtype=np.int64)
     while b < q - 1:
         mat[0] = g_b
         for j in range(1, n):
@@ -132,8 +135,10 @@ def _exp_table(spec: FieldSpec) -> np.ndarray:
         rows = min(b, q - 1 - b)
         for s in range(0, rows, TABLE_BUILD_ROWS):
             t = min(s + TABLE_BUILD_ROWS, rows)
-            digits = exp[s:t, None] // powers % p
-            exp[b + s:b + t] = digits @ mat % p @ powers
+            digits, image = work[:, :t - s]
+            np.remainder(np.floor_divide(exp[s:t, None], powers, out=digits), p, out=digits)
+            np.remainder(np.matmul(digits, mat, out=image), p, out=image)
+            exp[b + s:b + t] = image @ powers
         g_b, b = g_b @ mat % p, 2 * b
     return exp
 

@@ -347,7 +347,9 @@ def test_motive_accepts_every_prime_power_base(q, capsys):
     assert (status, out) == (0, f"n,count\n1,{q + 1}\n")
 
 
-@pytest.mark.parametrize("expr", ["P^x", "L^", "elliptic a=x p=2", "elliptic a", "elliptic a=1=2"])
+@pytest.mark.parametrize("expr", ["P^x", "L^", "elliptic a=x p=2", "elliptic a", "elliptic a=1=2",
+                                  "elliptic a=1 p=2 p=3", "elliptic a=0 p=2 q=3",
+                                  "ellipticx a=1 p=3"])
 def test_motive_parse_errors_name_the_expression(expr, capsys):
     status, out, err = run_cli(["motive", "--expr", expr, "--q", "2"], capsys)
     assert (status, out, err) == (1, "", f"error: cannot parse motive expression {expr!r}\n")
@@ -540,8 +542,10 @@ if sys.argv[2:]:
     from motives.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[2:]) == 0
-print(sorted(m for m in ("numpy", "scipy", "concurrent.futures.process", "multiprocessing")
-             if m in sys.modules))
+watched = ("numpy", "scipy", "concurrent.futures.process", "multiprocessing")
+if "numpy" not in sys.modules:  # numpy itself loads ctypes
+    watched += ("ctypes",)
+print(sorted(m for m in watched if m in sys.modules))
 """
 
 
@@ -567,7 +571,8 @@ NUMPY_PATHS = [  # the array paths, so that the probe itself can fail
                          [(c, []) for c in NUMPY_FREE] + [(c, ["numpy"]) for c in NUMPY_PATHS],
                          ids=NUMPY_FREE + NUMPY_PATHS)
 def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, tmp_path):
-    # numpy only on the array paths; scipy and the worker pool on none of these
+    # numpy only on the array paths; scipy and the worker pool on none of these,
+    # and ctypes on none of the numpy-free ones
     (tmp_path / "curve.txt").write_text(CURVE_TEXT)
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *shlex.split(probe)],
@@ -642,20 +647,38 @@ def test_pi_negative_K_is_refused_before_the_sieve(capsys):
     assert (status, err) == (1, "error: K must be >= 0\n")
 
 
-def test_cli_sets_the_heap_thresholds_once_per_command(monkeypatch, capsys):
-    # the values glibc's adaptive thresholds reach at most; see _keep_heap_top
-    calls = []
+_FAULTS_PROBE = """\
+import resource
+from motives import explicit_formula as ef, grid
+from motives.finite_field import make_field
 
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
+def faults(build):
+    build()  # warm: the second pass is the one counted
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    build()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
-    assert run_cli(["pspace", "--dim", "1", "--q", "2"], capsys)[0] == 0
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt
-    assert run_cli(["pspace", "--dim", "1", "--q", "2"], capsys)[0] == 0
+zeros = ef.default_zero_table()
+for x_max, K in ((600, 150), (1500, 0)):
+    pc = ef.PrimeCounter.build(x_max + 1)
+    xs = ef.half_integer_grid(2, x_max)
+    print(faults(lambda: ef.approximation_rows(xs, zeros, K, pc)))
+spec = make_field(2, 17)
+print(faults(lambda: (grid._tables_for.cache_clear(), grid._tables_for(spec))))
+"""
+
+
+def test_library_passes_reuse_their_workspace(tmp_path):
+    # without cli.main: each pass writes its temporaries into one workspace, so
+    # a warm pass faults in few pages whatever the heap's layout
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows_600, rows_1500, tables = map(int, done.stdout.split())
+    assert rows_600 < 2000 and rows_1500 < 2000
+    assert tables < 3000
 
 
 def test_table_format_renders(curve_file, capsys):

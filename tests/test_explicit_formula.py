@@ -244,6 +244,12 @@ def test_load_zeros_errors(tmp_path):
         load_zeros(junk)
     with pytest.raises(ValueError, match="not increasing"):
         ZeroTable((14.13, 14.13))
+    # nan and inf pass the order and sign checks; a nan mid-table would pass "not increasing"
+    for text in ("14.134725141734693\n21.022039638771555\nnan\n", "14.134725\nnan\n21.02204\n",
+                 "14.134725\ninf\n", "-inf\n14.134725\n"):
+        junk.write_text(text)
+        with pytest.raises(ValueError, match="^ordinates must be finite numbers$"):
+            load_zeros(junk)
 
 
 # ----------------------------------------------------------------------
