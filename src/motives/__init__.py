@@ -6,7 +6,9 @@ from importlib import import_module as _import_module
 # each re-export under the submodule that defines it; both are imported on
 # first use (PEP 562), so `import motives` loads no submodule and no numpy
 _EXPORTS = {
-    "finite_field": ("FFElement", "FieldSpec", "arith", "enumerate_elements", "make_field"),
+    "finite_field": (
+        "FFElement", "FieldSpec", "arith", "enumerate_elements", "make_field", "mobius",
+    ),
     "variety": (
         "CountSequence", "PolySystem", "affine_count_sequence", "count_affine",
         "count_projective_space", "count_projective_variety", "parse_poly_system",
@@ -24,8 +26,8 @@ _EXPORTS = {
         "motive_of_projective_space", "point_count", "tensor", "unit_motive", "zero_motive",
     ),
     "explicit_formula": (
-        "PrimeCounter", "ZeroTable", "default_zero_table", "li", "load_zeros", "mobius",
-        "rh_bound_ratio", "riemann_approx", "sieve_pi",
+        "PrimeCounter", "ZeroTable", "default_zero_table", "li", "load_zeros", "rh_bound_ratio",
+        "riemann_approx", "sieve_pi",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .finite_field import MAX_FIELD_SIZE, is_prime, make_field
+from .finite_field import MAX_FIELD_SIZE, make_field, prime_root
 from .motive import (
     lefschetz_motive,
     motive_of_elliptic_curve,
@@ -116,27 +116,12 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-def _iroot(m: int, n: int) -> int:
-    """floor(m^(1/n)) for m >= 1, by Newton's method in integers."""
-    r = 1 << -(-m.bit_length() // n)
-    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
-        r = s
-    return r
-
-
-def _prime_root(q: int) -> tuple[int, int]:
-    """(p, n) with p prime and p^n = q >= 2, from q's integer n-th roots."""
-    for n in range(1, q.bit_length()):
-        p = _iroot(q, n)
-        if p ** n == q and is_prime(p):
-            return p, n
-    raise ValueError("q must be a prime power")
-
-
 def _prime_power(q: int) -> tuple[int, int]:
     _require(q >= 2, "q must be >= 2")
     _require(q <= MAX_FIELD_SIZE, "field too large")
-    return _prime_root(q)
+    root = prime_root(q)
+    _require(root is not None, "q must be a prime power")
+    return root
 
 
 def _load_system(path):
@@ -227,8 +212,8 @@ def _parse_motive_expr(expr: str, q: int | None):
 
     def check_base(name: str) -> None:
         _require(q is not None, f"--q required for {name}")
-        if q >= 2:  # below 2, Motive refuses the base itself
-            _prime_root(q)
+        # below 2, Motive refuses the base itself
+        _require(q < 2 or prime_root(q) is not None, "q must be a prime power")
 
     def check_float_range(powers) -> None:
         """Motive.weight_table's refusal, before the pieces are built:

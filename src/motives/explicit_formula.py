@@ -42,6 +42,8 @@ from importlib import resources
 
 import numpy as np
 
+from .finite_field import mobius
+
 LN2 = math.log(2.0)
 SIEVE_LIMIT = 10 ** 7  # 9 bytes per integer (flags plus int64 counts): 90 MB
 
@@ -86,24 +88,6 @@ def sieve_pi(x: float, pc: PrimeCounter) -> int:
     if n < 2:
         return 0
     return int(pc.pi_table[n])
-
-
-def mobius(m: int) -> int:
-    """Moebius function by trial factorization."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if m > 1:
-        out = -out
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ empty tuple).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -66,6 +67,34 @@ def prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def mobius(m: int) -> int:
+    """Moebius function: (-1)^(number of primes) if m is squarefree, else 0."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    primes = prime_factors(m)
+    return (-1) ** len(primes) if math.prod(primes) == m else 0
+
+
+def _iroot(m: int, n: int) -> int:
+    """floor(m^(1/n)) for m >= 1, by Newton's method in integers."""
+    r = 1 << -(-m.bit_length() // n)
+    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+        r = s
+    return r
+
+
+def prime_root(q: int) -> tuple[int, int] | None:
+    """(p, n) with p prime and p^n = q, from q's integer n-th roots; None
+    if q is not a prime power."""
+    if q < 2:
+        return None
+    for n in range(1, q.bit_length()):
+        p = _iroot(q, n)
+        if p ** n == q and is_prime(p):
+            return p, n
+    return None
 
 
 # ----------------------------------------------------------------------

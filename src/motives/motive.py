@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+from .finite_field import prime_root
 from .weil import (
     MODULUS_TOL,
     FrobeniusAlpha,
@@ -35,7 +36,7 @@ class Motive:
     pieces: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        if self.base_q < 2:
+        if prime_root(self.base_q) is None:
             raise ValueError("base must be a prime power >= 2")
         for k, poly in self.pieces:
             if k < 0 or not isinstance(k, int):

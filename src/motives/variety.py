@@ -11,9 +11,15 @@ affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
-'^' for powers, '*' optional, '#' starts a comment.  Example:
+'^' or '**' for powers, '*' optional, '#' starts a comment.  Example:
 
     y^2 + y - x^3 - x
+
+A parsed polynomial is canonical: one monomial per exponent vector, none
+with coefficient 0, in the order of their (variable, exponent) pairs with
+exponent > 0, so the constant comes first and x^0 - 1 is the zero
+polynomial.  num_vars is the highest variable index written, at exponent
+0 too, except in terms that cancel as written (x3 - x3 is in one variable).
 """
 
 from __future__ import annotations
@@ -83,83 +89,69 @@ class CountSequence:
 # ----------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(\^)|(\*\*)|(\*)|([+-])|(.))")
+# a variable carries its power, so no token looks ahead; a lone power is misplaced
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)(?:\s*(\^|\*\*)\s*(\d+)?)?|(\^|\*\*)|\*|([+-]))")
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*\\s*")  # ends at the first character no token takes
 _ALIASES = {"x": 1, "y": 2, "z": 3}
 
 
-def _parse_poly(line: str) -> dict[tuple[int, ...], int]:
-    """One polynomial as {exponent-map-by-index: coeff}; indices 1-based."""
+def _variable(name: str) -> int:
+    """The 1-based index of x, y, z or x1, x2, ..."""
+    if name in _ALIASES:
+        return _ALIASES[name]
+    if name[0] != "x" or not name[1:].isdecimal():
+        raise ValueError(f"unknown variable {name!r}")
+    if (idx := int(name[1:])) < 1:
+        raise ValueError(f"bad variable {name!r}")
+    return idx
+
+
+def _parse_poly(line: str) -> dict[tuple[tuple[int, int], ...], int]:
+    """One polynomial as {((index, exponent), ...): coeff}, every
+    variable it writes in a term kept, even at exponent 0; no coeff is 0.
+
+    One pass over the tokens: a sign closes the open term, or flips the
+    sign of the next, and the end of the line closes the last term."""
+    if (end := _TOKENS.match(line).end()) < len(line):
+        raise ValueError(f"cannot parse {line[end]!r} in polynomial {line!r}")
     terms: dict[tuple, int] = {}
-    tokens = []
-    for m in _TOKEN.finditer(line):
-        num, name, caret, dstar, star, sign, bad = m.groups()
-        if bad is not None and bad.strip():
-            raise ValueError(f"cannot parse {bad!r} in polynomial {line!r}")
-        if num:
-            tokens.append(("num", int(num)))
-        elif name:
-            tokens.append(("var", name))
-        elif caret or dstar:
-            tokens.append(("pow", None))
-        elif star:
-            tokens.append(("mul", None))
-        elif sign:
-            tokens.append(("sign", sign))
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "sign":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-            first = False
-        if i >= len(tokens):
-            if not first:
-                raise ValueError(f"dangling sign in {line!r}")
-            break
-        coeff = sign
-        exps: dict[int, int] = {}
-        saw_factor = False
-        while i < len(tokens) and tokens[i][0] != "sign":
-            kind, val = tokens[i]
-            if kind == "num":
-                coeff *= val
-                i += 1
-                saw_factor = True
-            elif kind == "var":
-                if val in _ALIASES:
-                    idx = _ALIASES[val]
-                elif val[0] == "x" and val[1:].isdigit():
-                    idx = int(val[1:])
-                    if idx < 1:
-                        raise ValueError(f"bad variable {val!r}")
-                else:
-                    raise ValueError(f"unknown variable {val!r}")
-                i += 1
-                e = 1
-                if i < len(tokens) and tokens[i][0] == "pow":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "num":
-                        raise ValueError(f"missing exponent in {line!r}")
-                    e = tokens[i][1]
-                    i += 1
-                exps[idx] = exps.get(idx, 0) + e
-                saw_factor = True
-            elif kind == "mul":
-                i += 1
-            else:
-                raise ValueError(f"misplaced token in {line!r}")
-        if not saw_factor:
+    sign, term = 1, None  # term, once opened: [coeff, {index: exponent}, has a factor]
+
+    def close():
+        if not term[2]:
             raise ValueError(f"empty term in {line!r}")
-        key = tuple(sorted(exps.items()))
-        terms[key] = terms.get(key, 0) + coeff
-        first = False
+        key = tuple(sorted(term[1].items()))
+        terms[key] = terms.get(key, 0) + term[0]
+
+    for num, name, power, exp, lone, op in _TOKEN.findall(line):
+        if op:
+            if term:
+                close()
+                sign, term = 1, None
+            sign = -sign if op == "-" else sign
+            continue
+        if lone:
+            raise ValueError(f"misplaced token in {line!r}")
+        term = term or [sign, {}, False]
+        if num:
+            term[0] *= int(num)
+        elif name:
+            idx = _variable(name)
+            if power and not exp:
+                raise ValueError(f"missing exponent in {line!r}")
+            term[1][idx] = term[1].get(idx, 0) + (int(exp) if power else 1)
+        else:  # '*' opens a term but is no factor
+            continue
+        term[2] = True
+    if term is None:
+        raise ValueError(f"dangling sign in {line!r}")
+    close()
     return {k: v for k, v in terms.items() if v != 0}
 
 
 def parse_poly_system(text: str, num_vars: int | None = None) -> PolySystem:
-    """Parse the one-polynomial-per-line text format."""
+    """Parse the one-polynomial-per-line text format into canonical
+    monomials: one per exponent vector, none with coefficient 0, sorted."""
     raw = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -167,22 +159,23 @@ def parse_poly_system(text: str, num_vars: int | None = None) -> PolySystem:
             raw.append(_parse_poly(line))
     if not raw:
         raise ValueError("no polynomials in input")
-    seen = 0
-    for terms in raw:
-        for key in terms:
-            for idx, _ in key:
-                seen = max(seen, idx)
+    seen = max((idx for terms in raw for key in terms for idx, _ in key), default=0)
     k = num_vars if num_vars is not None else max(seen, 1)
     if seen > k:
         raise ValueError("variable index exceeds declared num_vars")
     polys = []
     for terms in raw:
+        merged: dict[tuple, int] = {}
+        for key, coeff in terms.items():
+            key = tuple((idx, e) for idx, e in key if e)  # one key per exponent vector
+            merged[key] = merged.get(key, 0) + coeff
         mono = []
-        for key, coeff in sorted(terms.items()):
-            vec = [0] * k
-            for idx, e in key:
-                vec[idx - 1] = e
-            mono.append((tuple(vec), coeff))
+        for key, coeff in sorted(merged.items()):
+            if coeff:
+                vec = [0] * k
+                for idx, e in key:
+                    vec[idx - 1] = e
+                mono.append((tuple(vec), coeff))
         polys.append(tuple(mono))
     return PolySystem(k, tuple(polys))
 

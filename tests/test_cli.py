@@ -526,6 +526,14 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_package_mobius_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, motives; print(motives.mobius(30), 'numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "-1 False\n"
+
+
 def test_cli_import_leaves_the_pool_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
     done = subprocess.run(
@@ -559,6 +567,7 @@ NUMPY_FREE = [
     "motives.cli predict --p 101 --n1 96 --n-max 300",
     "motives.cli zeta --p 2 --counts 5,5,5,25,25,65,145",
     "motives.cli pspace --dim 2 --q 4 --n-max 2",
+    "motives.cli count --poly zero.txt --p 2 --n-max 3",  # x^0 - 1 is the zero polynomial
 ]
 NUMPY_PATHS = [  # the array paths, so that the probe itself can fail
     "motives.cli count --poly curve.txt --p 2 --n-max 3",
@@ -574,6 +583,7 @@ def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, tmp_path):
     # numpy only on the array paths; scipy and the worker pool on none of these,
     # and ctypes on none of the numpy-free ones
     (tmp_path / "curve.txt").write_text(CURVE_TEXT)
+    (tmp_path / "zero.txt").write_text("x^0 - 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *shlex.split(probe)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)

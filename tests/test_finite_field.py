@@ -8,9 +8,11 @@ from motives.finite_field import (
     is_irreducible,
     is_prime,
     make_field,
+    mobius,
     multiplicative_generator,
     poly_gcdext,
     poly_mul,
+    prime_root,
 )
 
 
@@ -88,6 +90,23 @@ def test_is_prime_against_trial_division():
         assert is_prime(m) == trial(m), m
     assert is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 32 + 1)
+
+
+def test_mobius_against_its_sieve():
+    # mu is multiplicative: -1 at each prime, 0 at each prime square
+    n = 3000
+    mu = [1] * (n + 1)
+    for d in range(2, n + 1):
+        if is_prime(d):
+            mu[d::d] = [-m for m in mu[d::d]]
+            mu[d * d::d * d] = [0] * len(mu[d * d::d * d])
+    assert [mobius(m) for m in range(1, n + 1)] == mu[1:]
+
+
+def test_prime_root_decomposes_prime_powers_only():
+    assert [prime_root(q) for q in (2, 4, 8191, 3 ** 16, 2 ** 31, 10007 ** 5)] == [
+        (2, 1), (2, 2), (8191, 1), (3, 16), (2, 31), (10007, 5)]
+    assert [prime_root(q) for q in (-8, 0, 1, 6, 12, 100, 2 ** 31 - 2)] == [None] * 7
 
 
 def test_is_irreducible_agrees_with_factor_search():

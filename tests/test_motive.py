@@ -138,6 +138,20 @@ def test_base_mismatch_rejected():
         tensor(lefschetz_motive(2), lefschetz_motive(4))
 
 
+@pytest.mark.parametrize("q", [1, 6, 12])
+def test_base_must_be_a_prime_power(q):
+    with pytest.raises(ValueError, match=r"^base must be a prime power >= 2$"):
+        Motive(q, ())
+    with pytest.raises(ValueError, match=r"^base must be a prime power >= 2$"):
+        lefschetz_motive(q)
+
+
+@pytest.mark.parametrize("q", [2 ** 31, 3 ** 16, 8191])
+def test_every_prime_power_base_is_accepted(q):
+    assert Motive(q, ()).base_q == q
+    assert point_counts(lefschetz_motive(q), 2) == [q, q * q]
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         Motive(2, ((-1, (1 + 0j,)),))

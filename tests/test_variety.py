@@ -115,15 +115,89 @@ def test_parse_cancellation_and_zero():
     assert z2.polys == ((),)
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_poly_system("x + (y)")
-    with pytest.raises(ValueError):
-        parse_poly_system("w^2 + x")
-    with pytest.raises(ValueError):
-        parse_poly_system("x ^ y")
-    with pytest.raises(ValueError):
-        parse_poly_system("   ")
+def test_parse_zero_exponents_merge_into_canonical_monomials():
+    # x^0 is the monomial 1, so x^0 - 1 is the zero polynomial; the
+    # variable it writes still counts toward num_vars
+    assert parse_poly_system("x^0 - 1") == PolySystem(1, ((),))
+    assert parse_poly_system("x3^0 - 1") == PolySystem(3, ((),))
+    assert parse_poly_system("x*y^0 + 2x - z**0") == PolySystem(3, ((((0, 0, 0), -1), ((1, 0, 0), 3)),))
+    f = make_field(2, 1)
+    assert count_affine(parse_poly_system("x^0 - 1"), f) == 2
+
+
+PARSE_REFUSALS = [  # one input per refusal and its whole message
+    ("x + (y)", "cannot parse '(' in polynomial 'x + (y)'"),
+    ("w^2 + (x)", "cannot parse '(' in polynomial 'w^2 + (x)'"),
+    ("w^2 + x", "unknown variable 'w'"),
+    ("x_1", "unknown variable 'x_1'"),
+    ("x\u00b2", "unknown variable 'x\u00b2'"),
+    ("x0 + 1", "bad variable 'x0'"),
+    ("x ^ y", "missing exponent in 'x ^ y'"),
+    ("x** + 1", "missing exponent in 'x** + 1'"),
+    ("2^3", "misplaced token in '2^3'"),
+    ("x^2^3", "misplaced token in 'x^2^3'"),
+    ("x - -", "dangling sign in 'x - -'"),
+    ("* + x", "empty term in '* + x'"),
+    ("   ", "no polynomials in input"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_REFUSALS,
+                         ids=[t if t.strip() else "blank" for t, _ in PARSE_REFUSALS])
+def test_parse_rejects_garbage(text, message):
+    with pytest.raises(ValueError) as refused:
+        parse_poly_system(text)
+    assert str(refused.value) == message
+
+
+@st.composite
+def spelled_systems(draw):
+    """A random system in k variables, its canonical PolySystem, and one
+    random spelling: x, y, z or x1..xk, '*' or juxtaposition, '^' or '**'
+    or repeated factors, spaces, runs of signs, extra x^0 factors."""
+    k = draw(st.integers(1, 4))
+    monomial = st.tuples(st.tuples(*[st.integers(0, 3)] * k), st.integers(-4, 4))
+    polys = draw(st.lists(st.lists(monomial, max_size=4), min_size=1, max_size=3))
+    canonical = []
+    for terms in polys:
+        merged = {}
+        for e, c in terms:
+            merged[e] = merged.get(e, 0) + c
+        canonical.append(tuple(sorted(((e, c) for e, c in merged.items() if c),
+                                      key=lambda m: [(j, e) for j, e in enumerate(m[0]) if e])))
+
+    def name(j):
+        return "xyz"[j] if k <= 3 and draw(st.booleans()) else f"x{j + 1}"
+
+    def spell_term(e, c, first):
+        factors = [str(abs(c))] if abs(c) != 1 or draw(st.booleans()) else []
+        for j, ej in enumerate(e):
+            if ej and draw(st.booleans()):
+                factors += [name(j)] * ej
+            elif ej or draw(st.integers(0, 3)) == 0:  # x^0 is the factor 1
+                factors.append(name(j) + draw(st.sampled_from(["^", "**", " ^ "])) + str(ej))
+        factors = draw(st.permutations(factors)) or ["1"]
+        body = factors[0]
+        for prev, f in zip(factors, factors[1:]):  # a name may touch a number before it
+            body += draw(st.sampled_from(
+                ["", " ", "*"] if prev.isdigit() and f[0].isalpha() else [" ", "*", " * "]))
+            body += f
+        minuses = (c < 0) + 2 * draw(st.integers(0, 1))
+        signs = ["-"] * minuses + ["+"] * draw(st.integers(0 if first else int(not minuses), 2))
+        return " ".join(draw(st.permutations(signs))) + draw(st.sampled_from(["", " "])) + body
+
+    lines = []
+    for terms in polys:
+        terms = draw(st.permutations(terms))
+        lines.append(" ".join(spell_term(e, c, i == 0) for i, (e, c) in enumerate(terms)) or "0")
+    return PolySystem(k, tuple(canonical)), "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spelled_systems())
+def test_every_spelling_parses_to_the_canonical_system(case):
+    system, text = case
+    assert parse_poly_system(text, num_vars=system.num_vars) == system, text
 
 
 @pytest.mark.parametrize("text", ["*", "x + *", "-*", "y^2 + * - x"])
