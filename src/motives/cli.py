@@ -26,7 +26,8 @@ from .motive import (
     point_counts,
     tensor_power,
 )
-from .variety import CountSequence, affine_count_sequence, count_projective_space, parse_poly_system
+from .variety import (CountSequence, affine_count_sequence, count_projective_space, format_poly,
+                      parse_poly_system)
 from .weil import hasse_alpha, predict_affine_counts
 from .zeta import curve_denominator, zeta_from_counts
 
@@ -164,22 +165,6 @@ def _parse_counts(text: str) -> tuple[int, ...]:
         raise ValueError(f"--counts must be comma-separated integers, got {text!r}") from None
 
 
-def _poly_str(coeffs) -> str:
-    parts = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        term = (str(mag) if j == 0
-                else ("t" if mag == 1 else f"{mag}*t") if j == 1
-                else (f"t^{j}" if mag == 1 else f"{mag}*t^{j}"))
-        parts.append(("- " if c < 0 else "+ ") + term)
-    if not parts:
-        return "0"
-    head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
-    return " ".join([head] + parts[1:])
-
-
 def _cmd_zeta(args) -> Report:
     p = args.p
     if args.counts is not None:
@@ -194,9 +179,10 @@ def _cmd_zeta(args) -> Report:
     for k, roots in rz.roots_by_weight:
         for r in roots:
             rows.append((k, r.real, r.imag, abs(r)))
+    numerator = format_poly([((j,), c) for j, c in enumerate(rz.numerator) if c], ("t",))
     extra = (("numerator", list(rz.numerator)),
              ("denominator", list(rz.denominator)),
-             ("display", f"({_poly_str(rz.numerator)}) / ((1 - t)(1 - {p} t))"))
+             ("display", f"({numerator}) / ((1 - t)(1 - {p} t))"))
     return Report(("weight", "re", "im", "abs"), tuple(rows), extra)
 
 

@@ -16,9 +16,7 @@ from functools import reduce
 
 from .finite_field import prime_root
 from .weil import (
-    MODULUS_TOL,
     FrobeniusAlpha,
-    _check_pure,
     _integer_poly,
     _newton_coeffs,
     _newton_power_sums,
@@ -65,9 +63,7 @@ def make_motive(base_q: int, pieces: dict) -> Motive:
         alphas = [complex(a) for a in pieces[k]]
         if not alphas:
             continue
-        _check_pure(alphas, base_q ** (k / 2.0), MODULUS_TOL,
-                    "purity violated: eigenvalue modulus is not q^(k/2)")
-        out.append((int(k), _integer_poly(alphas)))
+        out.append((int(k), _integer_poly(alphas, base_q ** int(k))))
     return Motive(base_q, tuple(out))
 
 

@@ -10,7 +10,7 @@ when a count builds its first grid.  Projective charts x_lead = 1 are
 affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
-joined with + and -, variables x1..xk (x, y, z accepted for k <= 3),
+joined with + and -, variables x1..xk with k <= 29 (x, y, z for k <= 3),
 '^' or '**' for powers, '*' optional, '#' starts a comment.  Example:
 
     y^2 + y - x^3 - x
@@ -96,12 +96,17 @@ _ALIASES = {"x": 1, "y": 2, "z": 3}
 
 
 def _variable(name: str) -> int:
-    """The 1-based index of x, y, z or x1, x2, ..."""
+    """The 1-based index of x, y, z or x1, x2, ..., at most 29, before any
+    exponent vector that long is built: q^29 >= 2^29 tuples pass WORK_LIMIT."""
     if name in _ALIASES:
         return _ALIASES[name]
     if name[0] != "x" or not name[1:].isdecimal():
         raise ValueError(f"unknown variable {name!r}")
-    if (idx := int(name[1:])) < 1:
+    digits, top = name[1:].lstrip("0"), WORK_LIMIT.bit_length()
+    if len(digits) > len(str(top)) or (idx := int(digits or "0")) > top:
+        raise ValueError(f"variable {name!r} is past x{top}: no count in more "
+                         f"than {top} variables fits the work limit")
+    if idx < 1:
         raise ValueError(f"bad variable {name!r}")
     return idx
 
@@ -180,29 +185,24 @@ def parse_poly_system(text: str, num_vars: int | None = None) -> PolySystem:
     return PolySystem(k, tuple(polys))
 
 
+def format_poly(poly, names) -> str:
+    """One polynomial, monomials (exponents, coeff) in order, as signed
+    c*v^e terms in the given variable names; "0" for no monomial."""
+    parts = []
+    for exps, coeff in poly:
+        factors = [names[j] if e == 1 else f"{names[j]}^{e}" for j, e in enumerate(exps) if e > 0]
+        mag = abs(coeff)
+        body = "*".join(([str(mag)] if (mag != 1 or not factors) else []) + factors)
+        parts.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(parts)  # the head term drops its "+ " and keeps "-" unspaced
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def format_poly_system(system: PolySystem) -> str:
     """Inverse of parse_poly_system, canonical form (for reports)."""
     names = (["x", "y", "z"] if system.num_vars <= 3
              else [f"x{i + 1}" for i in range(system.num_vars)])
-    lines = []
-    for poly in system.polys:
-        parts = []
-        for exps, coeff in poly:
-            factors = []
-            for j, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[j])
-                elif e > 1:
-                    factors.append(f"{names[j]}^{e}")
-            mag = abs(coeff)
-            body = "*".join(([str(mag)] if (mag != 1 or not factors) else []) + factors)
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-        if not parts:
-            lines.append("0")
-        else:
-            head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-            lines.append(" ".join([head] + parts[1:]))
-    return "\n".join(lines)
+    return "\n".join(format_poly(poly, names) for poly in system.polys)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,11 @@ s_n is the n-th power sum of a conjugate pair of eigenvalues of modulus
 sqrt(p); for a genus-g curve the projective count is p^n + 1 - s_n with
 2g eigenvalues.  Polynomials are integer tuples (1, b_1, ..., b_d) =
 prod (1 - alpha t), and Newton's identities turn them into exact power
-sums and back for the zeta and motive modules too.  Complex floats only
-appear when reporting eigenvalues and checking their moduli.
+sums and back for the zeta and motive modules too.  Whether such a
+polynomial is pure, every |alpha|^2 = q^k, is decided in integers by
+`is_weil_polynomial`.  Complex floats appear only in reported
+eigenvalues and in the checks of floats a caller hands in
+(`FrobeniusAlpha`, `verify_weil_rh`).
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .finite_field import is_prime
 from .variety import CountSequence
 
 MODULUS_TOL = 1e-9
-WEIL_CHECK_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
 
@@ -57,7 +60,8 @@ class WeilNumbers:
     roots: tuple[complex, ...]   # the alpha_i, conjugation-closed
 
     def __post_init__(self):
-        _check_pure(self.roots, math.sqrt(self.p), WEIL_CHECK_TOL, "Weil bound violated")
+        if not is_weil_polynomial(self.coeffs, self.p):
+            raise ValueError("Weil bound violated")
 
     def power_sum(self, n: int) -> int:
         """s_n = sum of alpha_i^n via the Newton recurrence, exactly."""
@@ -71,16 +75,6 @@ class WeilNumbers:
 
 def _root_key(z: complex) -> tuple[float, float]:
     return (round(z.real, 9), round(z.imag, 9))
-
-
-def _check_pure(roots, modulus: float, tol: float, off_modulus: str) -> None:
-    """Refuse roots off |alpha| = modulus or not closed under conjugation."""
-    if any(abs(abs(r) - modulus) > tol * modulus for r in roots):
-        raise ValueError(off_modulus)
-    plain = sorted(roots, key=_root_key)
-    conj = sorted((r.conjugate() for r in roots), key=_root_key)
-    if any(abs(u - v) > tol * max(1.0, abs(u)) for u, v in zip(plain, conj)):
-        raise ValueError("roots not closed under conjugation")
 
 
 def trace_power_sum(a: int, p: int, n: int) -> int:
@@ -176,21 +170,62 @@ def _newton_coeffs(s, d: int, refusal: str = "inconsistent counts") -> tuple[int
     return tuple(b)
 
 
-def _integer_poly(roots) -> tuple[int, ...]:
-    """prod (1 - alpha t) of float eigenvalues, rounded; refused unless each
-    coefficient is near an integer, and once doubles there are spaced wider
-    than that tolerance (from 2^33), where nearness stops meaning anything."""
+def _is_psd(a) -> bool:
+    """Whether the symmetric integer matrix a is positive semidefinite, by exact
+    symmetric elimination: no pivot is negative, and a zero pivot has a zero row."""
+    a = [[Fraction(x) for x in row] for row in a]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+            return False
+        for below in a[k + 1:] if row[k] else ():
+            f = below[k] / row[k]
+            below[k + 1:] = [u - f * v for u, v in zip(below[k + 1:], row[k + 1:])]
+    return True
+
+
+def is_weil_polynomial(coeffs, q_k: int) -> bool:
+    """Whether every alpha of prod (1 - alpha t) = coeffs has |alpha|^2 = q_k,
+    decided in integers.
+
+    The functional equation b_{d-j} q_k^j = b_d b_j closes the alpha, none
+    0, under alpha -> q_k / alpha, so beta = alpha + q_k / alpha has the
+    integer power sums t_n = sum_j C(n, j) q_k^min(j, n-j) s_|n-2j|.  With
+    m = d // 2 + 1, at least the distinct beta, [4 q_k t_{i+j} - t_{i+j+2}]
+    (i, j < m) is Hermite's form sum (4 q_k - beta^2) L_beta(x)^2 in
+    independent L_beta: positive semidefinite iff every beta is real with
+    beta^2 <= 4 q_k (a non-real pair adds 2 Re(c L^2), c != 0, indefinite),
+    that is iff every |alpha|^2 = q_k.
+    """
+    b, d = tuple(coeffs), len(coeffs) - 1
+    if b[0] != 1 or any(b[d - j] * q_k ** j != b[d] * b[j] for j in range(d + 1)):
+        return False
+    m = d // 2 + 1
+    s = _newton_power_sums(b, 2 * m)
+    t = [sum(math.comb(n, j) * q_k ** min(j, n - j) * s[abs(n - 2 * j)] for j in range(n + 1))
+         for n in range(2 * m + 1)]
+    return _is_psd([[4 * q_k * u - v for u, v in zip(t[i:i + m], t[i + 2:])] for i in range(m)])
+
+
+def _integer_poly(roots, q_k: int | None = None) -> tuple[int, ...]:
+    """prod (1 - alpha t) of float eigenvalues, rounded.  Refused once doubles
+    are spaced wider than the tolerance (from 2^33); with q_k, then for a
+    non-real coefficient or unless is_weil_polynomial passes the rounding;
+    last, unless each coefficient is near an integer."""
     import numpy as np  # only float eigenvalues reach here
 
-    out = []
-    for c in np.poly(np.array(roots, dtype=complex)):
-        if math.ulp(abs(c)) > INTEGRALITY_TOL:
-            raise ValueError("coefficient exceeds float precision")
-        near = round(c.real)
-        if abs(c.imag) > INTEGRALITY_TOL or abs(c.real - near) > INTEGRALITY_TOL:
-            raise ValueError("non-integral eigenvalue polynomial")
-        out.append(int(near))
-    return tuple(out)
+    c = np.poly(np.array(roots, dtype=complex))
+    if any(math.ulp(abs(x)) > INTEGRALITY_TOL for x in c):
+        raise ValueError("coefficient exceeds float precision")
+    out = tuple(int(round(x.real)) for x in c)
+    if q_k is not None:
+        if any(abs(x.imag) > INTEGRALITY_TOL for x in c):
+            raise ValueError("roots not closed under conjugation")
+        if not is_weil_polynomial(out, q_k):
+            raise ValueError("purity violated: eigenvalue modulus is not q^(k/2)")
+    if any(abs(x.imag) > INTEGRALITY_TOL or abs(x.real - n) > INTEGRALITY_TOL
+           for x, n in zip(c, out)):
+        raise ValueError("non-integral eigenvalue polynomial")
+    return out
 
 
 def _reciprocal_roots(coeffs) -> list[complex]:
@@ -218,8 +253,9 @@ def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbe
 
     The power sums s_n = p^n + 1 - N_n determine b_1..b_g by Newton's
     identities; b_{g+1}..b_{2g} follow from the functional-equation
-    symmetry b_{2g-j} = p^(g-j) * b_j.  The eigenvalues are the roots of
-    sum b_j u^(2g-j), found numerically and checked against the Weil bound.
+    symmetry b_{2g-j} = p^(g-j) * b_j.  WeilNumbers checks the Weil bound
+    on these integers with is_weil_polynomial; the eigenvalues, the roots
+    of sum b_j u^(2g-j), are found numerically only to be reported.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")

@@ -472,6 +472,21 @@ def test_large_inputs_are_refused_before_they_are_built(argv, message):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("index", ["30000000", "100000000000"])
+def test_count_refuses_a_variable_index_before_building_its_vectors(index, tmp_path):
+    # x30000000 took 4-5 s and 932 MB before the refusal; x100000000000 ran out of memory
+    path = tmp_path / "wide.txt"
+    path.write_text(f"x{index} + 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", CAPPED, "count", "--poly", str(path), "--p", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"error: variable 'x{index}' is past x29: no count in more than 29 "
+                           "variables fits the work limit\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_motive_past_the_float_range_builds_no_piece(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("pieces built")

@@ -18,6 +18,7 @@ from motives.variety import (
     count_affine,
     count_projective_space,
     count_projective_variety,
+    format_poly,
     format_poly_system,
     parse_poly_system,
 )
@@ -139,6 +140,9 @@ PARSE_REFUSALS = [  # one input per refusal and its whole message
     ("x - -", "dangling sign in 'x - -'"),
     ("* + x", "empty term in '* + x'"),
     ("   ", "no polynomials in input"),
+    ("x30 + 1", "variable 'x30' is past x29: no count in more than 29 variables fits the work limit"),
+    ("y - x100000000000", "variable 'x100000000000' is past x29: no count in more than 29 "
+                          "variables fits the work limit"),
 ]
 
 
@@ -207,6 +211,19 @@ def test_parse_refuses_a_term_without_a_factor(text):
         parse_poly_system(text)
 
 
+def test_variable_index_is_bounded_before_any_exponent_vector_is_built():
+    # 29 variables already pass WORK_LIMIT over F_2, so x29 parses and is refused when counted
+    assert variety.WORK_LIMIT.bit_length() == 29
+    assert parse_poly_system("x29 + 1").num_vars == 29
+    assert parse_poly_system("x0029 + 1").num_vars == 29
+    with pytest.raises(ValueError, match="^search space too large$"):
+        count_affine(parse_poly_system("x29 + 1"), make_field(2, 1))
+    # an index past int()'s digit limit is refused by its length, leading zeros aside
+    assert parse_poly_system("x" + "0" * 5000 + "2").num_vars == 2
+    with pytest.raises(ValueError, match=r"^variable 'x9{5000}' is past x29: "):
+        parse_poly_system("x" + "9" * 5000)
+
+
 def test_parse_star_next_to_a_factor():
     assert dict(parse_poly_system("x*").polys[0]) == {(1,): 1}
     assert dict(parse_poly_system("* x").polys[0]) == {(1,): 1}
@@ -219,6 +236,15 @@ def test_format_round_trip():
         sys1 = parse_poly_system(text)
         sys2 = parse_poly_system(format_poly_system(sys1), num_vars=sys1.num_vars)
         assert sys1.polys == sys2.polys
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((1, 2, 2), "1 + 2*t + 2*t^2"), ((1, 1, 0), "1 + t"), ((0, -1, 0, 5), "-t + 5*t^3"),
+    ((-3,), "-3"), ((0, 0, -1), "-t^2"), ((0, 0), "0"),
+])
+def test_format_poly_in_named_variables(coeffs, text):
+    # the zeta display's numerator: one variable t, zero terms left out
+    assert format_poly([((j,), c) for j, c in enumerate(coeffs) if c], ("t",)) == text
 
 
 def test_homogeneity_detection():

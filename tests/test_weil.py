@@ -1,13 +1,29 @@
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import motives
+from motives.finite_field import prime_root
+from motives.motive import make_motive
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
 from motives.weil import (
     FrobeniusAlpha,
     WeilNumbers,
+    _is_psd,
+    _reciprocal_roots,
     correction_term,
     hasse_alpha,
+    is_weil_polynomial,
     predict_affine_count,
     trace_power_sum,
     verify_weil_rh,
@@ -243,3 +259,178 @@ def test_weil_numbers_refuse_n_below_1():
             wn.power_sum(n)
         with pytest.raises(ValueError, match="n must be >= 1"):
             wn.predict_projective_count(n)
+
+
+def product(factors):
+    """The product of polynomials given as ascending coefficient tuples."""
+    out = (1,)
+    for f in factors:
+        acc = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                acc[i + j] += x * y
+        out = tuple(acc)
+    return out
+
+
+PRIME_POWERS_TO_49 = [q for q in range(2, 50) if prime_root(q)]
+
+
+@st.composite
+def hasse_products(draw):
+    """q, factors 1 - a t + q t^2 with a^2 <= 4q (the boundary included),
+    the index of a factor to replace and a random source for the breakage."""
+    q = draw(st.sampled_from(PRIME_POWERS_TO_49))
+    bound = math.isqrt(4 * q)
+    factors = draw(st.lists(st.integers(-bound, bound).map(lambda a: (1, -a, q)),
+                            min_size=1, max_size=6))
+    return q, factors, draw(st.integers(0, len(factors) - 1)), draw(st.randoms())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hasse_products())
+def test_products_of_hasse_factors_are_weil_and_broken_ones_are_not(case):
+    q, factors, i, rng = case
+    poly = product(factors)
+    assert is_weil_polynomial(poly, q)
+    # a factor past the Hasse bound has two real roots off the circle
+    a = math.isqrt(4 * q) + 1 + rng.randrange(4)
+    outside = factors[:i] + [(1, rng.choice([a, -a]), q)] + factors[i + 1:]
+    assert not is_weil_polynomial(product(outside), q)
+    # one coefficient off by one breaks the functional equation
+    d = len(poly) - 1
+    j = rng.choice([j for j in range(1, d + 1) if 2 * j != d])
+    broken = list(poly)
+    broken[j] += rng.choice([1, -1])
+    assert not is_weil_polynomial(broken, q)
+
+
+def seeded_products_at_29():
+    """20 products of 10 and 20 of 15 factors 1 - a t + 29 t^2, |a| <= 10;
+    np.roots misplaced the repeated roots of 19 of them past a 1e-6
+    tolerance on the modulus."""
+    rng = random.Random(10)
+    return [product([(1, -rng.randint(-10, 10), 29) for _ in range(g)])
+            for g in (10,) * 20 + (15,) * 20]
+
+
+def test_seeded_genus_10_and_15_products_are_weil_numbers():
+    for poly in seeded_products_at_29():
+        g = (len(poly) - 1) // 2
+        wn = WeilNumbers(29, g, poly, tuple(_reciprocal_roots(poly)))
+        assert wn.predict_projective_count(1) == 29 + 1 + poly[1]
+
+
+@pytest.mark.parametrize("coeffs, q", [
+    ((1, 2, 2, 0, 0), 2),       # declared degree above the true one
+    ((1, 1, 0), 7),             # the golden curve's numerator at its bad prime
+    ((1, 0, 11, 0, 25), 5),     # the functional equation holds, beta = +-i
+    ((1, -11, 29), 29),         # a = 11 > 2 sqrt 29: real roots off the circle
+    ((1, 0, 6, 0, -30, 0, -125), 5),  # times 1 - 5 t^2: beta = +-2 sqrt 5 as well
+])
+def test_pinned_refusals(coeffs, q):
+    assert not is_weil_polynomial(coeffs, q)
+    with pytest.raises(ValueError, match="^Weil bound violated$"):
+        WeilNumbers(q, (len(coeffs) - 1) // 2, coeffs, ())
+    roots = _reciprocal_roots(coeffs)
+    roots += [0j] * (len(coeffs) - 1 - len(roots))  # the alpha = 0 it leaves out
+    with pytest.raises(ValueError, match=r"^purity violated: eigenvalue modulus is not q\^\(k/2\)$"):
+        make_motive(q, {1: roots})
+
+
+@pytest.mark.parametrize("coeffs, q_k", [
+    ((1, -4, 4), 4), ((1, 4, 4), 4),               # supersingular a = +-4 at q = 4
+    ((1, -3), 9), ((1, -9), 81), ((1, -27), 729),  # (1, -q^j) at q_k = q^(2j), q = 3
+    ((1, -1), 1), ((1,), 5), ((1, 2, 2), 2),
+])
+def test_pinned_passes(coeffs, q_k):
+    assert is_weil_polynomial(coeffs, q_k)
+
+
+def det(a):
+    """Leibniz's formula, for the oracle below."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """sum of +-v v^T over 1-3 small integer vectors: often singular, so
+    the elimination meets zero pivots."""
+    n = draw(st.integers(1, 4))
+    a = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        sign = draw(st.sampled_from([1, 1, -1]))
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += sign * v[i] * v[j]
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+def test_psd_elimination_matches_principal_minors(a):
+    # psd iff every principal minor, not only the leading ones, is >= 0
+    n = len(a)
+    minors = [det([[a[i][j] for j in rows] for i in rows])
+              for size in range(1, n + 1) for rows in itertools.combinations(range(n), size)]
+    assert _is_psd(a) == all(m >= 0 for m in minors)
+    assert not _is_psd([[0, 1], [1, 0]]) and not _is_psd([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+
+
+def test_weil_test_loads_no_numpy():
+    code = ("import sys; from motives.weil import is_weil_polynomial; "
+            "assert is_weil_polynomial((1, 2, 2), 2) and not is_weil_polynomial((1, 2, 2, 0, 0), 2); "
+            "assert 'numpy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def random_candidate(rng):
+    """(coeffs, q_k) of degree 1-4: half of them random, half satisfying the
+    functional equation b_{d-j} = b_d b_j / q_k^j with b_d = +-q_k^(d/2)."""
+    d, r = rng.randint(1, 4), rng.randint(1, 6)
+    q_k = r * r if d % 2 else rng.randint(1, 30)
+    if rng.random() < 0.5:
+        return (1,) + tuple(rng.randint(-12, 12) for _ in range(d)), q_k
+    b = [1] + [rng.randint(-2 * q_k, 2 * q_k) for _ in range(d // 2)] + [0] * ((d + 1) // 2)
+    sign = rng.choice([1, -1])
+    for j in range((d + 1) // 2):
+        e = d - 2 * j  # q_k^(e/2) is an integer: e is even, or q_k = r^2
+        b[d - j] = sign * b[j] * (r ** e if d % 2 else q_k ** (e // 2))
+    return tuple(b), q_k
+
+
+def squarefree(coeffs):
+    """Whether x^d + b_1 x^(d-1) + ... + b_d has no repeated root: Euclid's
+    gcd with its derivative, over the rationals, is a constant."""
+    a = [Fraction(c) for c in coeffs]
+    b = [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])]
+    while any(b):
+        while b[0] == 0:
+            b.pop(0)
+        while len(a) >= len(b):
+            f = a[0] / b[0]
+            a = [u - f * v for u, v in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_agrees_with_mpmath_roots_on_squarefree_polynomials():
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 150:
+        coeffs, q_k = random_candidate(rng)
+        if coeffs[-1] == 0 or not squarefree(coeffs):
+            continue
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(list(coeffs), maxsteps=200, extraprec=200)
+            on_circle = all(abs(abs(r) ** 2 - q_k) < mpmath.mpf(10) ** -30 for r in roots)
+        assert is_weil_polynomial(coeffs, q_k) == on_circle, (coeffs, q_k)
+        seen[on_circle] += 1
