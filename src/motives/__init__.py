@@ -14,8 +14,8 @@ _EXPORTS = {
         "count_projective_space", "count_projective_variety", "parse_poly_system",
     ),
     "weil": (
-        "FrobeniusAlpha", "WeilNumbers", "correction_term", "hasse_alpha", "predict_affine_count",
-        "verify_weil_rh", "weil_numbers_from_counts",
+        "WeilNumbers", "correction_term", "hasse_alpha", "predict_affine_count", "verify_weil_rh",
+        "weil_numbers_from_counts",
     ),
     "zeta": (
         "PowerSeries", "RationalZeta", "curve_denominator", "expand_rational",

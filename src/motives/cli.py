@@ -144,8 +144,8 @@ def _cmd_count(args) -> Report:
 
 def _cmd_predict(args) -> Report:
     alpha = hasse_alpha(args.p, args.n1)
-    extra = (("alpha_re", alpha.re), ("alpha_im", alpha.im),
-             ("trace", alpha.trace_a),
+    upper = alpha.roots[-1]
+    extra = (("alpha_re", upper.real), ("alpha_im", upper.imag), ("trace", -alpha.coeffs[1]),
              ("hasse_bound", 2.0 * math.sqrt(args.p)))
     if args.poly:
         seq = _count_sequence(args, args.n_max, "auto")

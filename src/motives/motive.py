@@ -16,7 +16,7 @@ from functools import reduce
 
 from .finite_field import prime_root
 from .weil import (
-    FrobeniusAlpha,
+    WeilNumbers,
     _integer_poly,
     _newton_coeffs,
     _newton_power_sums,
@@ -128,10 +128,9 @@ def motive_of_projective_space(dim: int, base_q: int) -> Motive:
     return Motive(base_q, tuple((2 * k, (1, -base_q ** k)) for k in range(dim + 1)))
 
 
-def motive_of_elliptic_curve(alpha: FrobeniusAlpha) -> Motive:
+def motive_of_elliptic_curve(wn: WeilNumbers) -> Motive:
     """Point, the pair 1 - a t + p t^2 in weight 1, and line piece."""
-    p = alpha.p
-    return Motive(p, ((0, (1, -1)), (1, (1, -alpha.trace_a, p)), (2, (1, -p))))
+    return Motive(wn.p, ((0, (1, -1)), (1, wn.coeffs), (2, (1, -wn.p))))
 
 
 def point_count(m: Motive, n: int) -> int:

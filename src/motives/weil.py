@@ -8,8 +8,8 @@ prod (1 - alpha t), and Newton's identities turn them into exact power
 sums and back for the zeta and motive modules too.  Whether such a
 polynomial is pure, every |alpha|^2 = q^k, is decided in integers by
 `is_weil_polynomial`.  Complex floats appear only in reported
-eigenvalues and in the checks of floats a caller hands in
-(`FrobeniusAlpha`, `verify_weil_rh`).
+eigenvalues, which `WeilNumbers` derives from its integer polynomial, and
+in `verify_weil_rh`'s check of floats a caller hands in.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .finite_field import is_prime
+from .finite_field import is_prime, prime_root
 from .variety import CountSequence
 
 MODULUS_TOL = 1e-9
@@ -27,41 +26,29 @@ INTEGRALITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class FrobeniusAlpha:
-    """One eigenvalue alpha (im >= 0) with alpha + conj(alpha) = trace_a."""
-
-    re: float
-    im: float
-    p: int
-    trace_a: int
-
-    def __post_init__(self):
-        if abs(self.alpha * self.alpha.conjugate() - self.p) > MODULUS_TOL * self.p:
-            raise ValueError("eigenvalue modulus differs from sqrt(p)")
-        if self.trace_a * self.trace_a > 4 * self.p:
-            raise ValueError("trace violates the Hasse bound")
-
-    @property
-    def alpha(self) -> complex:
-        return complex(self.re, self.im)
-
-    def power_sum(self, n: int) -> int:
-        """alpha^n + conj(alpha)^n, exactly."""
-        return trace_power_sum(self.trace_a, self.p, n)
-
-
-@dataclass(frozen=True)
 class WeilNumbers:
-    """2g reciprocal zeta-numerator roots for a genus-g curve over F_p."""
+    """A genus-g curve's Weil polynomial prod (1 - alpha t) over F_p, of its 2g
+    reciprocal zeta-numerator roots alpha; an elliptic curve's pair is genus 1."""
 
     p: int
-    genus: int
     coeffs: tuple[int, ...]      # b_0..b_{2g} with b_0 = 1
-    roots: tuple[complex, ...]   # the alpha_i, conjugation-closed
 
     def __post_init__(self):
+        if prime_root(self.p) is None:
+            raise ValueError("base must be a prime power >= 2")
+        if len(self.coeffs) % 2 == 0:
+            raise ValueError("odd degree: not a curve's Weil polynomial")
         if not is_weil_polynomial(self.coeffs, self.p):
             raise ValueError("Weil bound violated")
+
+    @property
+    def genus(self) -> int:
+        return len(self.coeffs) // 2
+
+    @property
+    def roots(self) -> tuple[complex, ...]:
+        """The alpha, sorted: a genus-1 pair's roots[-1] has im >= 0."""
+        return tuple(_reciprocal_roots(self.coeffs))
 
     def power_sum(self, n: int) -> int:
         """s_n = sum of alpha_i^n via the Newton recurrence, exactly."""
@@ -77,50 +64,37 @@ def _root_key(z: complex) -> tuple[float, float]:
     return (round(z.real, 9), round(z.imag, 9))
 
 
-def trace_power_sum(a: int, p: int, n: int) -> int:
-    """s_n = alpha^n + conj(alpha)^n for the pair with sum a, product p."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _newton_power_sums((1, -a, p), n)[n]
-
-
-def hasse_alpha(p: int, n1_affine: int) -> FrobeniusAlpha:
-    """Eigenvalue pair from the affine count over the prime field.
-
-    The affine count N_1 = p - a determines the trace a; the pair is the
-    two roots of x^2 - a*x + p, and we report the one in the upper half
-    plane.  Counts with |a| > 2*sqrt(p) cannot come from an elliptic
-    curve and are rejected.
+def hasse_alpha(p: int, n1_affine: int) -> WeilNumbers:
+    """An elliptic curve's pair 1 - a t + p t^2 from its affine count
+    N_1 = p - a over the prime field; roots[-1] is the eigenvalue in the
+    upper half plane.  Counts with |a| > 2*sqrt(p) cannot come from an
+    elliptic curve and are rejected.
     """
     if not is_prime(p):
         raise ValueError("not prime")
     a = p - n1_affine
     if a * a > 4 * p:
         raise ValueError("not an elliptic-curve count")
-    return FrobeniusAlpha(a / 2.0, math.sqrt(4 * p - a * a) / 2.0, p, a)
+    return WeilNumbers(p, (1, -a, p))
 
 
-def predict_affine_count(alpha: FrobeniusAlpha, n: int) -> int:
+def predict_affine_count(alpha: WeilNumbers, n: int) -> int:
     """p^n - (alpha^n + conj(alpha)^n), exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return alpha.p ** n - alpha.power_sum(n)
 
 
-def predict_affine_counts(alpha: FrobeniusAlpha, n_max: int) -> list[int]:
+def predict_affine_counts(alpha: WeilNumbers, n_max: int) -> list[int]:
     """The predictions for n = 1..n_max from one Newton run, with p^n
     carried from row to row rather than raised afresh for each."""
     out, p_n = [], 1
-    for s_n in _newton_power_sums((1, -alpha.trace_a, alpha.p), n_max)[1:]:
+    for s_n in _newton_power_sums(alpha.coeffs, n_max)[1:]:
         p_n *= alpha.p
         out.append(p_n - s_n)
     return out
 
 
-def correction_term(alpha: FrobeniusAlpha, n: int) -> int:
+def correction_term(alpha: WeilNumbers, n: int) -> int:
     """The oscillating part of the count: N_affine - p^n = -s_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return -alpha.power_sum(n)
 
 
@@ -171,15 +145,20 @@ def _newton_coeffs(s, d: int, refusal: str = "inconsistent counts") -> tuple[int
 
 
 def _is_psd(a) -> bool:
-    """Whether the symmetric integer matrix a is positive semidefinite, by exact
-    symmetric elimination: no pivot is negative, and a zero pivot has a zero row."""
-    a = [[Fraction(x) for x in row] for row in a]
+    """Whether the symmetric integer matrix a is positive semidefinite, by
+    Bareiss's fraction-free symmetric elimination: no pivot is negative, a
+    zero pivot has a zero row, and each step divides exactly by the last
+    nonzero pivot, a positive leading minor, so every entry keeps the sign
+    of its value in the elimination over the rationals."""
+    a, last = [list(row) for row in a], 1
     for k, row in enumerate(a):
-        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
             return False
-        for below in a[k + 1:] if row[k] else ():
-            f = below[k] / row[k]
-            below[k + 1:] = [u - f * v for u, v in zip(below[k + 1:], row[k + 1:])]
+        for below in a[k + 1:] if pivot else ():
+            f = below[k]
+            below[k + 1:] = [(pivot * u - f * v) // last for u, v in zip(below[k + 1:], row[k + 1:])]
+        last = pivot or last
     return True
 
 
@@ -231,8 +210,9 @@ def _integer_poly(roots, q_k: int | None = None) -> tuple[int, ...]:
 def _reciprocal_roots(coeffs) -> list[complex]:
     """The nonzero alpha of prod (1 - alpha t) = (1, b_1, ..., b_d), sorted.
 
-    Degree 2 takes the closed form of hasse_alpha, so a pair prints the
-    same bytes and a double root is exact; higher degrees use np.roots.
+    Degree 2 takes the closed form (-b_1 -+ sqrt(b_1^2 - 4 b_2)) / 2, so a
+    double root is exact and a conjugate pair (a +- i sqrt(4p - a^2)) / 2 is
+    found without numpy; higher degrees use np.roots.
     """
     b = list(coeffs)
     while b and b[-1] == 0:
@@ -249,7 +229,7 @@ def _reciprocal_roots(coeffs) -> list[complex]:
 
 
 def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbers:
-    """Recover the 2g eigenvalues from projective counts N_1..N_g.
+    """Recover the 2g eigenvalues' Weil polynomial from projective counts N_1..N_g.
 
     The power sums s_n = p^n + 1 - N_n determine b_1..b_g by Newton's
     identities; b_{g+1}..b_{2g} follow from the functional-equation
@@ -268,7 +248,7 @@ def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbe
     s = [2 * g] + [p ** n + 1 - counts.counts[n - 1] for n in range(1, g + 1)]
     b = _newton_coeffs(s, g)
     coeffs = b + tuple(p ** (g - j) * b[j] for j in range(g - 1, -1, -1))
-    return WeilNumbers(p, g, coeffs, tuple(_reciprocal_roots(coeffs)))
+    return WeilNumbers(p, coeffs)
 
 
 def verify_weil_rh(roots, p: int, k: int) -> tuple[bool, float]:

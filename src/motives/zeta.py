@@ -12,7 +12,7 @@ assignment and float input to the integer trace formula of motives.weil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .variety import CountSequence
@@ -43,16 +43,22 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class RationalZeta:
-    """Numerator/denominator with reciprocal roots grouped by weight.
-
-    Roots of odd weight come from the numerator (zeros of the zeta
-    function), even weights from the denominator (poles).
+    """Numerator/denominator, with the reciprocal roots derived from them
+    and grouped by weight: odd weights from the numerator (zeros of the
+    zeta function), even weights from the denominator (poles).
     """
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
     base_q: int
-    roots_by_weight: tuple[tuple[int, tuple[complex, ...]], ...]
+    roots_by_weight: tuple[tuple[int, tuple[complex, ...]], ...] = field(init=False)
+
+    def __post_init__(self):
+        grouped: dict[int, list[complex]] = {}
+        for root in _reciprocal_roots(self.numerator) + _reciprocal_roots(self.denominator):
+            grouped.setdefault(assign_weight(root, self.base_q), []).append(root)
+        object.__setattr__(self, "roots_by_weight", tuple(sorted(
+            (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items())))
 
     def weight_table(self) -> dict[int, tuple[complex, ...]]:
         return dict(self.roots_by_weight)
@@ -151,13 +157,7 @@ def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
     num = _newton_coeffs(s, num_degree, "not rational of declared shape")
     if _newton_power_sums(num, m)[num_degree + 1:] != s[num_degree + 1:]:
         raise ValueError("insufficient or inconsistent counts")
-
-    grouped: dict[int, list[complex]] = {}
-    for root in _reciprocal_roots(num) + _reciprocal_roots(den):
-        grouped.setdefault(assign_weight(root, base_q), []).append(root)
-    table = tuple(sorted(
-        (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items()))
-    return RationalZeta(num, den, base_q, table)
+    return RationalZeta(num, den, base_q)
 
 
 def rational_reconstruct(series: PowerSeries, num_degree: int, den,

@@ -99,7 +99,7 @@ def test_criterion_02_correction_terms(brute_counts):
     x, y = 1, 0
     for n in range(1, 11):
         x, y = -x - y, x - y
-        z = alpha.alpha ** n
+        z = alpha.roots[-1] ** n
         assert abs(z - complex(x, y)) < 1e-9
         assert 2 * x == EXPECTED_PAIR_SUMS[n - 1]
         if n == 4:

@@ -113,6 +113,16 @@ def test_elliptic_motive_counts():
     assert point_count(m, 8) == 225
 
 
+def test_elliptic_motive_takes_the_pair_unchanged():
+    for p in filter(is_prime, range(2, 60)):
+        bound = math.isqrt(4 * p)
+        for a in range(-bound, bound + 1):
+            m = motive_of_elliptic_curve(hasse_alpha(p, p - a))
+            assert m == Motive(p, ((0, (1, -1)), (1, (1, -a, p)), (2, (1, -p))))
+            s = trace_powers(a, p, 8)
+            assert point_counts(m, 8) == [p ** n + 1 - s[n] for n in range(1, 9)]
+
+
 def test_elliptic_motive_zero_trace():
     for p in (2, 5, 13):
         m = motive_of_elliptic_curve(hasse_alpha(p, p))

@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motives
-from motives.finite_field import prime_root
+from motives.finite_field import is_prime, prime_root
 from motives.motive import make_motive
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
 from motives.weil import (
-    FrobeniusAlpha,
     WeilNumbers,
     _is_psd,
     _reciprocal_roots,
@@ -25,7 +24,6 @@ from motives.weil import (
     hasse_alpha,
     is_weil_polynomial,
     predict_affine_count,
-    trace_power_sum,
     verify_weil_rh,
     weil_numbers_from_counts,
 )
@@ -76,22 +74,58 @@ def gf2k_count(poly_bits, k, rhs_exp):
 
 def test_hasse_alpha_reference_curve():
     a = hasse_alpha(2, 4)
-    assert a.trace_a == -2
-    assert a.alpha == complex(-1, 1)
+    assert -a.coeffs[1] == -2
+    assert a.roots[-1] == complex(-1, 1)
 
 
 def test_hasse_alpha_zero_trace():
     a = hasse_alpha(2, 2)
-    assert a.trace_a == 0
-    assert a.re == 0
-    assert abs(a.im - math.sqrt(2)) < 1e-12
+    assert -a.coeffs[1] == 0
+    assert a.roots[-1].real == 0
+    assert abs(a.roots[-1].imag - math.sqrt(2)) < 1e-12
 
 
 def test_hasse_alpha_from_brute_force():
     curve = parse_poly_system("y^2 - x^3 - x - 1")
     n1 = affine_count_sequence(curve, 5, 1).counts[0]
     a = hasse_alpha(5, n1)
-    assert abs(abs(a.alpha) ** 2 - 5) < 1e-9
+    assert abs(abs(a.roots[-1]) ** 2 - 5) < 1e-9
+
+
+def test_hasse_alpha_upper_root_is_the_closed_form_bit_for_bit():
+    # the pair's roots[-1] is the eigenvalue (a + i sqrt(4p - a^2)) / 2 that
+    # predict prints, to the last bit, for every trace at every prime below 2000
+    for p in filter(is_prime, range(2, 2000)):
+        bound = math.isqrt(4 * p)
+        for a in range(-bound, bound + 1):
+            z = hasse_alpha(p, p - a).roots[-1]
+            want = (a / 2.0, math.sqrt(4 * p - a * a) / 2.0)
+            assert (z.real.hex(), z.imag.hex()) == tuple(x.hex() for x in want), (p, a)
+
+
+def test_weil_numbers_derive_genus_and_roots():
+    wn = WeilNumbers(2, (1, 2, 2))
+    assert wn.genus == 1
+    assert wn.roots == (complex(-1, -1), complex(-1, 1))
+    assert hasse_alpha(2, 4) == wn
+    assert WeilNumbers(3, (1, 0, 0, 0, 9)).genus == 2
+
+
+def test_weil_numbers_refuse_odd_degree_and_stored_roots():
+    # 1 - 2 t is pure at q = 4, but a curve's Weil polynomial has degree 2g
+    assert is_weil_polynomial((1, -2), 4)
+    for coeffs in ((), (1, -2), (1, 0, 0, 8)):
+        with pytest.raises(ValueError, match="^odd degree"):
+            WeilNumbers(4, coeffs)
+    with pytest.raises(TypeError):
+        WeilNumbers(2, 5, (1, 2, 2), ())  # genus and roots come from coeffs
+
+
+def test_weil_numbers_refuse_a_base_that_is_no_prime_power():
+    # each is pure at its q, but no field has q elements; at q = 0, genus 1 had no alpha
+    for p, coeffs in ((0, (1, 0, 0)), (1, (1, -2, 1)), (6, (1, 0, 6))):
+        with pytest.raises(ValueError, match="^base must be a prime power >= 2$"):
+            WeilNumbers(p, coeffs)
 
 
 def test_hasse_alpha_rejects_impossible_count():
@@ -104,8 +138,8 @@ def test_hasse_alpha_rejects_impossible_count():
 def test_trace_power_sum_against_float_powers():
     for (a, p) in [(-2, 2), (0, 2), (1, 3), (-3, 5), (4, 7), (2, 11)]:
         alpha = complex(a / 2, math.sqrt(4 * p - a * a) / 2)
-        for n in range(31):
-            exact = trace_power_sum(a, p, n)
+        for n in range(1, 31):
+            exact = WeilNumbers(p, (1, -a, p)).power_sum(n)
             approx = 2 * (alpha ** n).real
             assert abs(exact - approx) <= 1e-6 * max(1.0, abs(exact))
 
@@ -138,9 +172,9 @@ def test_alpha_powers_exact():
     assert gauss_pow(-1, 1, 4) == (-4, 0)
     for n in range(1, 11):
         x, y = gauss_pow(-1, 1, n)
-        z = a.alpha ** n
+        z = a.roots[-1] ** n
         assert abs(z - complex(x, y)) < 1e-9 * max(1.0, abs(z))
-        assert trace_power_sum(a.trace_a, 2, n) == 2 * x
+        assert a.power_sum(n) == 2 * x
         assert correction_term(a, n) == -2 * x
 
 
@@ -227,11 +261,9 @@ def test_verify_weil_rh_examples():
     assert not ok and dev > 0.05
 
 
-def test_frobenius_alpha_guards():
-    with pytest.raises(ValueError, match="modulus"):
-        FrobeniusAlpha(1.0, 1.0, 3, 2)
-    with pytest.raises(ValueError, match="Hasse"):
-        FrobeniusAlpha(math.sqrt(5), 0.0, 5, 6)
+def test_weil_numbers_refuse_a_trace_past_the_hasse_bound():
+    with pytest.raises(ValueError, match="^Weil bound violated$"):
+        WeilNumbers(5, (1, -6, 5))
 
 
 def test_hasse_sweep_small_primes():
@@ -251,8 +283,7 @@ def test_hasse_sweep_small_primes():
 
 def test_weil_numbers_refuse_n_below_1():
     # 1 + t + 2 t^2: the pair (-1 +- i sqrt 7) / 2 of modulus sqrt 2
-    alpha = complex(-0.5, math.sqrt(7) / 2)
-    wn = WeilNumbers(2, 1, (1, 1, 2), (alpha, alpha.conjugate()))
+    wn = WeilNumbers(2, (1, 1, 2))
     assert [wn.power_sum(n) for n in (1, 2, 3)] == [-1, -3, 5]
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -316,8 +347,7 @@ def seeded_products_at_29():
 
 def test_seeded_genus_10_and_15_products_are_weil_numbers():
     for poly in seeded_products_at_29():
-        g = (len(poly) - 1) // 2
-        wn = WeilNumbers(29, g, poly, tuple(_reciprocal_roots(poly)))
+        wn = WeilNumbers(29, poly)
         assert wn.predict_projective_count(1) == 29 + 1 + poly[1]
 
 
@@ -331,7 +361,7 @@ def test_seeded_genus_10_and_15_products_are_weil_numbers():
 def test_pinned_refusals(coeffs, q):
     assert not is_weil_polynomial(coeffs, q)
     with pytest.raises(ValueError, match="^Weil bound violated$"):
-        WeilNumbers(q, (len(coeffs) - 1) // 2, coeffs, ())
+        WeilNumbers(q, coeffs)
     roots = _reciprocal_roots(coeffs)
     roots += [0j] * (len(coeffs) - 1 - len(roots))  # the alpha = 0 it leaves out
     with pytest.raises(ValueError, match=r"^purity violated: eigenvalue modulus is not q\^\(k/2\)$"):
@@ -358,13 +388,13 @@ def det(a):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """sum of +-v v^T over 1-3 small integer vectors: often singular, so
-    the elimination meets zero pivots."""
-    n = draw(st.integers(1, 4))
+def symmetric_matrices(draw, max_n=4, max_terms=3, max_entry=2):
+    """sum of +-v v^T over 1 to max_terms small integer vectors: often
+    singular, so the elimination meets zero pivots."""
+    n = draw(st.integers(1, max_n))
     a = [[0] * n for _ in range(n)]
-    for _ in range(draw(st.integers(1, 3))):
-        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(1, max_terms))):
+        v = draw(st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n))
         sign = draw(st.sampled_from([1, 1, -1]))
         for i in range(n):
             for j in range(n):
@@ -381,6 +411,29 @@ def test_psd_elimination_matches_principal_minors(a):
               for size in range(1, n + 1) for rows in itertools.combinations(range(n), size)]
     assert _is_psd(a) == all(m >= 0 for m in minors)
     assert not _is_psd([[0, 1], [1, 0]]) and not _is_psd([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+
+
+def psd_by_fractions(a):
+    """Reference: the same symmetric elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in a]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+            return False
+        for below in a[k + 1:] if row[k] else ():
+            f = below[k] / row[k]
+            below[k + 1:] = [u - f * v for u, v in zip(below[k + 1:], row[k + 1:])]
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_matrices(max_n=7, max_terms=8, max_entry=9))
+def test_fraction_free_elimination_matches_fractions(a):
+    assert _is_psd(a) == psd_by_fractions(a)
+    # pivots 2, 0, 2: the third step divides by 2, the last nonzero pivot
+    two = [[2, 2, 2, 2], [2, 2, 2, 2], [2, 2, 3, 1], [2, 2, 1, 3]]  # 2 v v^T + w w^T
+    assert _is_psd(two) and psd_by_fractions(two)
+    two[3][3] = 1
+    assert not _is_psd(two) and not psd_by_fractions(two)
 
 
 def test_weil_test_loads_no_numpy():

@@ -9,6 +9,7 @@ from motives.variety import CountSequence, affine_count_sequence, parse_poly_sys
 from motives.weil import _reciprocal_roots, _root_key, verify_weil_rh
 from motives.zeta import (
     PowerSeries,
+    RationalZeta,
     assign_weight,
     curve_denominator,
     expand_rational,
@@ -125,6 +126,17 @@ def test_reconstruct_rejects_non_integer_numerator():
     s = zeta_series((5, 6, 5, 25, 25, 65, 145))
     with pytest.raises(ValueError, match="not rational|insufficient"):
         rational_reconstruct(s, 2, curve_denominator(2), 2)
+
+
+def test_rational_zeta_derives_its_roots_from_its_polynomials():
+    rz = RationalZeta((1, 2, 2), curve_denominator(2), 2)
+    assert rz.roots_by_weight == ((0, (1 + 0j,)), (1, (complex(-1, -1), complex(-1, 1))),
+                                  (2, (2 + 0j,)))
+    assert rz == zeta_from_counts((5, 5, 5, 25, 25, 65), 2, curve_denominator(2), 2)
+    with pytest.raises(TypeError):
+        RationalZeta((1, 2, 2), curve_denominator(2), 2, rz.roots_by_weight)
+    with pytest.raises(ValueError, match="ambiguous weight"):
+        RationalZeta((1, 2, 2), curve_denominator(2), 3)  # |alpha| = sqrt 2 is no weight at q = 3
 
 
 def test_assign_weight():
