@@ -10,7 +10,8 @@ every element and every enumeration order.
 
 Plain polynomials over F_p are passed around as Python tuples of ints,
 constant term first, with no trailing zeros (the zero polynomial is the
-empty tuple).
+empty tuple).  Element powers, inverses (Fermat's a^(q-2)) and Rabin's
+Frobenius powers share one square-and-multiply, poly_powmod.
 """
 
 from __future__ import annotations
@@ -106,12 +107,6 @@ def _trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
 def poly_sub(a, b, p):
     n = max(len(a), len(b))
     return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -158,25 +153,6 @@ def poly_gcd(a, b, p):
         inv = pow(a[-1], p - 2, p)
         a = tuple(c * inv % p for c in a)
     return a
-
-
-def poly_gcdext(a, b, p):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        scale = (inv,)
-        r0 = poly_mul(r0, scale, p)
-        s0 = poly_mul(s0, scale, p)
-        t0 = poly_mul(t0, scale, p)
-    return r0, s0, t0
 
 
 def poly_powmod(a, e: int, mod, p):
@@ -299,15 +275,10 @@ class FFElement:
         return f.element(poly_mod(prod, f.modulus, f.p))
 
     def inverse(self) -> "FFElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        f = self.field
-        a = _trim(list(self.coeffs))
-        if not a:
+        """Multiplicative inverse by Fermat: a^(q-2), since a^(q-1) = 1."""
+        if self.is_zero():
             raise ZeroDivisionError("zero divisor")
-        g, s, _ = poly_gcdext(a, f.modulus, f.p)
-        if g != (1,):  # cannot happen for an irreducible modulus
-            raise ZeroDivisionError("zero divisor")
-        return f.element(s)
+        return self ** (self.field.q - 2)
 
     def __truediv__(self, other):
         self._check(other)
@@ -316,14 +287,8 @@ class FFElement:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        return f.element(poly_powmod(_trim(list(self.coeffs)), e, f.modulus, f.p))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

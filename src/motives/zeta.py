@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .finite_field import prime_root
 from .variety import CountSequence
 from .weil import (_integer_poly, _newton_coeffs, _newton_power_sums, _reciprocal_roots,
                    _root_key, _signed_count)
@@ -32,14 +33,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        m = min(self.order, other.order)
-        out = []
-        for k in range(m + 1):
-            out.append(sum((self.coeffs[i] * other.coeffs[k - i]
-                            for i in range(k + 1)), Fraction(0)))
-        return PowerSeries(tuple(out))
-
 
 @dataclass(frozen=True)
 class RationalZeta:
@@ -54,6 +47,11 @@ class RationalZeta:
     roots_by_weight: tuple[tuple[int, tuple[complex, ...]], ...] = field(init=False)
 
     def __post_init__(self):
+        for name, poly in (("numerator", self.numerator), ("denominator", self.denominator)):
+            if not poly or poly[0] != 1:
+                raise ValueError(f"{name} must have constant term 1")
+        if prime_root(self.base_q) is None:
+            raise ValueError("base must be a prime power >= 2")
         grouped: dict[int, list[complex]] = {}
         for root in _reciprocal_roots(self.numerator) + _reciprocal_roots(self.denominator):
             grouped.setdefault(assign_weight(root, self.base_q), []).append(root)
@@ -98,18 +96,16 @@ def series_log(s: PowerSeries) -> PowerSeries:
 
 
 def expand_rational(num, den, order: int) -> PowerSeries:
-    """Series of num(t)/den(t) to the given order; den(0) must be 1."""
-    num = [Fraction(c) for c in num]
+    """Series of num(t)/den(t) to the given order; den(0) must be 1, so
+    c_m = num_m - sum_{j>=1} den_j c_{m-j}."""
+    num = [Fraction(c) for c in num] + [Fraction(0)] * (order + 1 - len(num))
     den = [Fraction(c) for c in den]
     if not den or den[0] != 1:
         raise ValueError("denominator must have constant term 1")
-    inv = [Fraction(1)]
-    for m in range(1, order + 1):
-        inv.append(-sum(den[j] * inv[m - j]
-                        for j in range(1, min(m, len(den) - 1) + 1)))
-    numno = num + [Fraction(0)] * max(0, order + 1 - len(num))
-    ps_num = PowerSeries(tuple(numno[: order + 1]))
-    return ps_num * PowerSeries(tuple(inv))
+    c = []
+    for m in range(order + 1):
+        c.append(num[m] - sum(den[j] * c[m - j] for j in range(1, min(m, len(den) - 1) + 1)))
+    return PowerSeries(tuple(c))
 
 
 def curve_denominator(q: int) -> tuple[int, ...]:

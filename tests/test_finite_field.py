@@ -10,7 +10,6 @@ from motives.finite_field import (
     make_field,
     mobius,
     multiplicative_generator,
-    poly_gcdext,
     poly_mul,
     prime_root,
 )
@@ -218,14 +217,43 @@ def test_closure_of_coefficients():
             assert all(0 <= c < f.p for c in r.coeffs)
 
 
-def test_gcdext_bezout_identity():
-    p = 5
-    a = (2, 0, 1, 3)
-    b = (4, 1, 1)
-    g, s, t = poly_gcdext(a, b, p)
-    from motives.finite_field import poly_add
-    lhs = poly_add(poly_mul(s, a, p), poly_mul(t, b, p), p)
-    assert lhs == g
+@pytest.mark.parametrize("p,n", [(2, 2), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_power_is_the_repeated_product(p, n):
+    f = make_field(p, n)
+    for a in enumerate_elements(f):
+        product = f.one()
+        for e in range(f.q + 2):
+            assert a ** e == product, (a, e)
+            product = product * a
+        with pytest.raises(ValueError, match="nonnegative"):
+            a ** -1
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (101, 1)])
+def test_inverse_is_the_brute_force_inverse(p, n):
+    f = make_field(p, n)
+    nonzero = list(enumerate_elements(f))[1:]
+    for a in nonzero:
+        assert [b for b in nonzero if a * b == f.one()] == [a.inverse()], a
+    with pytest.raises(ZeroDivisionError, match="zero divisor"):
+        f.zero().inverse()
+
+
+def brute_order(a):
+    """Oracle: the multiplicative order of a nonzero a, by repeated products."""
+    x, k = a, 1
+    while x != a.field.one():
+        x, k = x * a, k + 1
+    return k
+
+
+def test_multiplicative_generator_is_the_first_element_of_full_order():
+    fields = [(p, n) for p in range(2, 32) if is_prime(p)
+              for n in range(1, 11) if p ** n <= 2 ** 10]
+    for p, n in fields:
+        f = make_field(p, n)
+        first = next(a for a in list(enumerate_elements(f))[1:] if brute_order(a) == f.q - 1)
+        assert multiplicative_generator(f) == first, (p, n)
 
 
 def test_multiplicative_generator_orders():

@@ -139,6 +139,19 @@ def test_rational_zeta_derives_its_roots_from_its_polynomials():
         RationalZeta((1, 2, 2), curve_denominator(2), 3)  # |alpha| = sqrt 2 is no weight at q = 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (((2, 4, 4), (1, -3, 2), 2), "numerator must have constant term 1"),
+    (((), (), 2), "numerator must have constant term 1"),
+    (((1, 2, 2), (), 2), "denominator must have constant term 1"),
+    (((1, 2, 2), (2, -3, 2), 2), "denominator must have constant term 1"),
+    (((1, 2, 2), (1, -3, 2), 1), "base must be a prime power >= 2"),
+    (((1, 2, 2), (1, -3, 2), 6), "base must be a prime power >= 2"),
+])
+def test_rational_zeta_refuses_what_no_zeta_function_has(args, message):
+    with pytest.raises(ValueError, match=message):
+        RationalZeta(*args)
+
+
 def test_assign_weight():
     assert assign_weight(1 + 0j, 2) == 0
     assert assign_weight(complex(-1, 1), 2) == 1
@@ -179,12 +192,6 @@ def test_trace_formula_matches_reconstructed_counts():
     rz = rational_reconstruct(zeta_series(counts), 2, curve_denominator(2), 2)
     for n, want in enumerate(counts, start=1):
         assert trace_formula_count(rz.weight_table(), n) == want
-
-
-def test_power_series_multiplication():
-    a = PowerSeries((Fraction(1), Fraction(2), Fraction(1)))
-    b = PowerSeries((Fraction(1), Fraction(-1), Fraction(0)))
-    assert (a * b).coeffs == (Fraction(1), Fraction(1), Fraction(-1))
 
 
 # ----------------------------------------------------------------------
