@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -351,6 +352,10 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    # numpy's bundled OpenBLAS starts worker threads at import that spin idle:
+    # no operand here is large enough to use them, and counts run in parallel
+    # over the planner's process pool.  A caller's own value stands.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status, text = run(build_parser().parse_args(argv))
     if status == 0:
         sys.stdout.write(text)

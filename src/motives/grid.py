@@ -19,7 +19,7 @@ from .variety import PolySystem, _group_by_last, _tiling
 # ----------------------------------------------------------------------
 # field tables: nonzero elements as discrete logs
 
-TABLE_BUILD_ROWS = 1 << 14
+TABLE_BUILD_ROWS = 1 << 14  # elements per slice of a table build
 
 
 class FieldTables:
@@ -33,21 +33,40 @@ class FieldTables:
     codes, chosen by p: for p = 2 the ids themselves, added by XOR; for
     odd p the logs, added through Zech logarithms, log(1 + g^k), since
     g^a + g^b = g^a (1 + g^(b - a)) (K. Huber, IEEE Trans. Inf. Theory
-    36(4), 1990).
+    36(4), 1990).  Each table is built TABLE_BUILD_ROWS elements at a
+    time through one workspace, so a field costs 4 bytes per element
+    per table and little more.
     """
 
     def __init__(self, spec: FieldSpec):
         self.p, self.m = spec.p, spec.q - 1
         self.exp = _exp_table(spec)
         self.log = np.empty(spec.q, dtype=np.int32)
-        self.log[self.exp] = np.arange(spec.q, dtype=np.int32)
+        ids = np.empty(min(TABLE_BUILD_ROWS, spec.q), dtype=np.intp)
+        logs = np.arange(ids.size, dtype=np.int32)
+        for s in range(0, spec.q, ids.size):
+            e = self.exp[s:s + ids.size]
+            np.copyto(ids[:e.size], e)
+            self.log[ids[:e.size]] = logs[:e.size]
+            logs += ids.size
 
     @functools.cached_property
     def zech(self) -> np.ndarray:
         """zech[k] = log(1 + exp[k]); q - 1 where 1 + g^k = 0."""
-        # adding 1 adds it to digit 0 of the id, wrapping p - 1 to 0
-        ids = self.exp
-        return self.log[np.where(ids % self.p == self.p - 1, ids - (self.p - 1), ids + 1)]
+        p, zech = self.p, np.empty_like(self.exp)
+        high = np.empty(min(TABLE_BUILD_ROWS, zech.size), dtype=np.intp)
+        low = np.empty_like(high)
+        for s in range(0, zech.size, high.size):
+            # adding 1 adds it to digit 0 of the id, wrapping p - 1 to 0
+            ids = self.exp[s:s + high.size]
+            h, d = high[:ids.size], low[:ids.size]
+            np.floor_divide(ids, p, out=h)
+            h *= p
+            np.add(ids, 1, out=d)
+            np.remainder(d, p, out=d)
+            d += h
+            np.take(self.log, d, out=zech[s:s + ids.size], mode="clip")
+        return zech
 
     def _term_logs(self, coeff: int, exps, variables, size: int) -> np.ndarray:
         """Logs of coeff * prod x_j^e_j, given the logs of the x_j."""
@@ -113,38 +132,154 @@ def _wrap(x: np.ndarray, m: int) -> np.ndarray:
 def _exp_table(spec: FieldSpec) -> np.ndarray:
     """exp[k] = id of g^k, built by doubling.
 
-    Multiplication by g^B is F_p-linear, an n x n matrix on coefficient
-    vectors, and maps exp[0:B] to exp[B:2B]; its row j is g^B x^j, the
-    row before times x reduced by the modulus.  Rows go through it
-    TABLE_BUILD_ROWS at a time, through one pair of digit matrices that
-    every doubling step reuses: the build's temporaries live in one
-    workspace.
+    Multiplication by g^b maps exp[0:b] to exp[b:2b], TABLE_BUILD_ROWS
+    ids at a time, and the ids of g^b x^j, j < n, to those of g^2b x^j,
+    from which the next step's tables are built.
     """
-    p, n, q = spec.p, spec.n, spec.q
-    powers = p ** np.arange(n, dtype=np.int64)
-    modulus = np.array(spec.modulus, dtype=np.int64)
-    exp = np.zeros(q, dtype=np.int32)
-    exp[0] = 1
-    g_b, b = np.array(multiplicative_generator(spec).coeffs, dtype=np.int64), 1
-    mat = np.empty((n, n), dtype=np.int64)
-    work = np.empty((2, min(TABLE_BUILD_ROWS, q // 2), n), dtype=np.int64)
+    n, q = spec.n, spec.q
+    exp = np.empty(q, dtype=np.int32)
+    exp[0], exp[q - 1] = 1, 0
+    g = multiplicative_generator(spec)
+    cols = np.empty(n, dtype=np.int32)
+    for j in range(n):  # the ids of g x^j
+        cols[j] = g.index()
+        g = spec.element((0, *g.coeffs))
+    mul, b = _Multiplier(spec, min(TABLE_BUILD_ROWS, q)), 1
     while b < q - 1:
-        mat[0] = g_b
-        for j in range(1, n):
-            mat[j] = (np.append(0, mat[j - 1]) - mat[j - 1, -1] * modulus)[:n] % p
+        mul.load(cols)
         rows = min(b, q - 1 - b)
         for s in range(0, rows, TABLE_BUILD_ROWS):
             t = min(s + TABLE_BUILD_ROWS, rows)
-            digits, image = work[:, :t - s]
-            np.remainder(np.floor_divide(exp[s:t, None], powers, out=digits), p, out=digits)
-            np.remainder(np.matmul(digits, mat, out=image), p, out=image)
-            exp[b + s:b + t] = image @ powers
-        g_b, b = g_b @ mat % p, 2 * b
+            mul(exp[s:t], exp[b + s:b + t])
+        cols, b = mul(cols, np.empty_like(cols)), 2 * b
     return exp
+
+
+class _Multiplier:
+    """Multiplication of ids by one element h of F_q, given by `load`
+    the ids of h x^j, j < n.
+
+    The map is F_p-linear, so an id's image is the sum of the images of
+    its K >= 2 chunks of c base-p digits, p^c <= 2^12 (c = 1 for larger
+    p): one gather per chunk, from tables of p^c entries (the "Four
+    Russians" method: Arlazarov, Dinic, Kronrod, Faradzev, 1970).  The
+    images add in the kernel's two codes.  For p = 2 they are ids, added
+    by XOR.  For odd p they are n packed lanes of w bits, one per digit,
+    wide enough that K images add as plain integers; one gather per
+    group of lanes (at most 2^12 entries, or 2^w for wider lanes) then
+    reduces every lane mod p and packs the digits into an id.  A prime
+    field multiplies ids mod p.  Slices of up to `rows` ids pass through
+    one workspace.
+    """
+
+    def __init__(self, spec: FieldSpec, rows: int):
+        p, n = self.p, self.n = spec.p, spec.n
+        c = 1
+        while c < n and p ** (c + 1) <= 1 << 12:
+            c += 1
+        # as few chunks as fit, but two at least (one would be the whole map), of equal size
+        c = -(-n // max(-(-n // c), min(n, 2)))
+        self.c, self.base, chunks = c, p ** c, -(-n // c)
+        self.high = np.empty(rows, dtype=np.intp)
+        self.low = np.empty(rows, dtype=np.intp)
+        self.part = np.empty(rows, dtype=np.int32)
+        if n == 1:  # no tables: ids are multiplied mod p
+            return
+        if p == 2:
+            self.tables = np.empty((chunks, self.base), dtype=np.int32)
+        else:
+            w = self.w = (chunks * (p - 1)).bit_length()
+            self.tables = np.empty((chunks, self.base), dtype=np.int64)
+            self.acc, self.part64 = np.empty((2, rows), dtype=np.int64)
+            self.powers = p ** np.arange(n, dtype=np.int64)
+            self.shifts = w * np.arange(n, dtype=np.int64)
+            self.ones = sum(1 << s for s in range(0, n * w, w))
+            self.excess = ((1 << w - 1) - p) * self.ones
+            groups = -(-n // max(1, 12 // w))
+            lanes = -(-n // groups)
+            self.group = 1 << lanes * w
+            # a group's table is the outer sum of its lanes' digits times p^j
+            digit = np.arange(1 << w, dtype=np.int32) % p
+            self.reduce = np.empty((groups, self.group), dtype=np.int32)
+            for g in range(groups):
+                table = np.zeros(1, dtype=np.int32)
+                for j in range(g * lanes, (g + 1) * lanes):
+                    table = np.add.outer(digit * (p ** j if j < n else 0), table)
+                self.reduce[g] = table.ravel()
+
+    def load(self, cols: np.ndarray) -> None:
+        """Build the tables of multiplication by h from the ids of h x^j."""
+        if self.n == 1:
+            self.h = int(cols[0])
+            return
+        p, c, n = self.p, self.c, self.n
+        tables = self.tables
+        chunks = len(tables)
+        # images[j, d - 1]: the code of d h x^j; x^j past x^(n - 1) maps to 0
+        images = np.zeros((chunks * c, p - 1), dtype=tables.dtype)
+        if p == 2:
+            images[:n, 0] = cols
+        else:
+            digits = cols[:, None] // self.powers % p
+            images[:n] = ((np.arange(1, p)[:, None] * digits[:, None, :] % p)
+                          << self.shifts).sum(axis=-1)
+        images = images.reshape(chunks, c, p - 1)
+        tables[:, 0] = 0
+        for i in range(c):  # chunks whose top nonzero digit is digit i
+            s = p ** i
+            tables[:, s:p * s].reshape(chunks, p - 1, s)[...] = self._add(
+                tables[:, None, :s], images[:, i, :, None])
+
+    def _add(self, a, b):
+        """The codes of the sums of two codes of elements."""
+        if self.p == 2:
+            return a ^ b
+        x = a + b  # lanes in [0, 2p - 2]; the top bit of lane + 2^(w-1) - p flags >= p
+        x -= ((x + self.excess) >> self.w - 1 & self.ones) * self.p
+        return x
+
+    def __call__(self, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The ids of h times the elements of ids, written to out, which
+        must not overlap ids."""
+        r = ids.size
+        if self.n == 1:
+            acc, high = self.low[:r], self.high[:r]
+            np.copyto(acc, ids)
+            acc *= self.h
+            np.floor_divide(acc, self.p, out=high)
+            high *= self.p
+            np.subtract(acc, high, out=out)
+        elif self.p == 2:
+            self._gather(ids, self.base, self.tables, np.bitwise_xor, out, self.part[:r])
+        else:
+            acc = self._gather(ids, self.base, self.tables, np.add, self.acc[:r],
+                               self.part64[:r])
+            self._gather(acc, self.group, self.reduce, np.add, out, self.part[:r])
+        return out
+
+    def _gather(self, src, base, tables, combine, out, part):
+        """out = combine over k of tables[k][digit k of src in `base`],
+        from the top digit down."""
+        r, top = src.size, len(tables) - 1
+        high, low = self.high[:r], self.low[:r]
+        np.floor_divide(src, base ** top, out=high)
+        np.take(tables[top], high, out=out, mode="clip")
+        for k in range(top - 1, -1, -1):
+            high *= base
+            if k:
+                np.floor_divide(src, base ** k, out=low)
+                np.subtract(low, high, out=high)
+            else:
+                np.subtract(src, high, out=high)
+            np.take(tables[k], high, out=part, mode="clip")
+            combine(out, part, out=out)
+            high, low = low, high  # high = src // base^k
+        return out
 
 
 @functools.lru_cache(maxsize=1)  # the field being counted; a sequence moves on
 def _tables_for(spec: FieldSpec) -> FieldTables:
+    _tables_for.cache_clear()  # a miss: free the last field's tables before building
     return FieldTables(spec)
 
 
@@ -197,9 +332,10 @@ class _Grid:
         """Points of one polynomial without row terms: a q-entry histogram
         of the rows' right-hand sides, summed at each column slice's
         codes."""
-        hist = np.zeros(self.q, dtype=np.int64)
+        # a bucket counts at most q^(k - 1) <= WORK_LIMIT < 2^31 rows
+        hist, one = np.zeros(self.q, dtype=np.int32), np.int32(1)
         for bi in range(-(-self.q ** (self.k - 1) // self.batch)):
-            np.add.at(hist, self._rows(bi)[0][0], 1)
+            np.add.at(hist, self._rows(bi)[0][0], one)  # a Python 1 takes a slow path
         if not self.polys[0][1]:  # no column terms: every column codes zero
             return int(hist[0 if self.tables.p == 2 else self.tables.m]) * self.q
         return sum(int(np.take(hist, self._columns(ci)[0][0]).sum())

@@ -128,7 +128,7 @@ def assign_weight(alpha: complex, q: int) -> int:
 
 def _denominator(den) -> tuple[int, ...]:
     den = tuple(int(c) for c in den)
-    if den[0] != 1:
+    if not den or den[0] != 1:
         raise ValueError("denominator must have constant term 1")
     return den
 

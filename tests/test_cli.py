@@ -706,6 +706,68 @@ def test_library_passes_reuse_their_workspace(tmp_path):
     assert tables < 3000
 
 
+_THREADS_PROBE = """\
+import os
+from motives.cli import main
+
+main(["count", "--poly", "curve.txt", "--p", "3", "--n-max", "4", "--method", "auto"])
+with open("/proc/self/status") as f:
+    threads = next(line.split()[1] for line in f if line.startswith("Threads:"))
+print(threads, os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("inherited, want", [(None, "1 1"), ("2", "2")])
+def test_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path, inherited, want):
+    # numpy's OpenBLAS would start an idle worker per CPU; a caller's own value stands
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc")
+    (tmp_path / "curve.txt").write_text(CURVE_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if inherited:
+        env["OPENBLAS_NUM_THREADS"] = inherited
+    done = subprocess.run([sys.executable, "-c", _THREADS_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    last = done.stdout.splitlines()[-1]
+    assert last == want if inherited is None else last.split()[1] == want
+
+
+_BUDGET_PROBE = """\
+import resource, sys
+from motives.cli import main
+
+def vm_peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmPeak:")) * 1024
+
+count = ["count", "--poly", "curve.txt", "--p", "2", "--method", "auto", "--n-max"]
+main(count + ["4"])  # numpy and the counting kernel loaded, one small field counted
+# the stated budget for p = 2, 12 bytes per element of F_2^22, and 8 MiB of slack
+cap = vm_peak() + 12 * 2 ** 22 + 8 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(count + ["22"]))
+"""
+
+
+def test_count_sequence_to_f_2_22_within_the_memory_budget(tmp_path):
+    # exp, log and the join's histogram, 4 bytes per element each, on top of the
+    # process that has loaded numpy; the address space is capped for this process only
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < 2 ** 30:
+        pytest.skip("address space already capped")
+    (tmp_path / "curve.txt").write_text(CURVE_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _BUDGET_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "22,4194304,4194304"
+
+
 def test_table_format_renders(curve_file, capsys):
     _, out, _ = run_cli(["count", "--poly", curve_file, "--p", "2",
                          "--n-max", "2", "--format", "table"], capsys)

@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,45 @@ def test_field_tables_match_ffelement_arithmetic(p, n):
     assert tables.log[tables.exp].tolist() == list(range(f.q))
     assert tables.exp[tables.log].tolist() == list(range(f.q))
     assert tables.exp[tables.zech[:-1]].tolist() == sums
+
+
+def digit_matrix_tables(spec):
+    """exp, log and zech by digit-matrix doubling, the build that the
+    chunked lookups replaced: multiplication by g^b is an n x n matrix
+    over F_p, row j the digits of g^b x^j, applied to the digit vectors
+    of exp[0:b] to give exp[b:2b]."""
+    p, n, q = spec.p, spec.n, spec.q
+    powers = p ** np.arange(n, dtype=np.int64)
+    modulus = np.array(spec.modulus, dtype=np.int64)
+    exp = np.zeros(q, dtype=np.int32)
+    exp[0] = 1
+    g_b, b = np.array(multiplicative_generator(spec).coeffs, dtype=np.int64), 1
+    mat = np.empty((n, n), dtype=np.int64)
+    while b < q - 1:
+        mat[0] = g_b
+        for j in range(1, n):
+            mat[j] = (np.append(0, mat[j - 1]) - mat[j - 1, -1] * modulus)[:n] % p
+        rows = min(b, q - 1 - b)
+        for s in range(0, rows, 1 << 14):
+            t = min(s + (1 << 14), rows)
+            exp[b + s:b + t] = exp[s:t, None] // powers % p @ mat % p @ powers
+        g_b, b = g_b @ mat % p, 2 * b
+    log = np.empty(q, dtype=np.int32)
+    log[exp] = np.arange(q, dtype=np.int32)
+    return exp, log, log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
+
+
+# F_2053^2 (4.2 million elements) is the smallest field whose two chunks need
+# lanes wider than 12 bits
+@pytest.mark.parametrize("p,n", [(2, n) for n in range(13, 21)] + [(3, n) for n in range(8, 13)]
+                         + [(5, 6), (5, 7), (5, 8), (7, 5), (7, 6), (7, 7), (2053, 2)])
+def test_field_tables_match_digit_matrix_doubling(p, n):
+    f = make_field(p, n)
+    tables = FieldTables(f)
+    exp, log, zech = digit_matrix_tables(f)
+    assert np.array_equal(tables.exp, exp)
+    assert np.array_equal(tables.log, log)
+    assert np.array_equal(tables.zech, zech)
 
 
 # ----------------------------------------------------------------------

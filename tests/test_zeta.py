@@ -293,3 +293,13 @@ def test_zeta_from_counts_elliptic_and_refusals():
         zeta_from_counts(counts, -1, curve_denominator(2), 2)
     with pytest.raises(ValueError, match="denominator must have constant term 1"):
         zeta_from_counts(counts, 2, (2, -3, 2), 2)
+
+
+@pytest.mark.parametrize("den", [(), (2, -3, 2)])
+def test_reconstruction_refuses_a_denominator_without_constant_term_1(den):
+    # an empty denominator has no constant term: refused as RationalZeta refuses it
+    counts = (5, 5, 5, 25, 25, 65, 145)
+    with pytest.raises(ValueError, match="denominator must have constant term 1"):
+        zeta_from_counts(counts, 2, den, 2)
+    with pytest.raises(ValueError, match="denominator must have constant term 1"):
+        rational_reconstruct(zeta_series(counts), 2, den, 2)
