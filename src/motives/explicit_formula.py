@@ -19,19 +19,22 @@ reduces to an exponential integral along a horizontal ray.
 
 The explicit formula runs in blocks of grid points.  A block gathers
 every argument y = x^(1/m) >= 2 it needs and integrates once over all of
-them, as arrays of (arguments x nodes) or (arguments x zeros x nodes):
-beyond 2, li is li(2) plus a prefix sum of doubling panels plus one
-partial panel; the tail's partition is that of (0, 1] scaled by 1/y; the
-ray of li(y^rho) has 48 nodes on [0, 8, 24, 60], within 1.0e-15 of a
-384-node rule for y in [2, 1500] and all 150 tabled zeros.  Blocks of
-512 points, cut into chunks of at most 2^14 elements per temporary, keep
-the working set near 1 MB whatever x_max, for up to 341 zeros (one
-argument's zero terms fill a chunk beyond that).  The temporaries of a
-pass over the chunks live in one workspace that the pass allocates and
-every chunk reuses, so no chunk allocates and frees its own.  The
-one-point functions (li beyond 2, archimedean_tail, zero_pair_terms,
-smooth_term, riemann_approx) are the same code on a block of one, and
-li_grid is li beyond 2 on a block of integers.
+them, as float64 arrays of (arguments x nodes) or (arguments x zeros x
+nodes).  Beyond 2, li and the archimedean tail each take their value at
+the last edge 1 + 2^j at or below y from a table of doubling panels
+computed once, plus one partial panel of 16 nodes; so a value never
+depends on the block it is read in.  The ray of li(y^rho) has two
+panels on [0, 10, 40], 32 nodes; against a 384-node rule, for y in
+[2, 10^7] and all 150 tabled zeros, no term is off by more than 2.0e-15
+of the largest term at its y.  Blocks of 512 points, cut into chunks whose temporaries
+hold at most 2^15 float64 elements (256 KB) in all, keep the working set
+near 1 MB whatever x_max, for up to 1024 zeros (one argument's zero
+terms fill a chunk beyond that).  The temporaries of a pass over the
+chunks live in one workspace that the pass allocates and every chunk
+reuses, so no chunk allocates and frees its own.  The one-point
+functions (li beyond 2, zero_pair_terms, smooth_term, riemann_approx)
+are the same code on a block of one, and li_grid is li beyond 2 on a
+block of integers; archimedean_tail evaluates its own graded rule.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def sieve_pi(x: float, pc: PrimeCounter) -> int:
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _DEPTH = 40  # panels per graded end; the last two span 2^-39 of it each
-_BLOCK = 2 ** 14  # elements in any one per-node temporary, each a view of
-                  # the pass's reused workspace: 256 KB complex
+_BLOCK = 2 ** 15  # float64 elements in the reused workspace of a pass, which
+                  # holds its per-node temporaries: 256 KB
 
 
 def _rule(edges, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -124,13 +127,13 @@ def _fixed_rule(edges) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), (half[:, None] * _WEIGHTS).ravel()
 
 
-def _chunked(f, y: np.ndarray, width: int, dtype=float, buffers: int = 1) -> np.ndarray:
-    """f(slice, work) over consecutive slices of y, where f builds width
-    elements per argument: each slice keeps that temporary within _BLOCK
-    elements.  Every slice reuses work, `buffers` such temporaries of
-    (arguments, width), and f returns a new array."""
-    step = max(1, _BLOCK // max(width, 1))
-    work = np.empty((buffers, min(step, y.size), width), dtype)
+def _chunked(f, y: np.ndarray, width: int, buffers: int = 1) -> np.ndarray:
+    """f(slice, work) over consecutive slices of y, where f builds
+    `buffers` temporaries of width elements per argument: each slice keeps
+    them within _BLOCK elements in all.  Every slice reuses work, those
+    temporaries as (buffers, arguments, width), and f returns a new array."""
+    step = max(1, _BLOCK // max(width * buffers, 1))
+    work = np.empty((buffers, min(step, y.size), width))
     return np.concatenate([f(y[i:i + step], work) for i in range(0, y.size, step)])
 
 
@@ -150,6 +153,19 @@ def _inv_log(t: np.ndarray) -> np.ndarray:
     return np.divide(1.0, np.log(t, out=t), out=t)
 
 
+def _neg_tail_integrand(t: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """-1 / (t (t^2 - 1) ln t), in place; the denominator is built in
+    spare, or in a new array when none is given.  Beyond t = 1e102 it
+    overflows to inf and the integrand to -0, where its value is below
+    1e-308."""
+    with np.errstate(over="ignore"):
+        den = np.multiply(t, t, out=spare)
+        den -= 1.0
+        den *= t
+        den *= np.log(t, out=t)
+    return np.divide(-1.0, den, out=t)
+
+
 def _folded(s: np.ndarray) -> np.ndarray:
     # 1/ln(1+s) + 1/ln(1-s); the 1/s poles cancel, limit 1 at s = 0
     return 1.0 / np.log1p(s) + 1.0 / np.log1p(-s)
@@ -157,16 +173,34 @@ def _folded(s: np.ndarray) -> np.ndarray:
 
 _LI_2 = float(_panels(_folded, _toward(0.0, 1.0)).sum())  # (0, 2) folded about 1
 
+# Beyond 2, integrals run on the panels [1 + 2^(j-1), 1 + 2^j] that double
+# in length; their edges 2, 3, 5, 9, ... reach past every float.
+_EDGES = 1.0 + np.ldexp(1.0, np.arange(1024))
+
+
+def _at_edges(f, at_2: float) -> np.ndarray:
+    """at_2 plus the integral of f from 2 to each of _EDGES, a prefix sum
+    computed once, so a value never depends on the block it is read in."""
+    return at_2 + np.append(0.0, np.cumsum(_panels(f, _EDGES)))
+
+
+def _from_edge(f, at_edges: np.ndarray, y: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """At each y >= 2, the integral of f continued from its value at the
+    last edge at or below y by one partial panel, whose nodes go into
+    work[0].  f maps the nodes in place, handed the rest of work, if any,
+    as spare arrays of their shape."""
+    k = np.maximum(np.ceil(np.log2(y - 1.0)), 1.0).astype(np.intp)
+    last = np.stack([_EDGES[k - 1], y], axis=-1)
+    nodes, half = _rule(last, work[0, :y.size, None])
+    return at_edges[k - 1] + (f(nodes, *work[1:, :y.size, None]) @ _WEIGHTS * half)[:, 0]
+
+
+_LI_EDGES = _at_edges(_inv_log, _LI_2)
+
 
 def _li_from_2(y: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """li at each y >= 2: li(2), a prefix sum of the panels
-    [1 + 2^(j-1), 1 + 2^j] that double in length, and one partial panel
-    from the last of them to y, whose nodes go into work[0]."""
-    k = np.maximum(np.ceil(np.log2(y - 1.0)), 1.0).astype(np.intp)
-    starts = 1.0 + np.ldexp(1.0, np.arange(k.max()))  # 2, 3, 5, 9, ...
-    before = np.append(0.0, np.cumsum(_panels(_inv_log, starts)))
-    last = np.stack([starts[k - 1], y], axis=-1)
-    return _LI_2 + before[k - 1] + _panels(_inv_log, last, work[0, :y.size, None])[:, 0]
+    """li at each y >= 2, the partial panel's nodes in work[0]."""
+    return _from_edge(_inv_log, _LI_EDGES, y, work)
 
 
 def li(x: float) -> float:
@@ -210,16 +244,6 @@ _TAIL_S, _TAIL_W = _fixed_rule(_graded(0.0, 1.0))
 _TAIL_LOG_S = np.log(_TAIL_S)
 
 
-def _tails(y: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """archimedean_tail at each y > 1; the integrand is built in the
-    three rows of work."""
-    s, den, ln = work[:, :y.size]
-    np.divide(_TAIL_S, y[:, None], out=s)
-    np.subtract(1.0, np.multiply(s, s, out=den), out=den)
-    den *= np.subtract(np.log(y)[:, None], _TAIL_LOG_S, out=ln)
-    return np.divide(s, den, out=den) @ _TAIL_W / y
-
-
 def archimedean_tail(y: float) -> float:
     """Integral of dt / (t (t^2 - 1) ln t) from y to infinity, y > 1.
 
@@ -229,7 +253,18 @@ def archimedean_tail(y: float) -> float:
     """
     if y <= 1:
         raise ValueError("y must be > 1")
-    return float(_chunked(_tails, np.array([y], dtype=float), _TAIL_S.size, buffers=3)[0])
+    s = _TAIL_S / y
+    return float(s / ((1.0 - s * s) * (math.log(y) - _TAIL_LOG_S)) @ _TAIL_W / y)
+
+
+_TAIL_EDGES = _at_edges(_neg_tail_integrand, archimedean_tail(2.0))
+
+
+def _tail_from_2(y: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """archimedean_tail at each y >= 2, as its value at 2 minus the
+    integral from 2 to y on li's panels: the partial panel's nodes go into
+    work[0] and the integrand's denominator into work[1]."""
+    return _from_edge(_neg_tail_integrand, _TAIL_EDGES, y, work)
 
 
 # ----------------------------------------------------------------------
@@ -283,20 +318,35 @@ def default_zero_table() -> ZeroTable:
 # ----------------------------------------------------------------------
 # explicit formula
 
-# The E1 ray for the zero terms: three panels on [0, 60], 48 nodes u,
-# with e^(-u) folded into the weights once.
-_RAY_U, _RAY_EW = _fixed_rule([0.0, 8.0, 24.0, 60.0])
+# The E1 ray for the zero terms: two panels on [0, 10, 40], 32 nodes u.
+# With e^(-u) folded into the weights EW, the moment columns hold EW and
+# EW u.
+_RAY_U, _RAY_EW = _fixed_rule([0.0, 10.0, 40.0])
 _RAY_EW *= np.exp(-_RAY_U)
+_RAY_MOMENTS = np.stack([_RAY_EW, _RAY_EW * _RAY_U], axis=-1)
 _ROWS = 2 ** 9  # grid points per block; below 10^7 each has <= 16 arguments
 
 
 def _zero_terms(y: np.ndarray, gammas: np.ndarray, work: np.ndarray) -> np.ndarray:
     """2 Re li(y^rho) for each y (rows) and rho = 1/2 + i gamma (columns);
-    the ray's nodes go into the complex work[0]."""
-    w = np.multiply.outer(-np.log(y), 0.5 + 1j * gammas)
-    z = np.add(w[..., None], _RAY_U, out=work[0, :y.size].reshape(*w.shape, _RAY_U.size))
-    # einsum, not @: a complex-by-float matmul goes through BLAS and its threads
-    return -2.0 * (np.exp(-w) * np.einsum("...k,k->...", np.reciprocal(z, out=z), _RAY_EW)).real
+    1 / |w + u|^2 at the ray's nodes goes into work[0].
+
+    With h = ln(y) / 2 and beta = gamma ln y, the ray starts at
+    w = -h - i beta, and 1 / (w + u) = (u - h + i beta) / d with
+    d = (u - h)^2 + beta^2.  So the ray's integral is P + i beta Q, where
+    Q = sum EW / d and P = sum EW u / d - h Q, and e^(-w) is
+    sqrt(y) e^(i beta).
+    """
+    ln = np.log(y)
+    h = 0.5 * ln
+    beta = np.multiply.outer(ln, gammas)
+    a = np.subtract(_RAY_U, h[:, None])
+    d = work[0, :y.size].reshape(*beta.shape, _RAY_U.size)
+    np.add((a * a)[:, None, :], (beta * beta)[..., None], out=d)
+    moments = np.reciprocal(d, out=d).reshape(-1, _RAY_U.size) @ _RAY_MOMENTS
+    q, p = moments.reshape(*beta.shape, 2).transpose(2, 0, 1)
+    p -= h[:, None] * q
+    return -2.0 * np.sqrt(y)[:, None] * (p * np.cos(beta) - beta * q * np.sin(beta))
 
 
 def zero_pair_terms(y: float, gammas: np.ndarray) -> np.ndarray:
@@ -305,32 +355,33 @@ def zero_pair_terms(y: float, gammas: np.ndarray) -> np.ndarray:
     li(y^rho) = Ei(rho ln y) and Re Ei(z) = -Re E1(-z); E1 is integrated
     along the horizontal ray from w = -rho ln y, where the integrand
     e^(-u) / (w + u) decays and stays far from the pole (|Im w| =
-    gamma ln y > 9).  The ray is cut at u = 60, which leaves a tail
-    below 1e-26 of the term, and split at 8 and 24 into three panels,
-    48 nodes in all.  Against 24 panels (384 nodes), for y in [2, 1500]
-    and all 150 tabled zeros, no term is off by more than 1.0e-15.
-    This is the one-point case of the (arguments x zeros x nodes)
-    product that approximation_rows evaluates in chunks of at most 2^14
-    elements.
+    gamma ln y > 9).  The ray is cut at u = 40, which leaves a tail
+    below 1e-17 of the term, and split at 10 into two panels, 32 nodes
+    in all.  Against 24 panels on [0, 60] (384 nodes), for y in [2, 10^7]
+    and all 150 tabled zeros, no term is off by more than 2.0e-15 of the
+    largest term at its y.  The terms are computed in float64 from the
+    real and imaginary parts of 1 / (w + u).  This is the one-point case
+    of the (arguments x zeros x nodes) product that approximation_rows
+    evaluates in chunks of at most 2^15 elements.
     """
     if y < 2:
         raise ValueError("y must be >= 2")
     gammas = np.asarray(gammas, dtype=float)
     return _chunked(lambda c, work: _zero_terms(c, gammas, work), np.array([y], dtype=float),
-                    gammas.size * _RAY_U.size, complex)[0]
+                    gammas.size * _RAY_U.size)[0]
 
 
 def _smooth_terms(y: np.ndarray, gammas: np.ndarray):
     """li(y) and f(y) at each y >= 2."""
     li_y = _chunked(_li_from_2, y, _NODES.size)
-    f = li_y - LN2 + _chunked(_tails, y, _TAIL_S.size, buffers=3)
-    # zeros go in slices of at most 341, so that one argument's
+    f = li_y - LN2 + _chunked(_tail_from_2, y, _NODES.size, buffers=2)
+    # zeros go in slices of at most 1024, so that one argument's
     # (zeros x nodes) temporary also stays within _BLOCK elements
     width = _BLOCK // _RAY_U.size
     for i in range(0, gammas.size, width):
         part = gammas[i:i + width]
         f -= _chunked(lambda c, work: _zero_terms(c, part, work).sum(axis=1), y,
-                      part.size * _RAY_U.size, complex)
+                      part.size * _RAY_U.size)
     return li_y, f
 
 

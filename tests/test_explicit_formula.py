@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from motives import explicit_formula as ef
 from motives.explicit_formula import (
     SIEVE_LIMIT,
     PrimeCounter,
@@ -279,6 +280,22 @@ def test_zero_pair_terms_at_ray_corners(zeros, y, j):
     assert abs(zero_pair_terms(y, gammas)[j] - want) < 1e-9
 
 
+def test_zero_pair_terms_within_a_384_node_ray(zeros):
+    # the 32-node float64 ray against 24 uniform 16-node panels on [0, 60]
+    # in complex arithmetic, across the arguments a 10^7 sieve can reach
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 60.0, 25)
+    half = np.diff(edges) / 2.0
+    u = (half[:, None] * nodes + (edges[:-1] + half)[:, None]).ravel()
+    ew = (half[:, None] * weights).ravel() * np.exp(-u)
+    gammas = np.asarray(zeros.ordinates)
+    for y in np.geomspace(2.0, 1e7, 60):
+        w = -math.log(y) * (0.5 + 1j * gammas)
+        want = -2.0 * (np.exp(-w) * (ew / (w[:, None] + u)).sum(axis=1)).real
+        err = np.abs(zero_pair_terms(float(y), gammas) - want).max()
+        assert err <= 4e-15 * np.abs(want).max(), y
+
+
 @pytest.mark.parametrize("K", sorted(ROWS_APPROX))
 def test_approximation_rows_pinned(pc, zeros, K):
     rows = {r[0]: r for r in approximation_rows(half_integer_grid(2.0, 230.0),
@@ -305,14 +322,21 @@ def test_approximation_rows_memory_bounded(zeros, x_max, K):
     assert peak < 2 * 2 ** 20
 
 
+def test_approximation_rows_li_is_li(zeros):
+    # a row's li does not depend on the block or chunk it was read in
+    pc = PrimeCounter.build(601)
+    rows = approximation_rows(half_integer_grid(2.0, 600.0), zeros, 150, pc)
+    assert [r[2] for r in rows] == [li(r[0]) for r in rows]
+
+
 def _evenly_spaced_zeros(count):
     # increasing ordinates from the first zero's, 0.5 apart
     return ZeroTable(tuple(14.134725141734693 + 0.5 * i for i in range(count)))
 
 
 def test_zero_terms_memory_bounded_for_long_tables():
-    # past 341 zeros one argument's (zeros x nodes) temporary would exceed
-    # the 2^14-element chunk; the zeros axis is sliced too
+    # past 1024 zeros one argument's (zeros x nodes) temporary would exceed
+    # the 2^15-element chunk; the zeros axis is sliced too
     table = _evenly_spaced_zeros(20000)
     tracemalloc.start()
     try:
@@ -323,14 +347,15 @@ def test_zero_terms_memory_bounded_for_long_tables():
     assert peak < 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("count", [1, 150, 341, 342, 1000])
+@pytest.mark.parametrize("count", [1, 150, 341, 342, 1000, 1024, 1025])
 @pytest.mark.parametrize("y", [2.5, 999.5, 1e6 + 0.5])
 def test_zero_terms_sliced_sum(y, count):
-    # up to 341 zeros are one slice, summed exactly as before slicing
+    # up to 1024 zeros (32 ray nodes each) are one slice, summed exactly
+    # as before slicing
     gammas = np.array(_evenly_spaced_zeros(count).ordinates)
     got = smooth_term(y, gammas)
     want = smooth_term(y, np.array([])) - zero_pair_terms(y, gammas).sum()
-    if count <= 341:
+    if count <= 1024:
         assert got == want
     else:
         assert abs(got - want) < 1e-12 * count
@@ -435,6 +460,19 @@ def test_archimedean_tail_positive_and_decreasing():
     vals = [archimedean_tail(y) for y in (2.0, 5.0, 50.0, 500.0)]
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_block_tail_against_mpmath():
+    # the blocks take the tail as its value at 2 minus an integral on li's
+    # panels; f(y) = li(y) - ln 2 + tail holds it only to the ulp of li(y),
+    # so the block kernel is read directly, all six arguments in one block
+    mp = pytest.importorskip("mpmath")
+    ys = [2.0, 2.5, 50.0, 1500.0, 1e6, 1e7]
+    got = ef._chunked(ef._tail_from_2, np.array(ys), 16, buffers=2)
+    with mp.workdps(30):
+        for y, tail in zip(ys, got):
+            want = mp.quad(lambda t: 1 / (t * (t * t - 1) * mp.log(t)), [y, 2 * y, mp.inf])
+            assert abs(tail - float(want)) < 1e-15, y
 
 
 @pytest.mark.parametrize("y", [1.01, 2.0, 2.5, 50.0, 1500.0])
