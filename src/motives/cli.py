@@ -6,6 +6,10 @@ its handler with `set_defaults`, plus that handler: a function from the
 parsed namespace to a single report.  The format defaults to an aligned
 table on a terminal and CSV when redirected; --format forces csv, json,
 or table.  All numeric output is deterministic across runs.
+
+A handler imports the package modules it runs, and this module imports
+none at its top, so that each command pays at start-up only for its own
+modules.
 """
 
 from __future__ import annotations
@@ -17,24 +21,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-from .finite_field import MAX_FIELD_SIZE, make_field, prime_root
-from .motive import (
-    lefschetz_motive,
-    motive_of_elliptic_curve,
-    motive_of_projective_space,
-    point_counts,
-    tensor_power,
-)
-from .variety import (CountSequence, affine_count_sequence, count_projective_space, format_poly,
-                      parse_poly_system)
-from .weil import hasse_alpha, predict_affine_counts
-from .zeta import curve_denominator, zeta_from_counts
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     extra: tuple[tuple[str, object], ...] = ()
@@ -119,6 +109,8 @@ def _require(cond, msg):
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    from .finite_field import MAX_FIELD_SIZE, prime_root
+
     _require(q >= 2, "q must be >= 2")
     _require(q <= MAX_FIELD_SIZE, "field too large")
     root = prime_root(q)
@@ -127,12 +119,16 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def _load_system(path):
+    from .variety import parse_poly_system
+
     _require(path is not None, "--poly file required")
     with open(path) as fh:
         return parse_poly_system(fh.read())
 
 
 def _count_sequence(args, n_max: int, method: str, extra_point: bool = False) -> CountSequence:
+    from .variety import affine_count_sequence
+
     return affine_count_sequence(_load_system(args.poly), args.p, n_max,
                                  extra_point=extra_point, method=method)
 
@@ -144,6 +140,8 @@ def _cmd_count(args) -> Report:
 
 
 def _cmd_predict(args) -> Report:
+    from .weil import hasse_alpha, predict_affine_counts
+
     alpha = hasse_alpha(args.p, args.n1)
     upper = alpha.roots[-1]
     extra = (("alpha_re", upper.real), ("alpha_im", upper.imag), ("trace", -alpha.coeffs[1]),
@@ -167,6 +165,9 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_zeta(args) -> Report:
+    from .variety import CountSequence, format_poly
+    from .zeta import curve_denominator, zeta_from_counts
+
     p = args.p
     if args.counts is not None:
         seq = CountSequence(p, _parse_counts(args.counts), projective_flag=True)
@@ -188,6 +189,11 @@ def _cmd_zeta(args) -> Report:
 
 
 def _parse_motive_expr(expr: str, q: int | None):
+    from .finite_field import prime_root
+    from .motive import (lefschetz_motive, motive_of_elliptic_curve, motive_of_projective_space,
+                         tensor_power)
+    from .weil import hasse_alpha
+
     expr = expr.strip()
     unparsed = f"cannot parse motive expression {expr!r}"
 
@@ -240,6 +246,8 @@ def _parse_motive_expr(expr: str, q: int | None):
 
 
 def _cmd_motive(args) -> Report:
+    from .motive import point_counts
+
     m = _parse_motive_expr(args.expr, args.q)
     pieces = {str(k): [[r.real, r.imag] for r in roots]
               for k, roots in m.weight_table().items()}
@@ -249,6 +257,9 @@ def _cmd_motive(args) -> Report:
 
 
 def _cmd_pspace(args) -> Report:
+    from .finite_field import make_field
+    from .variety import count_projective_space
+
     p, n = _prime_power(args.q)
     rows = []
     for m in range(1, args.n_max + 1):
@@ -259,12 +270,14 @@ def _cmd_pspace(args) -> Report:
 
 
 def _cmd_pi(args) -> Report:
-    from . import explicit_formula as ef  # it imports numpy; only pi needs it
+    from . import explicit_formula as ef
 
     zeros = ef.load_zeros(args.zeros) if args.zeros else ef.default_zero_table()
     ef.zero_ordinates(zeros, args.K)  # refuse a bad K before the sieve is built
     _require(math.isfinite(args.x_max), f"--x-max must be a finite number, got {args.x_max}")
     _require(args.x_max >= 2.5, f"--x-max must be >= 2.5, the first grid point, got {args.x_max}")
+    _require(args.x_max < ef.SIEVE_LIMIT,
+             f"--x-max must be below {ef.SIEVE_LIMIT}, the sieve cap, got {args.x_max}")
     limit = max(3, int(math.floor(args.x_max)) + 1)
     pc = ef.PrimeCounter.build(limit)
     grid = ef.half_integer_grid(2.0, args.x_max)

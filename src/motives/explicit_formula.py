@@ -40,12 +40,11 @@ block of integers; archimedean_tail evaluates its own graded rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .finite_field import mobius
+from .finite_field import Record, mobius
 
 LN2 = math.log(2.0)
 SIEVE_LIMIT = 10 ** 7  # 9 bytes per integer (flags plus int64 counts): 90 MB
@@ -57,13 +56,13 @@ _ANCHOR_TOL = 0.01
 # ----------------------------------------------------------------------
 # primes
 
-@dataclass(frozen=True)
-class PrimeCounter:
+class PrimeCounter(Record):
     """Sieve of Eratosthenes up to limit with cumulative prime counts."""
 
-    limit: int
-    is_prime: np.ndarray
-    pi_table: np.ndarray
+    __slots__ = ("limit", "is_prime", "pi_table")
+
+    def __init__(self, limit: int, is_prime: np.ndarray, pi_table: np.ndarray):
+        super().__init__(limit, is_prime, pi_table)
 
     @classmethod
     def build(cls, limit: int) -> "PrimeCounter":
@@ -270,24 +269,23 @@ def _tail_from_2(y: np.ndarray, work: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # zeta zero data
 
-@dataclass(frozen=True)
-class ZeroTable:
+class ZeroTable(Record):
     """Increasing positive ordinates t_j of zeros 1/2 + i t_j."""
 
-    ordinates: tuple[float, ...]
+    __slots__ = ("ordinates",)
 
-    def __post_init__(self):
-        if not self.ordinates:
+    def __init__(self, ordinates: tuple[float, ...]):
+        if not ordinates:
             raise ValueError("no zeros")
-        arr = self.ordinates
-        if not all(map(math.isfinite, arr)):
+        if not all(map(math.isfinite, ordinates)):
             raise ValueError("ordinates must be finite numbers")
-        if arr[0] <= 0:
+        if ordinates[0] <= 0:
             raise ValueError("ordinates must be positive")
-        if any(b <= a for a, b in zip(arr, arr[1:])):
+        if any(b <= a for a, b in zip(ordinates, ordinates[1:])):
             raise ValueError("not increasing")
-        if abs(arr[0] - _ANCHOR) > _ANCHOR_TOL:
+        if abs(ordinates[0] - _ANCHOR) > _ANCHOR_TOL:
             raise ValueError("failed anchor: first ordinate is not near 14.13")
+        super().__init__(ordinates)
 
     def __len__(self):
         return len(self.ordinates)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 #: Full enumeration of F_q (and q x q solution grids downstream) is only
@@ -193,15 +192,60 @@ def is_irreducible(f, p: int) -> bool:
 
 
 # ----------------------------------------------------------------------
+# immutable records
+
+class Record:
+    """Base of the package's immutable records.  A subclass names its
+    fields in __slots__, and its __init__ checks its arguments and passes
+    every field's value, in slot order, to Record.__init__.  Records
+    compare and hash by their class and field values, refuse assignment,
+    and pickle by value without running __init__ again."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, values):
+        Record.__init__(self, *values)
+
+
+# ----------------------------------------------------------------------
 # field and element types
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """A concrete F_{p^n}: prime p, degree n, monic irreducible modulus."""
 
-    p: int
-    n: int
-    modulus: tuple[int, ...]  # length n+1, constant term first, leading 1
+    __slots__ = ("p", "n", "modulus")
+
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
+        # modulus: length n+1, constant term first, leading 1
+        super().__init__(p, n, modulus)
 
     @property
     def q(self) -> int:

@@ -11,10 +11,9 @@ linear-algebra shadow and the count identities are what get verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
-from .finite_field import prime_root
+from .finite_field import Record, prime_root
 from .weil import (
     WeilNumbers,
     _integer_poly,
@@ -26,21 +25,20 @@ from .weil import (
 )
 
 
-@dataclass(frozen=True)
-class Motive:
+class Motive(Record):
     """Weight -> eigenvalue polynomial over the field with base_q elements."""
 
-    base_q: int
-    pieces: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("base_q", "pieces")
 
-    def __post_init__(self):
-        if prime_root(self.base_q) is None:
+    def __init__(self, base_q: int, pieces: tuple[tuple[int, tuple[int, ...]], ...]):
+        if prime_root(base_q) is None:
             raise ValueError("base must be a prime power >= 2")
-        for k, poly in self.pieces:
+        for k, poly in pieces:
             if k < 0 or not isinstance(k, int):
                 raise ValueError("weights must be nonnegative integers")
             if len(poly) < 2:
                 raise ValueError("empty weight piece must be omitted")
+        super().__init__(base_q, pieces)
 
     def weight_table(self) -> dict[int, tuple[complex, ...]]:
         table = {}

@@ -27,10 +27,9 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .finite_field import MAX_FIELD_SIZE, FieldSpec, is_prime, make_field
+from .finite_field import MAX_FIELD_SIZE, FieldSpec, Record, is_prime, make_field
 
 WORK_LIMIT = 2 ** 28  # tuples a count may enumerate
 DEFAULT_CHUNK_SIZE = 1 << 14
@@ -44,22 +43,21 @@ Monomial = tuple[tuple[int, ...], int]
 Poly = tuple[Monomial, ...]
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Record):
     """Polynomials with integer coefficients in num_vars variables."""
 
-    num_vars: int
-    polys: tuple[Poly, ...]
+    __slots__ = ("num_vars", "polys")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, polys: tuple[Poly, ...]):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        for poly in self.polys:
+        for poly in polys:
             for exps, _ in poly:
-                if len(exps) != self.num_vars:
+                if len(exps) != num_vars:
                     raise ValueError("exponent vector has wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
+        super().__init__(num_vars, polys)
 
     def is_homogeneous(self) -> bool:
         for poly in self.polys:
@@ -69,21 +67,19 @@ class PolySystem:
         return True
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(Record):
     """Counts N_1..N_m over F_{p^1}..F_{p^m} under one convention."""
 
-    p: int
-    counts: tuple[int, ...]
-    projective_flag: bool = False
+    __slots__ = ("p", "counts", "projective_flag")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __init__(self, p: int, counts: tuple[int, ...], projective_flag: bool = False):
+        if not is_prime(p):
             raise ValueError("not prime")
-        if len(self.counts) < 1:
+        if len(counts) < 1:
             raise ValueError("empty count sequence")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("negative count")
+        super().__init__(p, counts, projective_flag)
 
 
 # ----------------------------------------------------------------------

@@ -16,30 +16,29 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .finite_field import is_prime, prime_root
+from .finite_field import Record, is_prime, prime_root
 from .variety import CountSequence
 
 MODULUS_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class WeilNumbers:
+class WeilNumbers(Record):
     """A genus-g curve's Weil polynomial prod (1 - alpha t) over F_p, of its 2g
     reciprocal zeta-numerator roots alpha; an elliptic curve's pair is genus 1."""
 
-    p: int
-    coeffs: tuple[int, ...]      # b_0..b_{2g} with b_0 = 1
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self):
-        if prime_root(self.p) is None:
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        # coeffs: b_0..b_{2g} with b_0 = 1
+        if prime_root(p) is None:
             raise ValueError("base must be a prime power >= 2")
-        if len(self.coeffs) % 2 == 0:
+        if len(coeffs) % 2 == 0:
             raise ValueError("odd degree: not a curve's Weil polynomial")
-        if not is_weil_polynomial(self.coeffs, self.p):
+        if not is_weil_polynomial(coeffs, p):
             raise ValueError("Weil bound violated")
+        super().__init__(p, coeffs)
 
     @property
     def genus(self) -> int:

@@ -12,10 +12,9 @@ assignment and float input to the integer trace formula of motives.weil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .finite_field import prime_root
+from .finite_field import Record, prime_root
 from .variety import CountSequence
 from .weil import (_integer_poly, _newton_coeffs, _newton_power_sums, _reciprocal_roots,
                    _root_key, _signed_count)
@@ -23,40 +22,39 @@ from .weil import (_integer_poly, _newton_coeffs, _newton_power_sums, _reciproca
 WEIGHT_WINDOW = 0.1
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Truncated series c_0 + c_1 t + ... + c_m t^m, exact rationals."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class RationalZeta:
+class RationalZeta(Record):
     """Numerator/denominator, with the reciprocal roots derived from them
     and grouped by weight: odd weights from the numerator (zeros of the
     zeta function), even weights from the denominator (poles).
     """
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-    base_q: int
-    roots_by_weight: tuple[tuple[int, tuple[complex, ...]], ...] = field(init=False)
+    __slots__ = ("numerator", "denominator", "base_q", "roots_by_weight")
 
-    def __post_init__(self):
-        for name, poly in (("numerator", self.numerator), ("denominator", self.denominator)):
+    def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...], base_q: int):
+        for name, poly in (("numerator", numerator), ("denominator", denominator)):
             if not poly or poly[0] != 1:
                 raise ValueError(f"{name} must have constant term 1")
-        if prime_root(self.base_q) is None:
+        if prime_root(base_q) is None:
             raise ValueError("base must be a prime power >= 2")
         grouped: dict[int, list[complex]] = {}
-        for root in _reciprocal_roots(self.numerator) + _reciprocal_roots(self.denominator):
-            grouped.setdefault(assign_weight(root, self.base_q), []).append(root)
-        object.__setattr__(self, "roots_by_weight", tuple(sorted(
-            (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items())))
+        for root in _reciprocal_roots(numerator) + _reciprocal_roots(denominator):
+            grouped.setdefault(assign_weight(root, base_q), []).append(root)
+        roots_by_weight = tuple(sorted(
+            (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items()))
+        super().__init__(numerator, denominator, base_q, roots_by_weight)
 
     def weight_table(self) -> dict[int, tuple[complex, ...]]:
         return dict(self.roots_by_weight)

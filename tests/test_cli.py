@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import motives
-from motives import cli, variety
+from motives import cli, motive, variety
 from motives.cli import Report, _prime_power, build_parser, main, render
 from motives.weil import hasse_alpha, predict_affine_count
 
@@ -361,6 +361,13 @@ def test_pi_x_max_must_be_finite(x_max, capsys):
     assert (status, out, err) == (1, "", f"error: --x-max must be a finite number, got {x_max}\n")
 
 
+@pytest.mark.parametrize("x_max, shown", [("1e308", "1e+308"), ("2e7", "20000000.0")])
+def test_pi_x_max_past_the_sieve_cap_is_one_short_line(x_max, shown, capsys):
+    status, out, err = run_cli(["pi", "--x-max", x_max, "--K", "0"], capsys)
+    assert (status, out) == (1, "")
+    assert err == f"error: --x-max must be below 10000000, the sieve cap, got {shown}\n"
+
+
 @pytest.mark.parametrize("argv, want", [
     (["motive", "--expr", "elliptic a=5 p=101", "--n-max", "10"],
      {8: 10828567145002275, 10: 110462212524105901379}),
@@ -491,8 +498,8 @@ def test_motive_past_the_float_range_builds_no_piece(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("pieces built")
 
-    monkeypatch.setattr(cli, "motive_of_projective_space", refuse)
-    monkeypatch.setattr(cli, "tensor_power", refuse)
+    monkeypatch.setattr(motive, "motive_of_projective_space", refuse)
+    monkeypatch.setattr(motive, "tensor_power", refuse)
     for expr, q, weight in [("P^1024", 2, 2048), ("P^5000", 3, 1294), ("L^1024", 2, 2048),
                             ("L^34", 2 ** 31, 68), ("L^1025", 2, 2050)]:
         status, out, err = run_cli(["motive", "--expr", expr, "--q", str(q)], capsys)
@@ -569,41 +576,53 @@ watched = ("numpy", "scipy", "concurrent.futures.process", "multiprocessing")
 if "numpy" not in sys.modules:  # numpy itself loads ctypes
     watched += ("ctypes",)
 print(sorted(m for m in watched if m in sys.modules))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "motives" or m in ("dataclasses", "fractions")))
 """
 
 
-# each probe: the module a fresh interpreter imports, then the command it runs, if any
-NUMPY_FREE = [
-    "motives",
-    "motives.cli",
-    "motives.cli motive --expr P^2 --q 2",
-    "motives.cli motive --expr L^3 --q 3",
-    "motives.cli motive --expr 'elliptic a=-2 p=2'",
-    "motives.cli predict --p 101 --n1 96 --n-max 300",
-    "motives.cli zeta --p 2 --counts 5,5,5,25,25,65,145",
-    "motives.cli pspace --dim 2 --q 4 --n-max 2",
-    "motives.cli count --poly zero.txt --p 2 --n-max 3",  # x^0 - 1 is the zero polynomial
-]
-NUMPY_PATHS = [  # the array paths, so that the probe itself can fail
-    "motives.cli count --poly curve.txt --p 2 --n-max 3",
-    "motives.cli zeta --poly curve.txt --p 2 --genus 1",
-    "motives.cli pi --x-max 20 --K 13",
-]
+# the package modules a command loads, and fractions where it loads
+CLI = ["motives", "motives.cli"]
+PSPACE = CLI + ["motives.finite_field", "motives.variety"]
+PREDICT = PSPACE + ["motives.weil"]
+MOTIVE = PREDICT + ["motives.motive"]
+ZETA = PREDICT + ["motives.zeta", "fractions"]
+
+# each probe: the module a fresh interpreter imports, then the command it runs,
+# if any, and the package modules it loads
+NUMPY_FREE = {
+    "motives": ["motives"],
+    "motives.cli": CLI,
+    "motives.cli motive --expr P^2 --q 2": MOTIVE,
+    "motives.cli motive --expr L^3 --q 3": MOTIVE,
+    "motives.cli motive --expr 'elliptic a=-2 p=2'": MOTIVE,
+    "motives.cli predict --p 101 --n1 96 --n-max 300": PREDICT,
+    "motives.cli zeta --p 2 --counts 5,5,5,25,25,65,145": ZETA,
+    "motives.cli pspace --dim 2 --q 4 --n-max 2": PSPACE,
+    "motives.cli count --poly zero.txt --p 2 --n-max 3": PSPACE,  # x^0 - 1 is the zero polynomial
+}
+NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
+    "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.grid"],
+    "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA + ["motives.grid"],
+    "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
+}
 
 
-@pytest.mark.parametrize("probe, loaded",
-                         [(c, []) for c in NUMPY_FREE] + [(c, ["numpy"]) for c in NUMPY_PATHS],
-                         ids=NUMPY_FREE + NUMPY_PATHS)
-def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, tmp_path):
+@pytest.mark.parametrize("probe, loaded, modules",
+                         [(c, [], m) for c, m in NUMPY_FREE.items()]
+                         + [(c, ["numpy"], m) for c, m in NUMPY_PATHS.items()],
+                         ids=[*NUMPY_FREE, *NUMPY_PATHS])
+def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, modules, tmp_path):
     # numpy only on the array paths; scipy and the worker pool on none of these,
-    # and ctypes on none of the numpy-free ones
+    # and ctypes on none of the numpy-free ones.  Each command loads only its own
+    # package modules, fractions only with zeta, and dataclasses never.
     (tmp_path / "curve.txt").write_text(CURVE_TEXT)
     (tmp_path / "zero.txt").write_text("x^0 - 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *shlex.split(probe)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == f"{loaded}\n"
+    assert done.stdout == f"{loaded}\n{sorted(modules)}\n"
 
 
 # the package's public names: 45 re-exports and the six submodules that define them

@@ -1,8 +1,14 @@
+import inspect
+import pickle
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from motives.explicit_formula import PrimeCounter, ZeroTable
 from motives.finite_field import (
+    FieldSpec,
     arith,
     enumerate_elements,
     is_irreducible,
@@ -13,6 +19,10 @@ from motives.finite_field import (
     poly_mul,
     prime_root,
 )
+from motives.motive import Motive
+from motives.variety import CountSequence, PolySystem
+from motives.weil import WeilNumbers
+from motives.zeta import PowerSeries, RationalZeta
 
 
 def brute_monic_irreducibles(p, n):
@@ -275,3 +285,49 @@ def test_elements_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         x.coeffs = (1, 1)
     assert x in {f.element((0, 1))}
+
+
+
+FLAGS = np.array([False, False, True, True])
+# each record type, keyword arguments for one value and for another, and the
+# defaults of the parameters the first leaves out
+RECORDS = [
+    (FieldSpec, dict(p=2, n=2, modulus=(1, 1, 1)), dict(p=3, n=2, modulus=(1, 1, 1)), {}),
+    (PolySystem, dict(num_vars=2, polys=((((0, 2), 1), ((3, 0), -1)),)),
+     dict(num_vars=2, polys=()), {}),
+    (CountSequence, dict(p=2, counts=(5, 5)), dict(p=2, counts=(5, 5), projective_flag=True),
+     {"projective_flag": False}),
+    (WeilNumbers, dict(p=2, coeffs=(1, 2, 2)), dict(p=2, coeffs=(1, -2, 2)), {}),
+    (Motive, dict(base_q=4, pieces=((2, (1, -4)),)), dict(base_q=2, pieces=((2, (1, -2)),)), {}),
+    (PowerSeries, dict(coeffs=(Fraction(1), Fraction(5, 2))), dict(coeffs=(Fraction(1),)), {}),
+    (RationalZeta, dict(numerator=(1, 2, 2), denominator=(1, -3, 2), base_q=2),
+     dict(numerator=(1, -2, 2), denominator=(1, -3, 2), base_q=2), {}),
+    (PrimeCounter, dict(limit=3, is_prime=FLAGS, pi_table=np.cumsum(FLAGS)),
+     dict(limit=2, is_prime=FLAGS[:3], pi_table=np.cumsum(FLAGS[:3])), {}),
+    (ZeroTable, dict(ordinates=(14.134725, 21.02204)), dict(ordinates=(14.134725,)), {}),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, other_kwargs, defaults", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, kwargs, other_kwargs, defaults):
+    record = cls(**kwargs)
+    assert record == cls(*kwargs.values()) and not record != cls(**kwargs)
+    assert record != cls(**other_kwargs)
+    assert record != tuple(kwargs.values())
+    params = inspect.signature(cls).parameters
+    assert list(params) == [*kwargs, *defaults]
+    assert {k: p.default for k, p in params.items() if p.default is not p.empty} == defaults
+    assert all(getattr(record, k) == v for k, v in defaults.items())
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(kwargs)), None)
+    with pytest.raises(AttributeError):
+        record.unlisted = None
+    if cls is PrimeCounter:  # its arrays are unhashable, and unequal once copied
+        with pytest.raises(TypeError):
+            hash(record)
+        return
+    assert hash(record) == hash(cls(**kwargs))
+    assert record in {cls(**kwargs)}
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record and repr(copy) == repr(record)

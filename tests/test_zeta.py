@@ -135,6 +135,8 @@ def test_rational_zeta_derives_its_roots_from_its_polynomials():
     assert rz == zeta_from_counts((5, 5, 5, 25, 25, 65), 2, curve_denominator(2), 2)
     with pytest.raises(TypeError):
         RationalZeta((1, 2, 2), curve_denominator(2), 2, rz.roots_by_weight)
+    with pytest.raises(TypeError):
+        RationalZeta((1, 2, 2), curve_denominator(2), 2, roots_by_weight=rz.roots_by_weight)
     with pytest.raises(ValueError, match="ambiguous weight"):
         RationalZeta((1, 2, 2), curve_denominator(2), 3)  # |alpha| = sqrt 2 is no weight at q = 3
 
