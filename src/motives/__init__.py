@@ -14,12 +14,12 @@ _EXPORTS = {
         "count_projective_space", "count_projective_variety", "parse_poly_system",
     ),
     "weil": (
-        "WeilNumbers", "correction_term", "hasse_alpha", "predict_affine_count", "verify_weil_rh",
+        "WeilNumbers", "correction_term", "hasse_alpha", "predict_affine_count",
         "weil_numbers_from_counts",
     ),
     "zeta": (
         "PowerSeries", "RationalZeta", "curve_denominator", "expand_rational",
-        "rational_reconstruct", "trace_formula_count", "zeta_from_counts", "zeta_series",
+        "rational_reconstruct", "zeta_from_counts", "zeta_series",
     ),
     "motive": (
         "Motive", "direct_sum", "lefschetz_motive", "make_motive", "motive_of_elliptic_curve",

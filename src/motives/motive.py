@@ -14,15 +14,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .finite_field import Record, prime_root
-from .weil import (
-    WeilNumbers,
-    _integer_poly,
-    _newton_coeffs,
-    _newton_power_sums,
-    _reciprocal_roots,
-    _signed_count,
-    _signed_counts,
-)
+from .weil import (WeilNumbers, _newton_coeffs, _newton_power_sums, _reciprocal_roots,
+                   is_weil_polynomial)
 
 
 class Motive(Record):
@@ -55,14 +48,25 @@ class Motive(Record):
 
 
 def make_motive(base_q: int, pieces: dict) -> Motive:
-    """Check and round a weight -> eigenvalues mapping into a Motive."""
+    """Check a weight -> polynomial mapping into a Motive.
+
+    Weight k's piece is (1, b_1, ..., b_d) = prod (1 - alpha t) over its
+    eigenvalues, in ints, and pure: is_weil_polynomial(piece, q^k).  A
+    piece (1,) has no eigenvalues and is left out.
+    """
     out = []
-    for k in sorted(pieces):
-        alphas = [complex(a) for a in pieces[k]]
-        if not alphas:
-            continue
-        out.append((int(k), _integer_poly(alphas, base_q ** int(k))))
-    return Motive(base_q, tuple(out))
+    for k, poly in sorted(pieces.items()):
+        poly = tuple(poly)
+        if not all(isinstance(b, int) for b in poly):
+            raise ValueError(f"weight {k} coefficients must be integers")
+        if poly[:1] != (1,):
+            raise ValueError(f"weight {k} piece must have constant term 1")
+        if len(poly) > 1:
+            out.append((k, poly))
+    m = Motive(base_q, tuple(out))
+    if not all(is_weil_polynomial(poly, base_q ** k) for k, poly in out):
+        raise ValueError("purity violated: eigenvalue modulus is not q^(k/2)")
+    return m
 
 
 def _from_power_sums(base_q: int, terms) -> Motive:
@@ -133,9 +137,17 @@ def motive_of_elliptic_curve(wn: WeilNumbers) -> Motive:
 
 def point_count(m: Motive, n: int) -> int:
     """Points over F_{q^n} by the signed trace formula, in integers."""
-    return _signed_count(m.pieces, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return point_counts(m, n)[-1]
 
 
 def point_counts(m: Motive, n_max: int) -> list[int]:
-    """point_count(m, n) for n = 1..n_max, from one Newton run per piece."""
-    return _signed_counts(m.pieces, n_max)
+    """The trace formula sum_k (-1)^k s_n over the weight pieces for
+    n = 1..n_max, from one Newton run per piece."""
+    total = [0] * n_max
+    for k, poly in m.pieces:
+        sign = (-1) ** k
+        for n, s_n in enumerate(_newton_power_sums(poly, n_max)[1:]):
+            total[n] += sign * s_n
+    return total

@@ -8,8 +8,7 @@ prod (1 - alpha t), and Newton's identities turn them into exact power
 sums and back for the zeta and motive modules too.  Whether such a
 polynomial is pure, every |alpha|^2 = q^k, is decided in integers by
 `is_weil_polynomial`.  Complex floats appear only in reported
-eigenvalues, which `WeilNumbers` derives from its integer polynomial, and
-in `verify_weil_rh`'s check of floats a caller hands in.
+eigenvalues, which `WeilNumbers` derives from its integer polynomial.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ import cmath
 import math
 
 from .finite_field import Record, is_prime, prime_root
-from .variety import CountSequence
-
-MODULUS_TOL = 1e-9
-INTEGRALITY_TOL = 1e-6
 
 
 class WeilNumbers(Record):
@@ -114,24 +109,6 @@ def _newton_power_sums(coeffs: tuple[int, ...], n_max: int) -> list[int]:
     return s
 
 
-def _signed_counts(pieces, n_max: int) -> list[int]:
-    """The trace formula sum_k (-1)^k s_n over (weight k, polynomial)
-    pairs for n = 1..n_max, from one Newton run per piece."""
-    total = [0] * n_max
-    for k, poly in pieces:
-        sign = (-1) ** k
-        for n, s_n in enumerate(_newton_power_sums(poly, n_max)[1:]):
-            total[n] += sign * s_n
-    return total
-
-
-def _signed_count(pieces, n: int) -> int:
-    """The trace formula at the single n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _signed_counts(pieces, n)[-1]
-
-
 def _newton_coeffs(s, d: int, refusal: str = "inconsistent counts") -> tuple[int, ...]:
     """b_0..b_d from power sums s_1..s_d, dividing exactly or refusing."""
     b = [1]
@@ -184,28 +161,6 @@ def is_weil_polynomial(coeffs, q_k: int) -> bool:
     return _is_psd([[4 * q_k * u - v for u, v in zip(t[i:i + m], t[i + 2:])] for i in range(m)])
 
 
-def _integer_poly(roots, q_k: int | None = None) -> tuple[int, ...]:
-    """prod (1 - alpha t) of float eigenvalues, rounded.  Refused once doubles
-    are spaced wider than the tolerance (from 2^33); with q_k, then for a
-    non-real coefficient or unless is_weil_polynomial passes the rounding;
-    last, unless each coefficient is near an integer."""
-    import numpy as np  # only float eigenvalues reach here
-
-    c = np.poly(np.array(roots, dtype=complex))
-    if any(math.ulp(abs(x)) > INTEGRALITY_TOL for x in c):
-        raise ValueError("coefficient exceeds float precision")
-    out = tuple(int(round(x.real)) for x in c)
-    if q_k is not None:
-        if any(abs(x.imag) > INTEGRALITY_TOL for x in c):
-            raise ValueError("roots not closed under conjugation")
-        if not is_weil_polynomial(out, q_k):
-            raise ValueError("purity violated: eigenvalue modulus is not q^(k/2)")
-    if any(abs(x.imag) > INTEGRALITY_TOL or abs(x.real - n) > INTEGRALITY_TOL
-           for x, n in zip(c, out)):
-        raise ValueError("non-integral eigenvalue polynomial")
-    return out
-
-
 def _reciprocal_roots(coeffs) -> list[complex]:
     """The nonzero alpha of prod (1 - alpha t) = (1, b_1, ..., b_d), sorted.
 
@@ -227,7 +182,7 @@ def _reciprocal_roots(coeffs) -> list[complex]:
     return sorted(roots, key=_root_key)
 
 
-def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbers:
+def weil_numbers_from_counts(p: int, g: int, counts: "CountSequence") -> WeilNumbers:
     """Recover the 2g eigenvalues' Weil polynomial from projective counts N_1..N_g.
 
     The power sums s_n = p^n + 1 - N_n determine b_1..b_g by Newton's
@@ -248,15 +203,3 @@ def weil_numbers_from_counts(p: int, g: int, counts: CountSequence) -> WeilNumbe
     b = _newton_coeffs(s, g)
     coeffs = b + tuple(p ** (g - j) * b[j] for j in range(g - 1, -1, -1))
     return WeilNumbers(p, coeffs)
-
-
-def verify_weil_rh(roots, p: int, k: int) -> tuple[bool, float]:
-    """Check | |alpha| - p^(k/2) | <= 1e-9 * p^(k/2) for every root.
-
-    Returns (ok, max relative deviation).
-    """
-    target = p ** (k / 2.0)
-    worst = 0.0
-    for r in roots:
-        worst = max(worst, abs(abs(complex(r)) - target) / target)
-    return worst <= MODULUS_TOL, worst

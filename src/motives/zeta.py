@@ -1,23 +1,21 @@
-"""Local zeta functions: exact series, rational form, trace formula.
+"""Local zeta functions: exact series and rational form.
 
 The generating function exp(sum N_n t^n / n) is carried as a power
 series with exact rational coefficients.  Reconstruction against a known
 denominator runs in integers through the Newton core of motives.weil:
 the numerator's reciprocal roots have power sums s_n(den) - N_n, so its
 coefficients are exact integers or the input was not rational of the
-declared shape.  Floating point enters only at root finding, weight
-assignment and float input to the integer trace formula of motives.weil.
+declared shape.  Floating point enters only at root finding and weight
+assignment, for the roots a RationalZeta reports.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .finite_field import Record, prime_root
 from .variety import CountSequence
-from .weil import (_integer_poly, _newton_coeffs, _newton_power_sums, _reciprocal_roots,
-                   _root_key, _signed_count)
+from .weil import _newton_coeffs, _newton_power_sums, _reciprocal_roots, _root_key
 
 WEIGHT_WINDOW = 0.1
 
@@ -27,7 +25,7 @@ class PowerSeries(Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
+    def __init__(self, coeffs: tuple["Fraction", ...]):
         super().__init__(coeffs)
 
     @property
@@ -76,6 +74,8 @@ def zeta_series(counts) -> PowerSeries:
     Z' = L'Z, giving m*z_m = sum_{j=1..m} N_j z_{m-j} over exact
     rationals.
     """
+    from fractions import Fraction  # only the series paths build rationals
+
     vals = _as_counts(counts)
     z = [Fraction(1)]
     for m in range(1, len(vals) + 1):
@@ -87,6 +87,8 @@ def zeta_series(counts) -> PowerSeries:
 def series_log(s: PowerSeries) -> PowerSeries:
     """Formal log of a series with constant term 1 (inverse of the exp):
     -s_n / n, from the power sums of the series read as a polynomial."""
+    from fractions import Fraction
+
     if s.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
     return PowerSeries(tuple(Fraction(-s_n, n) if n else Fraction(0)
@@ -96,6 +98,8 @@ def series_log(s: PowerSeries) -> PowerSeries:
 def expand_rational(num, den, order: int) -> PowerSeries:
     """Series of num(t)/den(t) to the given order; den(0) must be 1, so
     c_m = num_m - sum_{j>=1} den_j c_{m-j}."""
+    from fractions import Fraction
+
     num = [Fraction(c) for c in num] + [Fraction(0)] * (order + 1 - len(num))
     den = [Fraction(c) for c in den]
     if not den or den[0] != 1:
@@ -164,10 +168,3 @@ def rational_reconstruct(series: PowerSeries, num_degree: int, den,
         raise ValueError("zeta series must start at 1")
     counts = [-s_n for s_n in _newton_power_sums(series.coeffs, series.order)[1:]]
     return zeta_from_counts(counts, num_degree, den, base_q)
-
-
-def trace_formula_count(alpha_table, n: int) -> int:
-    """Signed eigenvalue-power sum: sum_k (-1)^k sum_i alpha_ik^n, exactly,
-    from each weight's float eigenvalues rounded to prod (1 - alpha t)."""
-    return _signed_count(((k, _integer_poly(alphas))
-                          for k, alphas in dict(alpha_table).items() if len(alphas)), n)

@@ -167,18 +167,17 @@ def test_criterion_06_genus_two():
 
 
 def _random_motive(rng, base_q, max_weight=3, max_atoms=3):
+    # atoms 1 -+ q^(k/2) t (even k) and 1 - a t + q^k t^2, |a| <= 2 q^(k/2)
     pieces = {}
     for _ in range(rng.randint(1, max_atoms)):
         k = rng.randint(0, max_weight)
         qk = base_q ** k
         if k % 2 == 0 and rng.random() < 0.4:
-            pieces.setdefault(k, []).append(
-                complex(base_q ** (k // 2) * rng.choice([1, -1])))
-            continue
-        bound = math.isqrt(4 * qk)
-        a = rng.randint(-bound, bound)
-        alpha = complex(a / 2, math.sqrt(4 * qk - a * a) / 2)
-        pieces.setdefault(k, []).extend([alpha, alpha.conjugate()])
+            atom = (1, -base_q ** (k // 2) * rng.choice([1, -1]))
+        else:
+            bound = math.isqrt(4 * qk)
+            atom = (1, -rng.randint(-bound, bound), qk)
+        pieces[k] = tuple(int(c) for c in np.convolve(pieces.get(k, (1,)), atom))
     return make_motive(base_q, pieces)
 
 

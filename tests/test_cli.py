@@ -581,12 +581,12 @@ print(sorted(m for m in sys.modules
 """
 
 
-# the package modules a command loads, and fractions where it loads
+# the package modules a command loads
 CLI = ["motives", "motives.cli"]
 PSPACE = CLI + ["motives.finite_field", "motives.variety"]
-PREDICT = PSPACE + ["motives.weil"]
+PREDICT = CLI + ["motives.finite_field", "motives.weil"]
 MOTIVE = PREDICT + ["motives.motive"]
-ZETA = PREDICT + ["motives.zeta", "fractions"]
+ZETA = PSPACE + ["motives.weil", "motives.zeta"]
 
 # each probe: the module a fresh interpreter imports, then the command it runs,
 # if any, and the package modules it loads
@@ -615,7 +615,7 @@ NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
 def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, modules, tmp_path):
     # numpy only on the array paths; scipy and the worker pool on none of these,
     # and ctypes on none of the numpy-free ones.  Each command loads only its own
-    # package modules, fractions only with zeta, and dataclasses never.
+    # package modules, and fractions and dataclasses never.
     (tmp_path / "curve.txt").write_text(CURVE_TEXT)
     (tmp_path / "zero.txt").write_text("x^0 - 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
@@ -625,7 +625,7 @@ def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, modules, t
     assert done.stdout == f"{loaded}\n{sorted(modules)}\n"
 
 
-# the package's public names: 45 re-exports and the six submodules that define them
+# the package's public names: 43 re-exports and the six submodules that define them
 PACKAGE_ALL = [
     "CountSequence", "FFElement", "FieldSpec", "Motive", "PolySystem",
     "PowerSeries", "PrimeCounter", "RationalZeta", "WeilNumbers", "ZeroTable",
@@ -636,7 +636,7 @@ PACKAGE_ALL = [
     "load_zeros", "make_field", "make_motive", "mobius", "motive", "motive_of_elliptic_curve",
     "motive_of_projective_space", "parse_poly_system", "point_count", "predict_affine_count",
     "rational_reconstruct", "rh_bound_ratio", "riemann_approx", "sieve_pi", "tensor",
-    "trace_formula_count", "unit_motive", "variety", "verify_weil_rh", "weil",
+    "unit_motive", "variety", "weil",
     "weil_numbers_from_counts", "zero_motive", "zeta", "zeta_from_counts", "zeta_series",
 ]
 SUBMODULES = ["explicit_formula", "finite_field", "motive", "variety", "weil", "zeta"]

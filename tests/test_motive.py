@@ -1,12 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from motives.finite_field import is_prime, make_field
 from motives.variety import count_projective_space
-from motives.weil import hasse_alpha
-from motives.zeta import trace_formula_count
+from motives.weil import hasse_alpha, is_weil_polynomial
 from motives.motive import (
     Motive,
     direct_sum,
@@ -26,22 +26,19 @@ EXPECTED_CURVE_COUNTS = (4, 4, 4, 24, 24, 64, 144, 224, 544, 1024, 1984, 4224)
 
 
 def random_motive(rng, base_q, max_weight=3, max_atoms=3):
-    """Conjugation-closed pieces with integer power sums: each atom is a
-    conjugate pair with integer trace a, |a| <= 2*q^(k/2), or a real
-    eigenvalue +-q^(k/2) for even k."""
+    """Pure integer pieces: each atom is a pair 1 - a t + q^k t^2 with
+    integer trace a, |a| <= 2*q^(k/2), or a real eigenvalue +-q^(k/2),
+    1 -+ q^(k/2) t, for even k."""
     pieces = {}
     for _ in range(rng.randint(1, max_atoms)):
         k = rng.randint(0, max_weight)
         qk = base_q ** k
         if k % 2 == 0 and rng.random() < 0.4:
-            val = base_q ** (k // 2) * rng.choice([1, -1])
-            pieces.setdefault(k, []).append(complex(val))
-            continue
-        bound = math.isqrt(4 * qk)
-        a = rng.randint(-bound, bound)
-        disc = 4 * qk - a * a
-        alpha = complex(a / 2, math.sqrt(disc) / 2)
-        pieces.setdefault(k, []).extend([alpha, alpha.conjugate()])
+            atom = (1, -base_q ** (k // 2) * rng.choice([1, -1]))
+        else:
+            bound = math.isqrt(4 * qk)
+            atom = (1, -rng.randint(-bound, bound), qk)
+        pieces[k] = tuple(int(c) for c in np.convolve(pieces.get(k, (1,)), atom))
     return make_motive(base_q, pieces)
 
 
@@ -131,14 +128,50 @@ def test_elliptic_motive_zero_trace():
 
 def test_purity_rejected():
     with pytest.raises(ValueError, match="purity"):
-        make_motive(2, {1: (complex(1, 0.5), complex(1, -0.5))})
+        make_motive(2, {1: (1, -3, 2)})  # eigenvalues 1 and 2
     with pytest.raises(ValueError, match="purity"):
-        make_motive(3, {2: (2,)})
+        make_motive(3, {2: (1, -2)})
+    with pytest.raises(ValueError, match="purity"):
+        make_motive(5, {0: (1, -1, -1)})  # the golden ratio and its conjugate
 
 
 def test_conjugation_closure_rejected():
-    with pytest.raises(ValueError, match="conjugation"):
-        make_motive(2, {1: (complex(-1, 1),)})
+    # the lone eigenvalue -1 + i has the non-real polynomial 1 + (1 - i) t
+    with pytest.raises(ValueError, match="^weight 1 coefficients must be integers$"):
+        make_motive(2, {1: (1, 1 - 1j)})
+
+
+@pytest.mark.parametrize("pieces, message", [
+    ({1: (1, 2.0, 2)}, "^weight 1 coefficients must be integers$"),
+    ({0: (1, -1), 2: (1, -2.0)}, "^weight 2 coefficients must be integers$"),
+    ({1: (2, 4, 4)}, "^weight 1 piece must have constant term 1$"),
+    ({1: (-1, -2, -2)}, "^weight 1 piece must have constant term 1$"),
+    ({1: ()}, "^weight 1 piece must have constant term 1$"),
+])
+def test_make_motive_refuses_floats_and_constant_terms_other_than_1(pieces, message):
+    with pytest.raises(ValueError, match=message):
+        make_motive(2, pieces)
+
+
+def test_make_motive_accepts_exactly_the_weil_polynomials():
+    for q in (2, 3, 4):
+        for k in (0, 1, 2, 3):
+            qk = q ** k
+            bound = 2 * math.isqrt(qk) + 2
+            for b1 in range(-bound, bound + 1):
+                for b2 in (-qk, 0, qk, b1, b1 * b1 // 4, qk + 1):
+                    poly = (1, b1, b2)
+                    try:
+                        m = make_motive(q, {k: poly})
+                    except ValueError as e:
+                        assert not is_weil_polynomial(poly, qk), (q, k, poly)
+                        assert str(e).startswith("purity violated")
+                    else:
+                        assert is_weil_polynomial(poly, qk), (q, k, poly)
+                        assert m.pieces == ((k, poly),)
+                        assert point_count(m, 1) == (-1) ** k * -b1
+    assert make_motive(2, {0: (1,), 1: (1, 2, 2)}).pieces == ((1, (1, 2, 2)),)
+    assert make_motive(7, {}) == zero_motive(7)
 
 
 def test_base_mismatch_rejected():
@@ -238,23 +271,6 @@ def test_elliptic_tensor_products_multiply_past_float_precision():
                 assert point_count(t, n) == want
 
 
-def test_float_table_refused_at_float_precision():
-    # a float eigenvalue table is rounded to integer polynomials; from 2^33
-    # on doubles are spaced wider than the 1e-6 integrality tolerance, so a
-    # table reaching 2^33 (and in particular 2^53) is refused
-    assert trace_formula_count({2: (float(2 ** 32),)}, 2) == 2 ** 64
-    for big in (2 ** 33, 2 ** 53):
-        with pytest.raises(ValueError, match="exceeds float precision"):
-            trace_formula_count({2: (float(big),)}, 1)
-    # at 2^52 a double pins each pair's polynomial only to within +-1
-    rng = random.Random(52)
-    q = 2 ** 52
-    for a in (rng.randint(-2 ** 26, 2 ** 26) for _ in range(50)):
-        alpha = complex(a / 2, math.sqrt(4 * q - a * a) / 2)
-        with pytest.raises(ValueError, match="exceeds float precision"):
-            make_motive(q, {1: (alpha, alpha.conjugate())})
-
-
 @pytest.mark.parametrize("label", ["P^3", "elliptic", "tensor"])
 def test_point_counts_match_point_count(label):
     elliptic = motive_of_elliptic_curve(hasse_alpha(101, 96))
@@ -263,3 +279,6 @@ def test_point_counts_match_point_count(label):
          "tensor": tensor(elliptic, motive_of_projective_space(2, 101))}[label]
     assert point_counts(m, 60) == [point_count(m, n) for n in range(1, 61)]
     assert point_counts(m, 0) == []
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            point_count(m, n)

@@ -19,12 +19,10 @@ from motives.variety import CountSequence, affine_count_sequence, parse_poly_sys
 from motives.weil import (
     WeilNumbers,
     _is_psd,
-    _reciprocal_roots,
     correction_term,
     hasse_alpha,
     is_weil_polynomial,
     predict_affine_count,
-    verify_weil_rh,
     weil_numbers_from_counts,
 )
 
@@ -234,8 +232,7 @@ def test_weil_round_trip_synthetic_traces():
             n1 = p + 1 - a
             wn = weil_numbers_from_counts(p, 1, CountSequence(p, (n1,), projective_flag=True))
             assert wn.predict_projective_count(1) == n1
-            ok, dev = verify_weil_rh(wn.roots, p, 1)
-            assert ok, (p, a, dev)
+            assert wn.coeffs == (1, -a, p) and is_weil_polynomial(wn.coeffs, p), (p, a)
 
 
 def test_weil_numbers_input_validation():
@@ -248,17 +245,6 @@ def test_weil_numbers_input_validation():
     with pytest.raises(ValueError, match="Weil bound violated"):
         # N_1 = 12 over p=2 gives trace -9, far outside 2*sqrt(2)
         weil_numbers_from_counts(2, 1, CountSequence(2, (12,), projective_flag=True))
-
-
-def test_verify_weil_rh_examples():
-    ok, dev = verify_weil_rh([complex(-1, 1), complex(-1, -1)], 2, 1)
-    assert ok and dev < 1e-12
-    ok, _ = verify_weil_rh([1], 97, 0)
-    assert ok
-    ok, _ = verify_weil_rh([3], 3, 2)
-    assert ok
-    ok, dev = verify_weil_rh([complex(1.5, 0)], 2, 1)
-    assert not ok and dev > 0.05
 
 
 def test_weil_numbers_refuse_a_trace_past_the_hasse_bound():
@@ -362,10 +348,8 @@ def test_pinned_refusals(coeffs, q):
     assert not is_weil_polynomial(coeffs, q)
     with pytest.raises(ValueError, match="^Weil bound violated$"):
         WeilNumbers(q, coeffs)
-    roots = _reciprocal_roots(coeffs)
-    roots += [0j] * (len(coeffs) - 1 - len(roots))  # the alpha = 0 it leaves out
     with pytest.raises(ValueError, match=r"^purity violated: eigenvalue modulus is not q\^\(k/2\)$"):
-        make_motive(q, {1: roots})
+        make_motive(q, {1: coeffs})
 
 
 @pytest.mark.parametrize("coeffs, q_k", [

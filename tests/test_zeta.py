@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motives.motive import make_motive, point_count
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
-from motives.weil import _reciprocal_roots, _root_key, verify_weil_rh
+from motives.weil import _reciprocal_roots, _root_key, is_weil_polynomial
 from motives.zeta import (
     PowerSeries,
     RationalZeta,
@@ -15,7 +16,6 @@ from motives.zeta import (
     expand_rational,
     rational_reconstruct,
     series_log,
-    trace_formula_count,
     zeta_from_counts,
     zeta_series,
 )
@@ -75,8 +75,7 @@ def test_rational_reconstruct_elliptic():
     assert [round(r.real) for r in table[2]] == [2]
     for r in table[1]:
         assert abs(abs(r) - math.sqrt(2)) < 1e-9
-    ok, _ = verify_weil_rh(table[1], 2, 1)
-    assert ok
+    assert is_weil_polynomial(rz.numerator, 2)
 
 
 def test_rational_reconstruct_projective_line():
@@ -94,8 +93,7 @@ def test_rational_reconstruct_genus_two_symmetry():
     b = rz.numerator
     for j in range(2):
         assert b[4 - j] == 2 ** (2 - j) * b[j]
-    ok, dev = verify_weil_rh(rz.weight_table()[1], 2, 1)
-    assert ok, dev
+    assert is_weil_polynomial(b, 2), b
 
 
 def test_reconstruction_round_trip():
@@ -163,37 +161,20 @@ def test_assign_weight():
         assign_weight(1.2 + 0j, 4)
 
 
-def test_trace_formula_elliptic():
-    table = {0: (1 + 0j,), 1: (complex(-1, 1), complex(-1, -1)), 2: (2 + 0j,)}
-    assert trace_formula_count(table, 1) == 5
-    assert trace_formula_count(table, 4) == 25
-    assert trace_formula_count(table, 8) == 225
-
-
-def test_trace_formula_projective_line():
-    for q in (2, 3, 5):
-        table = {0: (1 + 0j,), 2: (q + 0j,)}
-        for n in (1, 2, 3, 7):
-            assert trace_formula_count(table, n) == q ** n + 1
-
-
-def test_trace_formula_empty_table():
-    assert trace_formula_count({}, 1) == 0
-    assert trace_formula_count({}, 5) == 0
-
-
 def test_trace_formula_rejects_non_integral():
-    with pytest.raises(ValueError, match="non-integral"):
-        trace_formula_count({1: (complex(0.3, 1.1),)}, 1)
+    with pytest.raises(ValueError, match="^weight 1 coefficients must be integers$"):
+        make_motive(2, {1: (1, -0.6, 1.3)})  # the pair 0.3 +- 1.1i
     with pytest.raises(ValueError, match="n must be"):
-        trace_formula_count({}, 0)
+        point_count(make_motive(2, {}), 0)
 
 
 def test_trace_formula_matches_reconstructed_counts():
     counts = (5, 5, 5, 25, 25, 65, 145)
     rz = rational_reconstruct(zeta_series(counts), 2, curve_denominator(2), 2)
+    # the denominator (1 - t)(1 - 2t) is the point in weight 0 and the line in weight 2
+    m = make_motive(2, {0: (1, -1), 1: rz.numerator, 2: (1, -2)})
     for n, want in enumerate(counts, start=1):
-        assert trace_formula_count(rz.weight_table(), n) == want
+        assert point_count(m, n) == want
 
 
 # ----------------------------------------------------------------------
