@@ -21,12 +21,16 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Report(NamedTuple):
+    """A handler's result: column names, rows and extra key-value fields.
+    The rows may be lazy, computed as they are taken: `render` reads them
+    once, in order."""
+
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: Iterable[tuple]
     extra: tuple[tuple[str, object], ...] = ()
 
 
@@ -50,10 +54,13 @@ def _str_digit_limit() -> int:
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 
 
-def _check_printable(report: Report) -> None:
-    """Refuse, naming the row, an integer past Python's int-to-str limit."""
+def _printable_rows(report: Report):
+    """report.rows, read once and in order.  A row that holds an integer
+    past Python's int-to-str limit is refused, by name, before it is
+    formatted."""
     limit = _str_digit_limit()
     if not limit:
+        yield from report.rows
         return
     safe_bits = int(limit * 3.3219280948873623) - 1  # 2^safe_bits < 10^limit
     for row in report.rows:
@@ -63,38 +70,32 @@ def _check_printable(report: Report) -> None:
                     f"Exceeds the limit ({limit} digits) for printing an integer: row "
                     f"{report.columns[0]}={row[0]} has a {_digits(v)}-digit {column}; "
                     f"use a smaller --n-max")
-
-
-def _numbered_rows(columns: tuple[str, ...], values, n_max: int) -> tuple:
-    """The rows (n, values(n_max)[n - 1]) for n = 1..n_max.  Under an
-    int-to-str limit, prefixes of doubling length below n_max / 2 are
-    built and checked first, so that a row too long to print is refused
-    before more than four times as many rows are computed."""
-    m = 1
-    while 2 * m < n_max and _str_digit_limit():
-        _check_printable(Report(columns, tuple(enumerate(values(m), start=1))))
-        m *= 2
-    return tuple(enumerate(values(n_max), start=1))
+        yield row
 
 
 def render(report: Report, fmt: str) -> str:
-    _check_printable(report)
+    """The report as csv, json or an aligned table.  Its rows are read once,
+    in order, and each is checked as it is taken, so a row too long to
+    print is refused before any later row is computed and before any row
+    is formatted: an int-to-str conversion costs time quadratic in its
+    digits."""
+    rows = tuple(_printable_rows(report))
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(report.columns)
-        for row in report.rows:
+        for row in rows:
             w.writerow([_fmt_value(v) for v in row])
         return buf.getvalue()
     if fmt == "json":
         payload = {"columns": list(report.columns),
-                   "rows": [list(r) for r in report.rows]}
+                   "rows": [list(r) for r in rows]}
         payload.update({k: v for k, v in report.extra})
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     # table
     lines = [f"{k}: {_fmt_value(v) if not isinstance(v, (list, dict)) else json.dumps(v, sort_keys=True)}"
              for k, v in report.extra]
-    cells = [list(report.columns)] + [[_fmt_value(v) for v in row] for row in report.rows]
+    cells = [list(report.columns)] + [[_fmt_value(v) for v in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(report.columns))]
     for j, r in enumerate(cells):
         lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
@@ -152,9 +153,8 @@ def _cmd_predict(args) -> Report:
         rows = tuple((n, want, c, "ok" if want == c else "MISMATCH")
                      for n, (want, c) in enumerate(zip(predicted, seq.counts), start=1))
         return Report(("n", "predicted", "brute_force", "status"), rows, extra)
-    columns = ("n", "predicted")
-    rows = _numbered_rows(columns, lambda n: predict_affine_counts(alpha, n), args.n_max)
-    return Report(columns, rows, extra)
+    return Report(("n", "predicted"), enumerate(predict_affine_counts(alpha, args.n_max), start=1),
+                  extra)
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
@@ -251,8 +251,7 @@ def _cmd_motive(args) -> Report:
     m = _parse_motive_expr(args.expr, args.q)
     pieces = {str(k): [[r.real, r.imag] for r in roots]
               for k, roots in m.weight_table().items()}
-    rows = _numbered_rows(("n", "count"), lambda n: point_counts(m, n), args.n_max)
-    return Report(("n", "count"), rows,
+    return Report(("n", "count"), enumerate(point_counts(m, args.n_max), start=1),
                   (("base_q", m.base_q), ("pieces", pieces)))
 
 
@@ -281,8 +280,7 @@ def _cmd_pi(args) -> Report:
     limit = max(3, int(math.floor(args.x_max)) + 1)
     pc = ef.PrimeCounter.build(limit)
     grid = ef.half_integer_grid(2.0, args.x_max)
-    rows = tuple((x, pi, li_x, approx) for x, pi, li_x, approx in
-                 ef.approximation_rows(grid, zeros, args.K, pc))
+    rows = ef.approximation_rows(grid, zeros, args.K, pc)
     return Report(("x", "pi", "li", f"approx_{args.K}"), rows,
                   (("zero_pairs", args.K),))
 

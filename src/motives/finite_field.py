@@ -31,7 +31,7 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for m < 3.3e24 (far above our range)."""
     if m < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_WITNESSES:
         if m == sp:
             return True
         if m % sp == 0:
@@ -277,20 +277,15 @@ class FieldSpec(Record):
         return f"FieldSpec(p={self.p}, n={self.n})"
 
 
-class FFElement:
+class FFElement(Record):
     """Element of a FieldSpec: immutable coefficient vector in [0, p)^n."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
         if len(coeffs) != field.n:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FFElement is immutable")
+        super().__init__(field, coeffs)
 
     def _check(self, other: "FFElement"):
         if not isinstance(other, FFElement):
@@ -343,20 +338,6 @@ class FFElement:
         for c in reversed(self.coeffs):
             k = k * self.field.p + c
         return k
-
-    def __eq__(self, other):
-        return (isinstance(other, FFElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.field.p, self.field.n, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        return f"FFElement{self.coeffs}"
 
 
 @functools.lru_cache(maxsize=None)

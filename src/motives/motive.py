@@ -12,10 +12,12 @@ linear-algebra shadow and the count identities are what get verified.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import islice
+from operator import mul
+from typing import Iterator
 
 from .finite_field import Record, prime_root
-from .weil import (WeilNumbers, _newton_coeffs, _newton_power_sums, _reciprocal_roots,
-                   is_weil_polynomial)
+from .weil import WeilNumbers, _newton_coeffs, _power_sums, _reciprocal_roots, is_weil_polynomial
 
 
 class Motive(Record):
@@ -70,15 +72,17 @@ def make_motive(base_q: int, pieces: dict) -> Motive:
 
 
 def _from_power_sums(base_q: int, terms) -> Motive:
-    """The motive whose weight-w power sums add up the terms (w, degree,
-    sums) at weight w, where sums(n) gives s_0..s_n."""
-    degree: dict[int, int] = {}
-    for w, d, _ in terms:
-        degree[w] = degree.get(w, 0) + d
+    """The motive whose weight-w power sums add up the Newton sequences
+    s_0, s_1, ... of the terms (w, sums) at weight w.  Each s_0 is a
+    degree, so their total d says how many more terms to take."""
+    by_weight: dict[int, list] = {}
+    for w, seq in terms:
+        by_weight.setdefault(w, []).append(seq)
     pieces = []
-    for w in sorted(degree):
-        cols = zip(*(sums(degree[w]) for v, _, sums in terms if v == w))
-        pieces.append((w, _newton_coeffs([sum(c) for c in cols], degree[w])))
+    for w in sorted(by_weight):
+        sums = map(sum, zip(*by_weight[w]))
+        d = next(sums)
+        pieces.append((w, _newton_coeffs([d, *islice(sums, d)], d)))
     return Motive(base_q, tuple(pieces))
 
 
@@ -101,20 +105,15 @@ def direct_sum(a: Motive, b: Motive) -> Motive:
     """Weightwise union: power sums add."""
     if a.base_q != b.base_q:
         raise ValueError("base mismatch")
-    return _from_power_sums(a.base_q, [
-        (k, len(x) - 1, lambda n, x=x: _newton_power_sums(x, n))
-        for k, x in a.pieces + b.pieces])
+    return _from_power_sums(a.base_q, [(k, _power_sums(x)) for k, x in a.pieces + b.pieces])
 
 
 def tensor(a: Motive, b: Motive) -> Motive:
     """Weights add, eigenvalues multiply pairwise: power sums multiply."""
     if a.base_q != b.base_q:
         raise ValueError("base mismatch")
-    return _from_power_sums(a.base_q, [
-        (j + k, (len(x) - 1) * (len(y) - 1),
-         lambda n, x=x, y=y: [u * v for u, v in zip(_newton_power_sums(x, n),
-                                                    _newton_power_sums(y, n))])
-        for j, x in a.pieces for k, y in b.pieces])
+    return _from_power_sums(a.base_q, [(j + k, map(mul, _power_sums(x), _power_sums(y)))
+                                       for j, x in a.pieces for k, y in b.pieces])
 
 
 def tensor_power(a: Motive, e: int) -> Motive:
@@ -139,15 +138,13 @@ def point_count(m: Motive, n: int) -> int:
     """Points over F_{q^n} by the signed trace formula, in integers."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return point_counts(m, n)[-1]
+    return next(islice(point_counts(m, n), n - 1, None))
 
 
-def point_counts(m: Motive, n_max: int) -> list[int]:
+def point_counts(m: Motive, n_max: int) -> Iterator[int]:
     """The trace formula sum_k (-1)^k s_n over the weight pieces for
-    n = 1..n_max, from one Newton run per piece."""
-    total = [0] * n_max
-    for k, poly in m.pieces:
-        sign = (-1) ** k
-        for n, s_n in enumerate(_newton_power_sums(poly, n_max)[1:]):
-            total[n] += sign * s_n
-    return total
+    n = 1..n_max in order, each computed only when taken, from one Newton
+    sequence per piece."""
+    pieces = [((-1) ** k, islice(_power_sums(poly), 1, None)) for k, poly in m.pieces]
+    for _ in range(n_max):
+        yield sum(sign * next(sums) for sign, sums in pieces)

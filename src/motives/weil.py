@@ -15,6 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
+from itertools import count, islice
+from operator import mul
+from typing import Iterator
 
 from .finite_field import Record, is_prime, prime_root
 
@@ -48,7 +52,7 @@ class WeilNumbers(Record):
         """s_n = sum of alpha_i^n via the Newton recurrence, exactly."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return _newton_power_sums(self.coeffs, n)[n]
+        return next(islice(_power_sums(self.coeffs), n, None))
 
     def predict_projective_count(self, n: int) -> int:
         return self.p ** n + 1 - self.power_sum(n)
@@ -77,14 +81,14 @@ def predict_affine_count(alpha: WeilNumbers, n: int) -> int:
     return alpha.p ** n - alpha.power_sum(n)
 
 
-def predict_affine_counts(alpha: WeilNumbers, n_max: int) -> list[int]:
-    """The predictions for n = 1..n_max from one Newton run, with p^n
-    carried from row to row rather than raised afresh for each."""
-    out, p_n = [], 1
-    for s_n in _newton_power_sums(alpha.coeffs, n_max)[1:]:
+def predict_affine_counts(alpha: WeilNumbers, n_max: int) -> Iterator[int]:
+    """The predictions for n = 1..n_max in order, each computed only when
+    taken, from one Newton sequence, with p^n carried from row to row
+    rather than raised afresh for each."""
+    p_n = 1
+    for s_n in islice(_power_sums(alpha.coeffs), 1, n_max + 1):
         p_n *= alpha.p
-        out.append(p_n - s_n)
-    return out
+        yield p_n - s_n
 
 
 def correction_term(alpha: WeilNumbers, n: int) -> int:
@@ -92,21 +96,22 @@ def correction_term(alpha: WeilNumbers, n: int) -> int:
     return -alpha.power_sum(n)
 
 
-def _newton_power_sums(coeffs: tuple[int, ...], n_max: int) -> list[int]:
-    """Power sums s_0..s_n_max of the reciprocal roots of sum b_j t^j.
+def _power_sums(coeffs) -> Iterator[int]:
+    """The power sums s_0, s_1, ... of the reciprocal roots of sum b_j t^j,
+    without end: s_0 is the degree, the number of roots, and a caller takes
+    as many terms as it needs with zip or islice.
 
-    Newton's identities, run forward: for n <= deg,
-    s_n = -(n*b_n + sum_{i=1}^{n-1} s_i b_{n-i}); beyond the degree the
-    b-weighted window slides with no n*b_n term.
+    Newton's identities, run forward: s_n = -(n b_n + sum_{j=1}^{n-1}
+    b_j s_{n-j}), where b_j = 0 beyond the degree d, so only the last d
+    power sums are kept.
     """
-    deg = len(coeffs) - 1
-    s = [deg]  # s_0 = number of roots
-    for n in range(1, n_max + 1):
-        acc = n * coeffs[n] if n <= deg else 0
-        for i in range(max(1, n - deg), n):
-            acc += s[i] * coeffs[n - i]
-        s.append(-acc)
-    return s
+    d = len(coeffs) - 1
+    yield d
+    b, recent = coeffs[1:], deque(maxlen=d)  # recent: s_{n-1}, s_{n-2}, ...
+    for n in count(1):
+        s_n = -sum(map(mul, b, recent)) - (n * b[n - 1] if n <= d else 0)
+        recent.appendleft(s_n)
+        yield s_n
 
 
 def _newton_coeffs(s, d: int, refusal: str = "inconsistent counts") -> tuple[int, ...]:
@@ -155,7 +160,7 @@ def is_weil_polynomial(coeffs, q_k: int) -> bool:
     if b[0] != 1 or any(b[d - j] * q_k ** j != b[d] * b[j] for j in range(d + 1)):
         return False
     m = d // 2 + 1
-    s = _newton_power_sums(b, 2 * m)
+    s = list(islice(_power_sums(b), 2 * m + 1))
     t = [sum(math.comb(n, j) * q_k ** min(j, n - j) * s[abs(n - 2 * j)] for j in range(n + 1))
          for n in range(2 * m + 1)]
     return _is_psd([[4 * q_k * u - v for u, v in zip(t[i:i + m], t[i + 2:])] for i in range(m)])
@@ -164,14 +169,17 @@ def is_weil_polynomial(coeffs, q_k: int) -> bool:
 def _reciprocal_roots(coeffs) -> list[complex]:
     """The nonzero alpha of prod (1 - alpha t) = (1, b_1, ..., b_d), sorted.
 
-    Degree 2 takes the closed form (-b_1 -+ sqrt(b_1^2 - 4 b_2)) / 2, so a
-    double root is exact and a conjugate pair (a +- i sqrt(4p - a^2)) / 2 is
-    found without numpy; higher degrees use np.roots.
+    Degree 0 has none.  Degree 2 takes the closed form
+    (-b_1 -+ sqrt(b_1^2 - 4 b_2)) / 2, so a double root is exact and a
+    conjugate pair (a +- i sqrt(4p - a^2)) / 2 is found without numpy;
+    degrees 3 and up use np.roots.
     """
     b = list(coeffs)
     while b and b[-1] == 0:
         b.pop()
-    if len(b) == 2:
+    if len(b) < 2:
+        roots = []
+    elif len(b) == 2:
         roots = [complex(-b[1])]
     elif len(b) == 3:
         r = cmath.sqrt(b[1] * b[1] - 4 * b[2])

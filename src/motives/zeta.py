@@ -12,10 +12,11 @@ assignment, for the roots a RationalZeta reports.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .finite_field import Record, prime_root
 from .variety import CountSequence
-from .weil import _newton_coeffs, _newton_power_sums, _reciprocal_roots, _root_key
+from .weil import _newton_coeffs, _power_sums, _reciprocal_roots, _root_key
 
 WEIGHT_WINDOW = 0.1
 
@@ -92,7 +93,7 @@ def series_log(s: PowerSeries) -> PowerSeries:
     if s.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
     return PowerSeries(tuple(Fraction(-s_n, n) if n else Fraction(0)
-                             for n, s_n in enumerate(_newton_power_sums(s.coeffs, s.order))))
+                             for n, s_n in enumerate(islice(_power_sums(s.coeffs), s.order + 1))))
 
 
 def expand_rational(num, den, order: int) -> PowerSeries:
@@ -151,9 +152,9 @@ def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
     m = len(counts)
     if num_degree < 0 or m < num_degree + len(den) + 1:
         raise ValueError("insufficient or inconsistent counts")
-    s = [a - b for a, b in zip(_newton_power_sums(den, m), (0, *counts))]
+    s = [a - b for a, b in zip(_power_sums(den), (0, *counts))]
     num = _newton_coeffs(s, num_degree, "not rational of declared shape")
-    if _newton_power_sums(num, m)[num_degree + 1:] != s[num_degree + 1:]:
+    if list(islice(_power_sums(num), num_degree + 1, m + 1)) != s[num_degree + 1:]:
         raise ValueError("insufficient or inconsistent counts")
     return RationalZeta(num, den, base_q)
 
@@ -166,5 +167,5 @@ def rational_reconstruct(series: PowerSeries, num_degree: int, den,
     den = _denominator(den)
     if series.coeffs[0] != 1:
         raise ValueError("zeta series must start at 1")
-    counts = [-s_n for s_n in _newton_power_sums(series.coeffs, series.order)[1:]]
+    counts = [-s_n for s_n in islice(_power_sums(series.coeffs), 1, series.order + 1)]
     return zeta_from_counts(counts, num_degree, den, base_q)

@@ -429,6 +429,37 @@ def test_count_too_long_to_print_names_the_row(capsys):
                    "row n=2146 has a 4302-digit predicted; use a smaller --n-max\n")
 
 
+def test_each_row_is_computed_once(capsys, monkeypatch):
+    # a report's rows are computed in order as they are printed, so a refused
+    # command stops at the first row too long to print, row 2146 here
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    from motives import weil
+
+    taken = []
+
+    def counted(values):
+        def wrapper(*args):
+            for v in values(*args):
+                taken[-1] += 1
+                yield v
+        return wrapper
+
+    monkeypatch.setattr(weil, "predict_affine_counts", counted(weil.predict_affine_counts))
+    monkeypatch.setattr(motive, "point_counts", counted(motive.point_counts))
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv, status in (("predict --p 101 --n1 96 --n-max 100000", 1),
+                             ("motive --expr 'elliptic a=5 p=101' --n-max 20000", 1),
+                             ("predict --p 2 --n1 4 --n-max 300", 0)):
+            taken.append(0)
+            assert run_cli(shlex.split(argv), capsys)[0] == status
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert taken == [2146, 2146, 300]
+
+
 def test_print_limit_zero_cuts_no_row(capsys):
     # with no int-to-str limit every row is built and printed
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -598,6 +629,7 @@ NUMPY_FREE = {
     "motives.cli motive --expr 'elliptic a=-2 p=2'": MOTIVE,
     "motives.cli predict --p 101 --n1 96 --n-max 300": PREDICT,
     "motives.cli zeta --p 2 --counts 5,5,5,25,25,65,145": ZETA,
+    "motives.cli zeta --p 2 --counts 3,5,9,17,33 --genus 0": ZETA,  # P^1: numerator 1
     "motives.cli pspace --dim 2 --q 4 --n-max 2": PSPACE,
     "motives.cli count --poly zero.txt --p 2 --n-max 3": PSPACE,  # x^0 - 1 is the zero polynomial
 }

@@ -8,6 +8,7 @@ import pytest
 
 from motives.explicit_formula import PrimeCounter, ZeroTable
 from motives.finite_field import (
+    FFElement,
     FieldSpec,
     arith,
     enumerate_elements,
@@ -293,6 +294,8 @@ FLAGS = np.array([False, False, True, True])
 # defaults of the parameters the first leaves out
 RECORDS = [
     (FieldSpec, dict(p=2, n=2, modulus=(1, 1, 1)), dict(p=3, n=2, modulus=(1, 1, 1)), {}),
+    (FFElement, dict(field=make_field(3, 2), coeffs=(1, 2)),
+     dict(field=make_field(3, 2), coeffs=(2, 1)), {}),
     (PolySystem, dict(num_vars=2, polys=((((0, 2), 1), ((3, 0), -1)),)),
      dict(num_vars=2, polys=()), {}),
     (CountSequence, dict(p=2, counts=(5, 5)), dict(p=2, counts=(5, 5), projective_flag=True),

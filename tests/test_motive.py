@@ -117,7 +117,7 @@ def test_elliptic_motive_takes_the_pair_unchanged():
             m = motive_of_elliptic_curve(hasse_alpha(p, p - a))
             assert m == Motive(p, ((0, (1, -1)), (1, (1, -a, p)), (2, (1, -p))))
             s = trace_powers(a, p, 8)
-            assert point_counts(m, 8) == [p ** n + 1 - s[n] for n in range(1, 9)]
+            assert list(point_counts(m, 8)) == [p ** n + 1 - s[n] for n in range(1, 9)]
 
 
 def test_elliptic_motive_zero_trace():
@@ -192,7 +192,7 @@ def test_base_must_be_a_prime_power(q):
 @pytest.mark.parametrize("q", [2 ** 31, 3 ** 16, 8191])
 def test_every_prime_power_base_is_accepted(q):
     assert Motive(q, ()).base_q == q
-    assert point_counts(lefschetz_motive(q), 2) == [q, q * q]
+    assert list(point_counts(lefschetz_motive(q), 2)) == [q, q * q]
 
 
 def test_weight_validation():
@@ -277,8 +277,8 @@ def test_point_counts_match_point_count(label):
     m = {"P^3": motive_of_projective_space(3, 2),
          "elliptic": elliptic,
          "tensor": tensor(elliptic, motive_of_projective_space(2, 101))}[label]
-    assert point_counts(m, 60) == [point_count(m, n) for n in range(1, 61)]
-    assert point_counts(m, 0) == []
+    assert list(point_counts(m, 60)) == [point_count(m, n) for n in range(1, 61)]
+    assert list(point_counts(m, 0)) == []
     for n in (0, -1):
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             point_count(m, n)
