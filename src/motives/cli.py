@@ -88,8 +88,7 @@ def render(report: Report, fmt: str) -> str:
             w.writerow([_fmt_value(v) for v in row])
         return buf.getvalue()
     if fmt == "json":
-        payload = {"columns": list(report.columns),
-                   "rows": [list(r) for r in rows]}
+        payload = {"columns": list(report.columns), "rows": rows}
         payload.update({k: v for k, v in report.extra})
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     # table

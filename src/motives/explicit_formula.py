@@ -12,7 +12,9 @@ from a text file and validated, never computed here.
 
 Every integral here -- li, its integer grid, the archimedean tail and
 the complex terms li(y^rho) -- uses one rule: 16-node Gauss-Legendre on
-each panel of a fixed partition.  Where an integrand is singular or varies
+each panel of a fixed partition.  Its nodes and weights are tabled
+constants, equal bit for bit to numpy's leggauss(16), so this module
+loads numpy's core only.  Where an integrand is singular or varies
 on a tiny scale, panels halve geometrically toward that end; the
 singularity of li at t = 1 is removed by a symmetric fold, and li(y^rho)
 reduces to an exponential integral along a horizontal ray.
@@ -95,7 +97,19 @@ def sieve_pi(x: float, pc: PrimeCounter) -> int:
 # ----------------------------------------------------------------------
 # logarithmic integral
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-node Gauss-Legendre rule on [-1, 1]: numpy's
+# np.polynomial.legendre.leggauss(16) bit for bit, which is exactly
+# symmetric, so its positive half is tabled and mirrored.
+_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176])
+_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 _DEPTH = 40  # panels per graded end; the last two span 2^-39 of it each
 _BLOCK = 2 ** 15  # float64 elements in the reused workspace of a pass, which
                   # holds its per-node temporaries: 256 KB

@@ -19,6 +19,12 @@ from typing import Iterator
 from .finite_field import Record, prime_root
 from .weil import WeilNumbers, _newton_coeffs, _power_sums, _reciprocal_roots, is_weil_polynomial
 
+# The largest degree of a tensor product's piece: Newton's identities cost
+# time quadratic in it, on integers of thousands of digits.  A piece of
+# degree 252 (the fifth power of an elliptic curve's motive over F_101)
+# takes about 0.2 s, one of degree 420 about 4 s.
+TENSOR_DEGREE_LIMIT = 256
+
 
 class Motive(Record):
     """Weight -> eigenvalue polynomial over the field with base_q elements."""
@@ -108,17 +114,39 @@ def direct_sum(a: Motive, b: Motive) -> Motive:
     return _from_power_sums(a.base_q, [(k, _power_sums(x)) for k, x in a.pieces + b.pieces])
 
 
+def _degrees(m: Motive) -> dict[int, int]:
+    return {k: len(poly) - 1 for k, poly in m.pieces}
+
+
+def _product_degrees(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Weight -> degree of the tensor product of pieces of these degrees,
+    the sum over j + k = w of d_j d_k; refused past TENSOR_DEGREE_LIMIT."""
+    out: dict[int, int] = {}
+    for j, x in a.items():
+        for k, y in b.items():
+            out[j + k] = out.get(j + k, 0) + x * y
+    w, d = max(out.items(), key=lambda piece: piece[1], default=(0, 0))
+    if d > TENSOR_DEGREE_LIMIT:
+        raise ValueError(f"tensor product piece of weight {w} has degree {d}, "
+                         f"past the limit of {TENSOR_DEGREE_LIMIT}")
+    return out
+
+
 def tensor(a: Motive, b: Motive) -> Motive:
     """Weights add, eigenvalues multiply pairwise: power sums multiply."""
     if a.base_q != b.base_q:
         raise ValueError("base mismatch")
+    _product_degrees(_degrees(a), _degrees(b))
     return _from_power_sums(a.base_q, [(j + k, map(mul, _power_sums(x), _power_sums(y)))
                                        for j, x in a.pieces for k, y in b.pieces])
 
 
 def tensor_power(a: Motive, e: int) -> Motive:
+    """a tensored with itself e times, refused before any factor is built
+    if a piece of it would pass TENSOR_DEGREE_LIMIT."""
     if e < 0:
         raise ValueError("negative tensor power")
+    reduce(_product_degrees, [_degrees(a)] * e, {0: 1})
     return reduce(tensor, [a] * e, unit_motive(a.base_q))
 
 

@@ -603,7 +603,8 @@ if sys.argv[2:]:
     from motives.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[2:]) == 0
-watched = ("numpy", "scipy", "concurrent.futures.process", "multiprocessing")
+watched = ("numpy", "numpy.polynomial", "scipy", "concurrent.futures.process",
+           "multiprocessing")
 if "numpy" not in sys.modules:  # numpy itself loads ctypes
     watched += ("ctypes",)
 print(sorted(m for m in watched if m in sys.modules))
@@ -645,9 +646,9 @@ NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
                          + [(c, ["numpy"], m) for c, m in NUMPY_PATHS.items()],
                          ids=[*NUMPY_FREE, *NUMPY_PATHS])
 def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, modules, tmp_path):
-    # numpy only on the array paths; scipy and the worker pool on none of these,
-    # and ctypes on none of the numpy-free ones.  Each command loads only its own
-    # package modules, and fractions and dataclasses never.
+    # numpy only on the array paths; numpy.polynomial, scipy and the worker pool
+    # on none of these, and ctypes on none of the numpy-free ones.  Each command
+    # loads only its own package modules, and fractions and dataclasses never.
     (tmp_path / "curve.txt").write_text(CURVE_TEXT)
     (tmp_path / "zero.txt").write_text("x^0 - 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))

@@ -144,6 +144,16 @@ def test_mobius_small_values():
 # ----------------------------------------------------------------------
 # logarithmic integral
 
+def test_tabled_rule_is_numpys_leggauss_bit_for_bit():
+    # the tabled nodes and weights, compared as bit patterns, with the
+    # dtype, shape and layout every `@ _WEIGHTS` product rounds with
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for tabled, want in [(ef._NODES, nodes), (ef._WEIGHTS, weights)]:
+        assert (tabled.dtype, tabled.shape) == (np.float64, (16,))
+        assert tabled.flags.c_contiguous
+        assert tabled.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_li_oracle_values():
     for x, want in LI_ORACLE.items():
         assert abs(li(x) - want) < 1e-9, x

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from motives.finite_field import is_prime, make_field
 from motives.variety import count_projective_space
 from motives.weil import hasse_alpha, is_weil_polynomial
 from motives.motive import (
+    TENSOR_DEGREE_LIMIT,
     Motive,
     direct_sum,
     lefschetz_motive,
@@ -255,6 +257,24 @@ def test_exact_counts_pinned():
     cube = tensor_power(e, 3)
     assert [cube.betti(k) for k in range(7)] == [1, 6, 15, 20, 15, 6, 1]
     assert point_count(cube, 3) == 1098120979493725888 == 1031692 ** 3
+
+
+def test_tensor_power_past_the_degree_limit_is_refused_before_it_is_built():
+    # the sixth power's middle piece has degree C(12, 6) = 924, which would
+    # take about 46 s; the refusal comes before the first factor is built
+    e = motive_of_elliptic_curve(hasse_alpha(101, 96))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^tensor product piece of weight 6 has degree 924, "
+                                         "past the limit of 256$"):
+        tensor_power(e, 6)
+    assert time.perf_counter() - start < 0.1
+    fifth = tensor_power(e, 5)
+    assert max(fifth.betti(k) for k in range(11)) == 252 <= TENSOR_DEGREE_LIMIT
+    assert point_count(fifth, 1) == 97 ** 5
+    with pytest.raises(ValueError, match="degree 924"):
+        tensor(fifth, e)
+    # pieces of degree 1 stay of degree 1 however high the power
+    assert tensor_power(lefschetz_motive(2), 1023).pieces == ((2046, (1, -2 ** 1023)),)
 
 
 def test_elliptic_tensor_products_multiply_past_float_precision():
