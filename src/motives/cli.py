@@ -176,15 +176,12 @@ def _cmd_zeta(args) -> Report:
     genus = args.genus if args.genus is not None else \
         max(1, (len(seq.counts) - 4) // 2)
     rz = zeta_from_counts(seq.counts, 2 * genus, curve_denominator(p), p)
-    rows = []
-    for k, roots in rz.roots_by_weight:
-        for r in roots:
-            rows.append((k, r.real, r.imag, abs(r)))
+    rows = tuple((k, r.real, r.imag, abs(r)) for k, roots in rz.weight_table().items() for r in roots)
     numerator = format_poly([((j,), c) for j, c in enumerate(rz.numerator) if c], ("t",))
     extra = (("numerator", list(rz.numerator)),
              ("denominator", list(rz.denominator)),
              ("display", f"({numerator}) / ((1 - t)(1 - {p} t))"))
-    return Report(("weight", "re", "im", "abs"), tuple(rows), extra)
+    return Report(("weight", "re", "im", "abs"), rows, extra)
 
 
 def _parse_motive_expr(expr: str, q: int | None):

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterator
 
 from .finite_field import Record, prime_root
-from .weil import WeilNumbers, _newton_coeffs, _power_sums, _reciprocal_roots, is_weil_polynomial
+from .weil import WeilNumbers, _newton_coeffs, _power_sums, is_weil_polynomial, weight_roots
 
 # The largest degree of a tensor product's piece: Newton's identities cost
 # time quadratic in it, on integers of thousands of digits.  A piece of
@@ -42,14 +42,7 @@ class Motive(Record):
         super().__init__(base_q, pieces)
 
     def weight_table(self) -> dict[int, tuple[complex, ...]]:
-        table = {}
-        for k, poly in self.pieces:
-            try:
-                table[k] = tuple(_reciprocal_roots(poly))
-            except OverflowError:
-                raise ValueError(f"weight {k} eigenvalues exceed the float "
-                                 "range") from None
-        return table
+        return weight_roots(self.pieces)
 
     def betti(self, k: int) -> int:
         return len(dict(self.pieces).get(k, (1,))) - 1

@@ -5,10 +5,10 @@ s_n is the n-th power sum of a conjugate pair of eigenvalues of modulus
 sqrt(p); for a genus-g curve the projective count is p^n + 1 - s_n with
 2g eigenvalues.  Polynomials are integer tuples (1, b_1, ..., b_d) =
 prod (1 - alpha t), and Newton's identities turn them into exact power
-sums and back for the zeta and motive modules too.  Whether such a
-polynomial is pure, every |alpha|^2 = q^k, is decided in integers by
-`is_weil_polynomial`.  Complex floats appear only in reported
-eigenvalues, which `WeilNumbers` derives from its integer polynomial.
+sums and back for the zeta and motive modules too.  `is_weil_polynomial`
+decides in integers whether such a polynomial is pure, every |alpha|^2 =
+q^k, and `weight_pieces` splits one into pure pieces.  Complex floats
+appear only in reported eigenvalues, derived from integer polynomials.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 from operator import mul
 from typing import Iterator
 
-from .finite_field import Record, is_prime, prime_root
+from .finite_field import Record, _trim, is_prime, prime_root
 
 
 class WeilNumbers(Record):
@@ -166,6 +166,63 @@ def is_weil_polynomial(coeffs, q_k: int) -> bool:
     return _is_psd([[4 * q_k * u - v for u, v in zip(t[i:i + m], t[i + 2:])] for i in range(m)])
 
 
+def _gcd(a, b, modulus: int = 0) -> tuple[int, ...]:
+    """The gcd of integer polynomials with nonzero constant terms, a's 1, or
+    with a prime modulus one of the degree of their gcd over F_modulus: each
+    step cancels the longer one's constant term and divides out t."""
+    while b:
+        if len(a) < len(b):
+            a, b = b, a
+        c = [b[0] * x - a[0] * y for x, y in zip_longest(a, b, fillvalue=0)]
+        c = [x % modulus for x in c] if modulus else c
+        while c and not c[0]:
+            del c[0]
+        g = math.gcd(*c)
+        a, b = b, [x // g for x in _trim(c)]
+    return tuple(x // a[0] for x in a)
+
+
+def weight_pieces(coeffs, q: int, name: str = "polynomial") -> dict[int, tuple[int, ...]]:
+    """Weight k -> the integer factor of prod (1 - alpha t) = coeffs whose
+    alpha have |alpha|^2 = q^k (q >= 2), certified by is_weil_polynomial;
+    an alpha of no weight refuses the whole, and zero alpha are left out.
+
+    From the top weight of Fujiwara's bound |alpha| <= 2 max |b_j|^(1/j)
+    down, every alpha left has |alpha|^2 <= q^k, so weight k's piece is the
+    gcd of the rest, of degree d, and its image sum b_(d-i) q^(ki) t^i under
+    alpha -> q^k / conj(alpha); taken first mod the prime ell, it keeps its
+    degree there if the rest is a product of pieces (b_d = +-p^m)."""
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError(f"{name} must have constant term 1")
+    rest, ell, pieces = _trim(list(coeffs)), 2 ** 61 - 1, {}
+    top = next(k for k in count() if all(4 ** j * b * b <= q ** (k * j) for j, b in enumerate(rest)))
+    for k in range(top, -1, -1):
+        d, low = len(rest) - 1, [b % ell for b in rest]
+        if q % ell and len(_gcd(low, [low[d - i] * pow(q, k * i, ell) % ell
+                                      for i in range(d + 1)], ell)) == 1:
+            continue
+        piece = _gcd(rest, [rest[d - i] * q ** (k * i) for i in range(d + 1)])
+        if not is_weil_polynomial(piece, q ** k):
+            raise ValueError(f"{name} is not a product of Weil polynomials")
+        sums = islice(zip(_power_sums(rest), _power_sums(piece)), d - len(piece) + 2)
+        pieces[k], rest = piece, _newton_coeffs([a - b for a, b in sums], d - len(piece) + 1)
+    if len(rest) > 1:
+        raise ValueError(f"{name} is not a product of Weil polynomials")
+    return {k: piece for k, piece in sorted(pieces.items()) if len(piece) > 1}
+
+
+def weight_roots(pieces) -> dict[int, tuple[complex, ...]]:
+    """Weight -> the sorted reciprocal roots of its pieces (k, poly), for display."""
+    table: dict[int, tuple[complex, ...]] = {}
+    for k, poly in pieces:
+        try:
+            roots = _reciprocal_roots(poly)
+        except OverflowError:
+            raise ValueError(f"weight {k} eigenvalues exceed the float range") from None
+        table[k] = tuple(sorted((*table.get(k, ()), *roots), key=_root_key))
+    return dict(sorted(table.items()))
+
+
 def _reciprocal_roots(coeffs) -> list[complex]:
     """The nonzero alpha of prod (1 - alpha t) = (1, b_1, ..., b_d), sorted.
 
@@ -174,9 +231,7 @@ def _reciprocal_roots(coeffs) -> list[complex]:
     conjugate pair (a +- i sqrt(4p - a^2)) / 2 is found without numpy;
     degrees 3 and up use np.roots.
     """
-    b = list(coeffs)
-    while b and b[-1] == 0:
-        b.pop()
+    b = _trim(list(coeffs))
     if len(b) < 2:
         roots = []
     elif len(b) == 2:

@@ -5,20 +5,18 @@ series with exact rational coefficients.  Reconstruction against a known
 denominator runs in integers through the Newton core of motives.weil:
 the numerator's reciprocal roots have power sums s_n(den) - N_n, so its
 coefficients are exact integers or the input was not rational of the
-declared shape.  Floating point enters only at root finding and weight
-assignment, for the roots a RationalZeta reports.
+declared shape.  Both polynomials split by weight into integer pieces
+that weil.weight_pieces certifies pure; floating point enters only at
+the roots a RationalZeta reports, for display.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 
 from .finite_field import Record, prime_root
 from .variety import CountSequence
-from .weil import _newton_coeffs, _power_sums, _reciprocal_roots, _root_key
-
-WEIGHT_WINDOW = 0.1
+from .weil import _newton_coeffs, _power_sums, weight_pieces, weight_roots
 
 
 class PowerSeries(Record):
@@ -35,37 +33,21 @@ class PowerSeries(Record):
 
 
 class RationalZeta(Record):
-    """Numerator/denominator, with the reciprocal roots derived from them
-    and grouped by weight: odd weights from the numerator (zeros of the
-    zeta function), even weights from the denominator (poles).
-    """
+    """Numerator/denominator, each split by weight into integer pieces: the
+    zeros of the zeta function, of any weight, and its poles."""
 
-    __slots__ = ("numerator", "denominator", "base_q", "roots_by_weight")
+    __slots__ = ("numerator", "denominator", "base_q", "numerator_pieces", "denominator_pieces")
 
     def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...], base_q: int):
-        for name, poly in (("numerator", numerator), ("denominator", denominator)):
-            if not poly or poly[0] != 1:
-                raise ValueError(f"{name} must have constant term 1")
         if prime_root(base_q) is None:
             raise ValueError("base must be a prime power >= 2")
-        grouped: dict[int, list[complex]] = {}
-        for root in _reciprocal_roots(numerator) + _reciprocal_roots(denominator):
-            grouped.setdefault(assign_weight(root, base_q), []).append(root)
-        roots_by_weight = tuple(sorted(
-            (k, tuple(sorted(v, key=_root_key))) for k, v in grouped.items()))
-        super().__init__(numerator, denominator, base_q, roots_by_weight)
+        polys = (("numerator", numerator), ("denominator", denominator))
+        pieces = (tuple(weight_pieces(poly, base_q, name).items()) for name, poly in polys)
+        super().__init__(numerator, denominator, base_q, *pieces)
 
     def weight_table(self) -> dict[int, tuple[complex, ...]]:
-        return dict(self.roots_by_weight)
-
-
-def _as_counts(counts) -> tuple[int, ...]:
-    if isinstance(counts, CountSequence):
-        return counts.counts
-    vals = tuple(int(c) for c in counts)
-    if not vals:
-        raise ValueError("empty count sequence")
-    return vals
+        """Weight -> the reciprocal roots of its pieces, zeros and poles."""
+        return weight_roots(self.numerator_pieces + self.denominator_pieces)
 
 
 def zeta_series(counts) -> PowerSeries:
@@ -77,23 +59,14 @@ def zeta_series(counts) -> PowerSeries:
     """
     from fractions import Fraction  # only the series paths build rationals
 
-    vals = _as_counts(counts)
+    vals = counts.counts if isinstance(counts, CountSequence) else tuple(int(c) for c in counts)
+    if not vals:
+        raise ValueError("empty count sequence")
     z = [Fraction(1)]
     for m in range(1, len(vals) + 1):
         z.append(sum(Fraction(vals[j - 1]) * z[m - j] for j in range(1, m + 1))
                  / m)
     return PowerSeries(tuple(z))
-
-
-def series_log(s: PowerSeries) -> PowerSeries:
-    """Formal log of a series with constant term 1 (inverse of the exp):
-    -s_n / n, from the power sums of the series read as a polynomial."""
-    from fractions import Fraction
-
-    if s.coeffs[0] != 1:
-        raise ValueError("log needs constant term 1")
-    return PowerSeries(tuple(Fraction(-s_n, n) if n else Fraction(0)
-                             for n, s_n in enumerate(islice(_power_sums(s.coeffs), s.order + 1))))
 
 
 def expand_rational(num, den, order: int) -> PowerSeries:
@@ -116,26 +89,6 @@ def curve_denominator(q: int) -> tuple[int, ...]:
     return (1, -(q + 1), q)
 
 
-def assign_weight(alpha: complex, q: int) -> int:
-    """Weight k with | |alpha| - q^(k/2) | < 0.1 q^(k/2); unique or error."""
-    mag = abs(alpha)
-    if mag <= 0:
-        raise ValueError("zero eigenvalue has no weight")
-    est = 2.0 * math.log(mag) / math.log(q)
-    hits = [k for k in {max(0, math.floor(est)), max(0, math.ceil(est))}
-            if abs(mag - q ** (k / 2.0)) < WEIGHT_WINDOW * q ** (k / 2.0)]
-    if len(hits) != 1:
-        raise ValueError("ambiguous weight assignment")
-    return hits[0]
-
-
-def _denominator(den) -> tuple[int, ...]:
-    den = tuple(int(c) for c in den)
-    if not den or den[0] != 1:
-        raise ValueError("denominator must have constant term 1")
-    return den
-
-
 def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
     """The numerator P with exp(sum N_n t^n / n) = P(t) / den(t), from
     counts N_1..N_m, through the integer Newton core.
@@ -148,7 +101,9 @@ def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
     counts alone cannot tell it from bad reduction, where P's degree
     drops.
     """
-    den = _denominator(den)
+    den = tuple(int(c) for c in den)
+    if not den or den[0] != 1:
+        raise ValueError("denominator must have constant term 1")
     m = len(counts)
     if num_degree < 0 or m < num_degree + len(den) + 1:
         raise ValueError("insufficient or inconsistent counts")
@@ -164,7 +119,6 @@ def rational_reconstruct(series: PowerSeries, num_degree: int, den,
     """zeta_from_counts on the counts of a zeta series, N_n = -s_n(series)
     with the series read as a polynomial; the series may be any exact
     rational one starting at 1."""
-    den = _denominator(den)
     if series.coeffs[0] != 1:
         raise ValueError("zeta series must start at 1")
     counts = [-s_n for s_n in islice(_power_sums(series.coeffs), 1, series.order + 1)]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import shlex
@@ -121,6 +122,30 @@ def test_zeta_at_bad_reduction(curve_file, capsys):
     payload = json.loads(out)
     assert payload["numerator"] == [1, 1, 0]
     assert payload["display"] == "(1 + t) / ((1 - t)(1 - 7 t))"
+    # the zero -1 and the pole 1 both have weight 0
+    assert payload["rows"] == [[0, -1.0, 0.0, 1.0], [0, 1.0, 0.0, 1.0], [2, 7.0, 0.0, 7.0]]
+
+
+@pytest.mark.parametrize("p", [37, 41, 53])
+def test_zeta_counts_of_a_repeated_weight_1_root(p, capsys):
+    # y^2 = x^p - x has genus g = (p - 1) / 2 and L(t) = (1 - p t^2)^g: its
+    # 2g eigenvalues are +-sqrt p, each g times.  np.roots scatters them past
+    # 10 % of sqrt p, so no float test of |alpha| can find their weight.
+    g = (p - 1) // 2
+    counts = [p ** n + 1 - (2 * g * p ** (n // 2) if n % 2 == 0 else 0) for n in range(1, 2 * g + 5)]
+    status, out, err = run_cli(["zeta", "--p", str(p), "--genus", str(g), "--counts",
+                                ",".join(map(str, counts)), "--format", "json"], capsys)
+    assert (status, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["numerator"] == [(-p) ** (j // 2) * math.comb(g, j // 2) if j % 2 == 0 else 0
+                                    for j in range(2 * g + 1)]
+    assert [row[0] for row in payload["rows"]] == [0] + [1] * (2 * g) + [2]
+
+
+def test_zeta_refuses_counts_with_an_eigenvalue_of_no_weight(capsys):
+    # numerator 1 + t + 8 t^2: |alpha| = sqrt 8 at p = 7, no power of sqrt 7
+    assert run_cli(["zeta", "--p", "7", "--counts", "9,65,321,2305,17089,118145"], capsys) == \
+        (1, "", "error: numerator is not a product of Weil polynomials\n")
 
 
 ZETA_README_CSV = ("weight,re,im,abs\n0,1.0,0.0,1.0\n1,-1.0,-1.0,1.4142135623730951\n"

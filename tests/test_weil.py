@@ -23,6 +23,7 @@ from motives.weil import (
     hasse_alpha,
     is_weil_polynomial,
     predict_affine_count,
+    weight_pieces,
     weil_numbers_from_counts,
 )
 
@@ -359,6 +360,71 @@ def test_pinned_refusals(coeffs, q):
 ])
 def test_pinned_passes(coeffs, q_k):
     assert is_weil_polynomial(coeffs, q_k)
+
+
+@pytest.mark.parametrize("atom, e, q", [
+    ((1, 0, -41), 20, 41), ((1, 0, -53), 26, 53),  # y^2 = x^p - x: L(t) = (1 - p t^2)^g
+    # np.roots scatters the repeated roots of these three past 10 % of sqrt q
+    ((1, 2 ** 11, 2 ** 20), 20, 2 ** 20), ((1, 3, 3), 12, 3), ((1, 2), 16, 4),
+])
+def test_weight_pieces_split_repeated_weight_1_roots_exactly(atom, e, q):
+    poly = product([atom] * e)
+    assert weight_pieces(poly, q) == {1: poly}
+
+
+@pytest.mark.parametrize("coeffs, q, pieces", [
+    ((1, 1, 0), 7, {0: (1, 1)}),   # the golden curve's numerator at its bad prime
+    ((1, -7, 14, -8), 2, {0: (1, -1), 2: (1, -2), 4: (1, -4)}),  # P^2's denominator
+    ((1, -3, 2), 2, {0: (1, -1), 2: (1, -2)}),
+    ((1,), 5, {}),
+])
+def test_weight_pieces_of_mixed_weights(coeffs, q, pieces):
+    assert weight_pieces(coeffs, q) == pieces
+
+
+@pytest.mark.parametrize("coeffs, q", [
+    ((1, 1, 8), 7),           # |alpha| = sqrt 8: no weight at 7
+    ((1, 2, 2), 3),           # |alpha| = sqrt 2: no weight at 3
+    ((1, -4, 2), 2),          # real roots 2 +- sqrt 2
+    ((1, 1, 8, 0, 0), 7),
+    (product([(1, -1)] * 5 + [(1, 1, 8)]), 7),
+])
+def test_weight_pieces_refuse_an_alpha_of_no_weight(coeffs, q):
+    with pytest.raises(ValueError, match="^polynomial is not a product of Weil polynomials$"):
+        weight_pieces(coeffs, q)
+
+
+@st.composite
+def pure_products(draw):
+    """q and weight k -> a product of pure atoms of weight k (those of the
+    random motives in test_acceptance): 1 -+ q^(k/2) t at even k and
+    1 - a t + q^k t^2 with a^2 <= 4 q^k.  A lone atom repeats up to 30
+    times; two or three repeat at most 10 times each, since a product of
+    several weights at high multiplicity is slow to split (3.1 s for one
+    of degree 126 over F_5, with every multiplicity up to 30)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    atoms = draw(st.integers(1, 3))
+    pieces = {}
+    for _ in range(atoms):
+        k = draw(st.integers(0, 3))
+        if k % 2 == 0 and draw(st.booleans()):
+            atom = (1, draw(st.sampled_from([1, -1])) * q ** (k // 2))
+        else:
+            bound = math.isqrt(4 * q ** k)
+            atom = (1, -draw(st.integers(-bound, bound)), q ** k)
+        e = draw(st.integers(1, 30 if atoms == 1 else 10))
+        pieces[k] = product([pieces.get(k, (1,))] + [atom] * e)
+    return q, dict(sorted(pieces.items()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pure_products())
+def test_weight_pieces_split_products_of_pure_atoms_back(case):
+    q, pieces = case
+    poly = product(pieces.values())
+    split = weight_pieces(poly, q)
+    assert split == pieces
+    assert product(split.values()) == poly
 
 
 def det(a):

@@ -1,21 +1,22 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motives import weil
 from motives.motive import make_motive, point_count
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
-from motives.weil import _reciprocal_roots, _root_key, is_weil_polynomial
+from motives.weil import is_weil_polynomial
 from motives.zeta import (
     PowerSeries,
     RationalZeta,
-    assign_weight,
     curve_denominator,
     expand_rational,
     rational_reconstruct,
-    series_log,
     zeta_from_counts,
     zeta_series,
 )
@@ -38,15 +39,6 @@ def test_zeta_series_elliptic_curve():
     counts = (5, 5, 5, 25, 25, 65)
     s = zeta_series(counts)
     assert s.coeffs == expand_rational([1, 2, 2], [1, -3, 2], 6).coeffs
-
-
-def test_series_log_inverts_exp():
-    counts = [5, 5, 5, 25, 25]
-    s = zeta_series(counts)
-    ell = series_log(s)
-    assert ell.coeffs[0] == 0
-    for n, c in enumerate(counts, start=1):
-        assert ell.coeffs[n] == Fraction(c, n)
 
 
 def test_projective_space_series_products():
@@ -126,17 +118,28 @@ def test_reconstruct_rejects_non_integer_numerator():
         rational_reconstruct(s, 2, curve_denominator(2), 2)
 
 
-def test_rational_zeta_derives_its_roots_from_its_polynomials():
+def test_rational_zeta_derives_its_pieces_from_its_polynomials():
     rz = RationalZeta((1, 2, 2), curve_denominator(2), 2)
-    assert rz.roots_by_weight == ((0, (1 + 0j,)), (1, (complex(-1, -1), complex(-1, 1))),
-                                  (2, (2 + 0j,)))
+    assert rz.numerator_pieces == ((1, (1, 2, 2)),)
+    assert rz.denominator_pieces == ((0, (1, -1)), (2, (1, -2)))
+    assert rz.weight_table() == {0: (1 + 0j,), 1: (complex(-1, -1), complex(-1, 1)), 2: (2 + 0j,)}
     assert rz == zeta_from_counts((5, 5, 5, 25, 25, 65), 2, curve_denominator(2), 2)
     with pytest.raises(TypeError):
-        RationalZeta((1, 2, 2), curve_denominator(2), 2, rz.roots_by_weight)
+        RationalZeta((1, 2, 2), curve_denominator(2), 2, rz.numerator_pieces)
     with pytest.raises(TypeError):
-        RationalZeta((1, 2, 2), curve_denominator(2), 2, roots_by_weight=rz.roots_by_weight)
-    with pytest.raises(ValueError, match="ambiguous weight"):
-        RationalZeta((1, 2, 2), curve_denominator(2), 3)  # |alpha| = sqrt 2 is no weight at q = 3
+        RationalZeta((1, 2, 2), curve_denominator(2), 2, numerator_pieces=rz.numerator_pieces)
+    # |alpha| = sqrt 2 is no weight at q = 3
+    with pytest.raises(ValueError, match="^numerator is not a product of Weil polynomials$"):
+        RationalZeta((1, 2, 2), curve_denominator(2), 3)
+    with pytest.raises(ValueError, match="^denominator is not a product of Weil polynomials$"):
+        RationalZeta((1,), (1, 2, 2), 3)
+
+
+def test_bad_reduction_keeps_a_weight_0_zero_in_the_numerator():
+    # the golden curve at 7: (1 + t) / ((1 - t)(1 - 7t)), and -1 sorts before the pole 1
+    rz = RationalZeta((1, 1, 0), curve_denominator(7), 7)
+    assert (rz.numerator_pieces, rz.denominator_pieces) == (((0, (1, 1)),), ((0, (1, -1)), (2, (1, -7))))
+    assert rz.weight_table() == {0: (-1 + 0j, 1 + 0j), 2: (7 + 0j,)}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -150,15 +153,6 @@ def test_rational_zeta_derives_its_roots_from_its_polynomials():
 def test_rational_zeta_refuses_what_no_zeta_function_has(args, message):
     with pytest.raises(ValueError, match=message):
         RationalZeta(*args)
-
-
-def test_assign_weight():
-    assert assign_weight(1 + 0j, 2) == 0
-    assert assign_weight(complex(-1, 1), 2) == 1
-    assert assign_weight(2 + 0j, 2) == 2
-    assert assign_weight(9 + 0j, 3) == 4
-    with pytest.raises(ValueError, match="ambiguous"):
-        assign_weight(1.2 + 0j, 4)
 
 
 def test_trace_formula_rejects_non_integral():
@@ -188,9 +182,67 @@ def reference_exp(counts) -> list[Fraction]:
     return z
 
 
+def _divmod(a, b):
+    """Quotient and remainder of polynomials, descending lists of Fractions."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        quotient.append(a[0] / b[0])
+        a = [x - quotient[-1] * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+    while a and a[0] == 0:
+        a.pop(0)
+    return quotient, a
+
+
+def _monic_gcd(a, b):
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [x / a[0] for x in a]
+
+
+def roots_with_multiplicity(b):
+    """The distinct roots of x^d + b_1 x^(d-1) + ... + b_d at 50 digits, by
+    mpmath.polyroots on its square-free part, and how many of the chain
+    f, gcd(f, f'), gcd of that and its derivative, ... vanish at each."""
+    chain = [[Fraction(x) for x in b]]
+    while len(chain[-1]) > 1:
+        f = chain[-1]
+        chain.append(_monic_gcd(f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]))
+    square_free = _divmod(chain[0], chain[1])[0] if len(chain) > 1 else [1]
+    for alpha in mpmath.polyroots(square_free, maxsteps=200, extraprec=200):
+        yield alpha, sum(abs(mpmath.polyval(f, alpha)) < mpmath.mpf(10) ** -30 for f in chain[:-1])
+
+
+def reference_pieces(poly, q, name):
+    """The (weight, piece) pairs of prod (1 - alpha t) = poly from its roots
+    at 50 digits: each alpha must have |alpha|^2 = q^k to 30 digits, and
+    each weight's product of 1 - alpha t must come out in integers, or the
+    polynomial is refused as RationalZeta refuses it."""
+    b = list(poly)
+    while b[-1] == 0:
+        b.pop()
+    refusal = ValueError(f"{name} is not a product of Weil polynomials")
+    by_weight = {}
+    with mpmath.workdps(50):
+        for alpha, m in roots_with_multiplicity(b):
+            k = int(mpmath.nint(2 * mpmath.log(abs(alpha)) / mpmath.log(q)))
+            if abs(abs(alpha) ** 2 / mpmath.mpf(q) ** k - 1) > mpmath.mpf(10) ** -30:
+                raise refusal
+            by_weight.setdefault(k, []).extend([alpha] * m)
+        pieces = []
+        for k, roots in sorted(by_weight.items()):
+            c = [mpmath.mpc(1)]
+            for alpha in roots:
+                c = [x - alpha * y for x, y in zip(c + [0], [0] + c)]
+            piece = tuple(int(mpmath.nint(x.real)) for x in c)
+            if any(abs(x - y) > mpmath.mpf(10) ** -20 for x, y in zip(c, piece)):
+                raise refusal
+            pieces.append((k, piece))
+    return tuple(pieces)
+
+
 def reference_reconstruct(series, num_degree, den, base_q):
     """P = series * den mod t^(m + 1): the first num_degree + 1 coefficients
-    must be integers and every later one zero; roots grouped by weight."""
+    must be integers and every later one zero; then both split by weight."""
     den = tuple(int(c) for c in den)
     if den[0] != 1:
         raise ValueError("denominator must have constant term 1")
@@ -205,11 +257,8 @@ def reference_reconstruct(series, num_degree, den, base_q):
     if any(prod[head:]):
         raise ValueError("insufficient or inconsistent counts")
     num = tuple(int(c) for c in prod[:head])
-    grouped = {}
-    for root in _reciprocal_roots(num) + _reciprocal_roots(den):
-        grouped.setdefault(assign_weight(root, base_q), []).append(root)
-    return num, den, tuple(sorted((k, tuple(sorted(v, key=_root_key)))
-                                  for k, v in grouped.items()))
+    return (num, den, reference_pieces(num, base_q, "numerator"),
+            reference_pieces(den, base_q, "denominator"))
 
 
 def outcome(fn, *args):
@@ -219,7 +268,7 @@ def outcome(fn, *args):
         return str(exc)
     if isinstance(result, tuple):
         return result
-    return result.numerator, result.denominator, result.roots_by_weight
+    return result.numerator, result.denominator, result.numerator_pieces, result.denominator_pieces
 
 
 # (denominator, q): curves over F_2 and F_3, no poles, one pole, and P^2's
@@ -228,19 +277,20 @@ DENOMINATORS = [(curve_denominator(2), 2), (curve_denominator(3), 3), ((1,), 2),
 
 
 def _power_sums(coeffs, m):
-    """s_1..s_m of the reciprocal roots: log 1/prod (1 - alpha t) = sum s_n t^n / n."""
-    ell = series_log(expand_rational([1], coeffs, m))
-    return [n * ell.coeffs[n] for n in range(1, m + 1)]
+    """s_1..s_m of the reciprocal roots of prod (1 - alpha t) = coeffs."""
+    return list(islice(weil._power_sums(coeffs), 1, m + 1))
 
 
 @st.composite
 def count_cases(draw):
-    """Counts of a zeta function with Weil-polynomial numerator over a
-    denominator above, some perturbed, and a declared degree in -3..8."""
+    """Counts of a zeta function over a denominator above, with numerator
+    factors 1 - a t + q t^2 that are Weil polynomials or, past the Hasse
+    bound, have real roots (of weights 0 and 2 at a = +-(q + 1), else of none),
+    some perturbed, and a declared degree in -3..8."""
     den, q = draw(st.sampled_from(DENOMINATORS))
     bound = int(2 * q ** 0.5)
     num = [1]
-    for a in draw(st.lists(st.integers(-bound, bound), max_size=3)):
+    for a in draw(st.lists(st.integers(-bound - 2, bound + 2), max_size=3)):
         num = [x - a * y + q * z for x, y, z in zip(num + [0, 0], [0] + num + [0], [0, 0] + num)]
     m = max(1, len(num) + len(den) + draw(st.integers(-3, 3)))  # enough from + 1 on
     counts = [int(d - n) for d, n in zip(_power_sums(den, m), _power_sums(num, m))]
