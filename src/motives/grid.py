@@ -20,6 +20,7 @@ from .variety import PolySystem, _group_by_last, _tiling
 # field tables: nonzero elements as discrete logs
 
 TABLE_BUILD_ROWS = 1 << 14  # elements per slice of a table build
+_ZERO_LOG = 1 << 29  # log of zero in a term: past q - 1 <= 2^26 after one subtract
 
 
 class FieldTables:
@@ -29,17 +30,18 @@ class FieldTables:
     For the smallest multiplicative generator g, exp[k] is the id of g^k
     for k < q - 1 and exp[q - 1] = 0; log inverts exp, so q - 1 is the
     log of zero.  Both are int32.  A monomial c * x^a * y^b is one sum
-    of logs mod q - 1 plus a zero mask.  Sums are carried in one of two
-    codes, chosen by p: for p = 2 the ids themselves, added by XOR; for
-    odd p the logs, added through Zech logarithms, log(1 + g^k), since
-    g^a + g^b = g^a (1 + g^(b - a)) (K. Huber, IEEE Trans. Inf. Theory
-    36(4), 1990).  Each table is built TABLE_BUILD_ROWS elements at a
-    time through one workspace, so a field costs 4 bytes per element
-    per table and little more.
+    of logs mod q - 1 plus a zero mask.  Sums are carried in one code,
+    chosen by p and known only here (`zero`, `add`, `logs`): for p = 2
+    the ids themselves, added by XOR; for odd p the logs, added through
+    Zech logarithms, log(1 + g^k), since g^a + g^b = g^a (1 + g^(b - a))
+    (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Each table is
+    built TABLE_BUILD_ROWS elements at a time through one workspace, so
+    a field costs 4 bytes per element per table and little more.
     """
 
     def __init__(self, spec: FieldSpec):
         self.p, self.m = spec.p, spec.q - 1
+        self.zero = 0 if spec.p == 2 else self.m  # the code of 0
         self.exp = _exp_table(spec)
         self.log = np.empty(spec.q, dtype=np.int32)
         ids = np.empty(min(TABLE_BUILD_ROWS, spec.q), dtype=np.intp)
@@ -84,20 +86,26 @@ class FieldTables:
         return out
 
     def values(self, terms, variables, size: int) -> np.ndarray:
-        """Codes of the sum of the terms: ids for p = 2, logs for odd p."""
+        """Codes of the sum of the terms, whose coefficients are nonzero mod p."""
         acc = None
         for exps, c in terms:
-            if c % self.p == 0:
-                continue
-            t = self._term_logs(c, exps, variables, size)
-            if self.p == 2:
-                t = np.take(self.exp, t)
-                acc = t if acc is None else np.bitwise_xor(acc, t, out=acc)
-            else:
-                acc = t if acc is None else self._add_logs(acc, t)
-        if acc is None:
-            return np.full(size, 0 if self.p == 2 else self.m, dtype=np.int32)
-        return acc
+            acc = self.add(acc, self._term_logs(c, exps, variables, size))
+        return np.full(size, self.zero, dtype=np.int32) if acc is None else acc
+
+    def add(self, acc, logs: np.ndarray) -> np.ndarray:
+        """Codes of acc (None for zero) plus the elements with these logs,
+        any log >= q - 1 being zero; logs may be overwritten, acc is not."""
+        if self.p == 2:
+            ids = np.take(self.exp, logs, mode="clip")
+            return ids if acc is None else np.bitwise_xor(ids, acc, out=ids)
+        np.minimum(logs, self.m, out=logs)
+        return logs if acc is None else self._add_logs(acc, logs)
+
+    def logs(self, codes: np.ndarray) -> np.ndarray:
+        """int32 logs of the given codes, with _ZERO_LOG for zero."""
+        logs = self.log[codes] if self.p == 2 else codes.astype(np.int32)
+        logs[logs == self.m] = _ZERO_LOG
+        return logs
 
     def _add_logs(self, a, b):
         """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero.
@@ -286,8 +294,6 @@ def _tables_for(spec: FieldSpec) -> FieldTables:
 # ----------------------------------------------------------------------
 # the product grid: rows x last-variable columns
 
-_ZERO_LOG = 1 << 29  # log of zero in a term: past q - 1 <= 2^26 after one subtract
-
 
 class _Grid:
     """The q^k points of one system over one field, as rows x columns.
@@ -299,8 +305,8 @@ class _Grid:
     - the constant c_j, j > 0, fold into one code per column;
     - c_0, negated, gives one code per row, the right-hand side;
     - each non-constant c_j, j > 0, adds the term log c_j(row) + log y^j
-      per tuple: one add, one conditional subtract, a clamp that maps any
-      zero factor to the log of zero, then XOR (p = 2) or a Zech add.
+      per tuple: one add and one conditional subtract, then
+      `FieldTables.add`, which takes any zero factor as zero.
 
     A tuple lies on f when its column code plus its terms equals its
     row's right-hand side: one broadcast compare per tile, and systems
@@ -337,7 +343,7 @@ class _Grid:
         for bi in range(-(-self.q ** (self.k - 1) // self.batch)):
             np.add.at(hist, self._rows(bi)[0][0], one)  # a Python 1 takes a slow path
         if not self.polys[0][1]:  # no column terms: every column codes zero
-            return int(hist[0 if self.tables.p == 2 else self.tables.m]) * self.q
+            return int(hist[self.tables.zero]) * self.q
         return sum(int(np.take(hist, self._columns(ci)[0][0]).sum())
                    for ci in range(-(-self.q // self.cols)))
 
@@ -348,7 +354,7 @@ class _Grid:
             t = self.tables
             ylog = t.log[ci * self.cols:(ci + 1) * self.cols]
             self._slice = (ci, [(t.values(col, [ylog], ylog.size) if col else None,
-                                 [self._zero_log(t._term_logs(1, (j,), [ylog], ylog.size))
+                                 [t.logs(t.values([((j,), 1)], [ylog], ylog.size))
                                   for j, _ in terms])
                                 for _, col, terms in self.polys])
         return self._slice[1]
@@ -362,17 +368,9 @@ class _Grid:
                             dtype=np.int64)
             xs = [t.log[idx // q ** (k - 2 - j) % q] for j in range(k - 1)]
             self._row_batch = (bi, [(t.values(rhs, xs, idx.size),
-                                     [self._zero_log(t.values(c, xs, idx.size), ids=t.p == 2)
-                                      for _, c in terms])
+                                     [t.logs(t.values(c, xs, idx.size)) for _, c in terms])
                                     for rhs, _, terms in self.polys])
         return self._row_batch[1]
-
-    def _zero_log(self, codes: np.ndarray, ids: bool = False) -> np.ndarray:
-        """int32 logs of the given codes, with _ZERO_LOG for zero."""
-        t = self.tables
-        logs = t.log[codes] if ids else codes.astype(np.int32)
-        logs[logs == t.m] = _ZERO_LOG
-        return logs
 
     def _count_tile(self, ci: int, ri: int) -> int:
         t = self.tables
@@ -386,16 +384,8 @@ class _Grid:
                 s = lc[rows, None] + power
                 s -= m
                 _wrap(s, m)
-                # a zero factor leaves s >= 2^29 - q: clipped, it is the log of zero
-                if t.p == 2:
-                    s = np.take(t.exp, s, mode="clip")
-                    acc = s if acc is None else np.bitwise_xor(s, acc, out=s)
-                else:
-                    np.minimum(s, m, out=s)
-                    acc = s if acc is None else t._add_logs(acc, s)
-            if acc is None:
-                acc = 0 if t.p == 2 else m
-            hit = np.equal(acc, rhs[rows, None])
+                acc = t.add(acc, s)  # a zero factor leaves s >= 2^29 - q: zero
+            hit = np.equal(t.zero if acc is None else acc, rhs[rows, None])
             mask = hit if mask is None else mask & hit
         tuples = (min(self.rows, self.q ** (self.k - 1) - ri * self.rows)
                   * min(self.cols, self.q - ci * self.cols))

@@ -46,7 +46,7 @@ class WeilNumbers(Record):
     @property
     def roots(self) -> tuple[complex, ...]:
         """The alpha, sorted: a genus-1 pair's roots[-1] has im >= 0."""
-        return tuple(_reciprocal_roots(self.coeffs))
+        return weight_roots([(1, self.coeffs)])[1]
 
     def power_sum(self, n: int) -> int:
         """s_n = sum of alpha_i^n via the Newton recurrence, exactly."""
@@ -125,6 +125,14 @@ def _newton_coeffs(s, d: int, refusal: str = "inconsistent counts") -> tuple[int
     return tuple(b)
 
 
+def _quotient(f, g) -> tuple[int, ...]:
+    """f / g for integer polynomials (1, ...) where g divides f, exactly,
+    through the Newton core: the quotient's power sums are f's less g's."""
+    d = len(f) - len(g)
+    sums = islice(zip(_power_sums(f), _power_sums(g)), d + 1)
+    return _newton_coeffs([a - b for a, b in sums], d)
+
+
 def _is_psd(a) -> bool:
     """Whether the symmetric integer matrix a is positive semidefinite, by
     Bareiss's fraction-free symmetric elimination: no pivot is negative, a
@@ -187,15 +195,23 @@ def weight_pieces(coeffs, q: int, name: str = "polynomial") -> dict[int, tuple[i
     alpha have |alpha|^2 = q^k (q >= 2), certified by is_weil_polynomial;
     an alpha of no weight refuses the whole, and zero alpha are left out.
 
-    From the top weight of Fujiwara's bound |alpha| <= 2 max |b_j|^(1/j)
-    down, every alpha left has |alpha|^2 <= q^k, so weight k's piece is the
-    gcd of the rest, of degree d, and its image sum b_(d-i) q^(ki) t^i under
-    alpha -> q^k / conj(alpha); taken first mod the prime ell, it keeps its
-    degree there if the rest is a product of pieces (b_d = +-p^m)."""
+    |b_d| is the product of every |alpha|, so a product of pieces has
+    b_d^2 = q^s, s the sum of its weights and none above s: anything else
+    is refused at once.  From s, or the top weight of Fujiwara's bound
+    |alpha| <= 2 max |b_j|^(1/j) if lower, down, every alpha left has
+    |alpha|^2 <= q^k, so weight k's piece is the gcd of the rest, of degree
+    d, and its image sum b_(d-i) q^(ki) t^i under alpha -> q^k / conj(alpha);
+    taken first mod the prime ell, it keeps its degree there if the rest
+    is a product of pieces (b_d = +-p^m)."""
     if not coeffs or coeffs[0] != 1:
         raise ValueError(f"{name} must have constant term 1")
     rest, ell, pieces = _trim(list(coeffs)), 2 ** 61 - 1, {}
-    top = next(k for k in count() if all(4 ** j * b * b <= q ** (k * j) for j, b in enumerate(rest)))
+    refusal = f"{name} is not a product of Weil polynomials"
+    s = round(2 * math.log(abs(rest[-1]), q))  # only a proposal: the test is exact
+    if rest[-1] ** 2 != q ** s:
+        raise ValueError(refusal)
+    top = next((k for k in range(s) if all(4 ** j * b * b <= q ** (k * j)
+                                           for j, b in enumerate(rest))), s)
     for k in range(top, -1, -1):
         d, low = len(rest) - 1, [b % ell for b in rest]
         if q % ell and len(_gcd(low, [low[d - i] * pow(q, k * i, ell) % ell
@@ -203,20 +219,32 @@ def weight_pieces(coeffs, q: int, name: str = "polynomial") -> dict[int, tuple[i
             continue
         piece = _gcd(rest, [rest[d - i] * q ** (k * i) for i in range(d + 1)])
         if not is_weil_polynomial(piece, q ** k):
-            raise ValueError(f"{name} is not a product of Weil polynomials")
-        sums = islice(zip(_power_sums(rest), _power_sums(piece)), d - len(piece) + 2)
-        pieces[k], rest = piece, _newton_coeffs([a - b for a, b in sums], d - len(piece) + 1)
+            raise ValueError(refusal)
+        pieces[k], rest = piece, _quotient(rest, piece)
     if len(rest) > 1:
-        raise ValueError(f"{name} is not a product of Weil polynomials")
+        raise ValueError(refusal)
     return {k: piece for k, piece in sorted(pieces.items()) if len(piece) > 1}
 
 
 def weight_roots(pieces) -> dict[int, tuple[complex, ...]]:
-    """Weight -> the sorted reciprocal roots of its pieces (k, poly), for display."""
+    """Weight -> the sorted reciprocal roots of its pieces (k, poly), for
+    display.  They are found on square-free parts, f / gcd(f, f'), then
+    again on the gcd, so that a root repeated e times is found e times
+    rather than scattered by np.roots; a square-free piece passes as it is."""
     table: dict[int, tuple[complex, ...]] = {}
     for k, poly in pieces:
+        roots, f = [], _trim(list(poly))
         try:
-            roots = _reciprocal_roots(poly)
+            while len(f) > 2:  # a root can repeat from degree 2 on
+                df = [j * b for j, b in enumerate(f)][1:]
+                while not df[0]:  # f(0) = 1: powers of t leave gcd(f, f') as it is
+                    del df[0]
+                g = _gcd(f, df)
+                if len(g) == 1:
+                    break
+                roots += _reciprocal_roots(_quotient(f, g))
+                f = g
+            roots += _reciprocal_roots(f)
         except OverflowError:
             raise ValueError(f"weight {k} eigenvalues exceed the float range") from None
         table[k] = tuple(sorted((*table.get(k, ()), *roots), key=_root_key))

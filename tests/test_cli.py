@@ -129,8 +129,9 @@ def test_zeta_at_bad_reduction(curve_file, capsys):
 @pytest.mark.parametrize("p", [37, 41, 53])
 def test_zeta_counts_of_a_repeated_weight_1_root(p, capsys):
     # y^2 = x^p - x has genus g = (p - 1) / 2 and L(t) = (1 - p t^2)^g: its
-    # 2g eigenvalues are +-sqrt p, each g times.  np.roots scatters them past
-    # 10 % of sqrt p, so no float test of |alpha| can find their weight.
+    # 2g eigenvalues are +-sqrt p, each g times.  np.roots on the whole
+    # numerator scatters them past 10 % of sqrt p, so no float test of
+    # |alpha| can find their weight.
     g = (p - 1) // 2
     counts = [p ** n + 1 - (2 * g * p ** (n // 2) if n % 2 == 0 else 0) for n in range(1, 2 * g + 5)]
     status, out, err = run_cli(["zeta", "--p", str(p), "--genus", str(g), "--counts",
@@ -140,6 +141,9 @@ def test_zeta_counts_of_a_repeated_weight_1_root(p, capsys):
     assert payload["numerator"] == [(-p) ** (j // 2) * math.comb(g, j // 2) if j % 2 == 0 else 0
                                     for j in range(2 * g + 1)]
     assert [row[0] for row in payload["rows"]] == [0] + [1] * (2 * g) + [2]
+    # found on the square-free part 1 - p t^2, every displayed root is +-sqrt p
+    assert all(math.isclose(row[3], math.sqrt(p), rel_tol=0, abs_tol=1e-12)
+               for row in payload["rows"] if row[0] == 1)
 
 
 def test_zeta_refuses_counts_with_an_eigenvalue_of_no_weight(capsys):

@@ -87,6 +87,31 @@ def test_field_tables_match_ffelement_arithmetic(p, n):
     assert tables.log[tables.exp].tolist() == list(range(f.q))
     assert tables.exp[tables.log].tolist() == list(range(f.q))
     assert tables.exp[tables.zech[:-1]].tolist() == sums
+    # the kernel's element code: zero, add and logs, decoded through logs
+    # alone; every log >= q - 1 (the grid's 2^29 included) is zero
+    m, zero_log = f.q - 1, grid._ZERO_LOG
+    assert tables.logs(np.array([tables.zero])).tolist() == [zero_log]
+    rng = random.Random(p * 1000 + n)
+    a = np.array([m, m, 0] + [rng.randrange(m + 1) for _ in range(97)], dtype=np.int32)
+    b = np.array([m, 0, zero_log] + [rng.randrange(m + 1) for _ in range(97)], dtype=np.int32)
+    b[rng.sample(range(3, 100), 10)] = zero_log
+
+    def ids(codes):
+        logs = tables.logs(codes)
+        assert logs.dtype == np.int32 and logs.shape == codes.shape
+        return [0 if k == zero_log else powers[k] for k in logs.tolist()]
+
+    def element(k):
+        return f.from_index(0 if k >= m else powers[k])
+
+    acc = tables.add(None, a.copy())
+    assert ids(acc) == [element(k).index() for k in a.tolist()]
+    kept = acc.copy()
+    assert ids(tables.add(acc, b.copy())) == [(element(j) + element(k)).index()
+                                              for j, k in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(acc, kept)
+    assert ids(tables.add(None, np.full(3, m, dtype=np.int32))) == [0, 0, 0]
+    assert ids(tables.values([], [], 4)) == [0] * 4
 
 
 def digit_matrix_tables(spec):

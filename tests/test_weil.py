@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from motives.weil import (
     is_weil_polynomial,
     predict_affine_count,
     weight_pieces,
+    weight_roots,
     weil_numbers_from_counts,
 )
 
@@ -394,6 +396,19 @@ def test_weight_pieces_refuse_an_alpha_of_no_weight(coeffs, q):
         weight_pieces(coeffs, q)
 
 
+@pytest.mark.parametrize("degree, digits, q", [(40, 1000, 2), (2, 4000, 3)])
+def test_weight_pieces_refuse_huge_coefficients_at_once(degree, digits, q):
+    # Fujiwara's top weight grows with the digits, so a walk down from it
+    # took seconds; b_d^2 is no power of q, which refuses before any walk
+    rng = random.Random(degree)
+    coeffs = (1,) + tuple(rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                          for _ in range(degree))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^polynomial is not a product of Weil polynomials$"):
+        weight_pieces(coeffs, q)
+    assert time.perf_counter() - start < 0.1
+
+
 @st.composite
 def pure_products(draw):
     """q and weight k -> a product of pure atoms of weight k (those of the
@@ -425,6 +440,11 @@ def test_weight_pieces_split_products_of_pure_atoms_back(case):
     split = weight_pieces(poly, q)
     assert split == pieces
     assert product(split.values()) == poly
+    # the displayed roots, found on square-free parts, keep their weight
+    roots = weight_roots(split.items())
+    assert {k: len(r) for k, r in roots.items()} == {k: len(f) - 1 for k, f in pieces.items()}
+    for k, r in roots.items():
+        assert all(math.isclose(abs(z), q ** (k / 2), rel_tol=1e-9) for z in r)
 
 
 def det(a):
