@@ -15,8 +15,6 @@ modules.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -32,12 +30,6 @@ class Report(NamedTuple):
     columns: tuple[str, ...]
     rows: Iterable[tuple]
     extra: tuple[tuple[str, object], ...] = ()
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _digits(v: int) -> int:
@@ -78,23 +70,19 @@ def render(report: Report, fmt: str) -> str:
     in order, and each is checked as it is taken, so a row too long to
     print is refused before any later row is computed and before any row
     is formatted: an int-to-str conversion costs time quadratic in its
-    digits."""
+    digits.  A cell is its value's str (a float's str is its repr); no
+    cell holds a comma, quote or newline, so csv joins cells by commas."""
     rows = tuple(_printable_rows(report))
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(report.columns)
-        for row in rows:
-            w.writerow([_fmt_value(v) for v in row])
-        return buf.getvalue()
+        return "".join(",".join(map(str, row)) + "\n" for row in (report.columns, *rows))
     if fmt == "json":
         payload = {"columns": list(report.columns), "rows": rows}
         payload.update({k: v for k, v in report.extra})
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     # table
-    lines = [f"{k}: {_fmt_value(v) if not isinstance(v, (list, dict)) else json.dumps(v, sort_keys=True)}"
+    lines = [f"{k}: {json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else v}"
              for k, v in report.extra]
-    cells = [list(report.columns)] + [[_fmt_value(v) for v in row] for row in rows]
+    cells = [list(map(str, row)) for row in (report.columns, *rows)]
     widths = [max(len(r[i]) for r in cells) for i in range(len(report.columns))]
     for j, r in enumerate(cells):
         lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))

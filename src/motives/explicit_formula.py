@@ -464,10 +464,12 @@ def approximation_rows(xs, zeros: ZeroTable, K: int, pc: PrimeCounter):
     xs = np.asarray(xs, dtype=float)
     if xs.size and xs.min() < 2:
         raise ValueError("x must be >= 2")
+    if xs.size and math.floor(xs.max()) > pc.limit:
+        raise ValueError("beyond sieve limit")
     rows = []
     for i in range(0, xs.size, _ROWS):
         block = xs[i:i + _ROWS]
-        pis = [sieve_pi(x, pc) for x in block.tolist()]
+        pis = pc.pi_table[block.astype(np.intp)].tolist()  # floor, as x >= 2
         li_x, approx = _explicit(block, gammas)
         rows += zip(block.tolist(), pis, li_x.tolist(), approx.tolist())
     return rows

@@ -10,7 +10,7 @@ every element and every enumeration order.
 
 Plain polynomials over F_p are passed around as Python tuples of ints,
 constant term first, with no trailing zeros (the zero polynomial is the
-empty tuple).  Element powers, inverses (Fermat's a^(q-2)) and Rabin's
+empty tuple).  Element powers, inverses (Fermat's a^(q-2)) and Ben-Or's
 Frobenius powers share one square-and-multiply, poly_powmod.
 """
 
@@ -167,26 +167,21 @@ def poly_powmod(a, e: int, mod, p):
 
 
 def is_irreducible(f, p: int) -> bool:
-    """Rabin's criterion for a monic f of degree >= 1 over F_p.
+    """Ben-Or's test for a monic f of degree n >= 1 over F_p.
 
-    f is irreducible iff x^(p^n) == x mod f and, for every prime r | n,
-    gcd(x^(p^(n/r)) - x, f) = 1.  Frobenius powers x^(p^k) are computed by
-    iterating y -> y^p mod f, which keeps every exponent at most p.
+    f is irreducible iff gcd(x^(p^i) - x, f) = 1 for i = 1..n/2: a
+    reducible f has an irreducible factor of some degree i <= n/2, which
+    divides x^(p^i) - x.  The powers x^(p^i) are computed by iterating
+    y -> y^p mod f, which keeps every exponent at most p; i = 1 is the
+    test for a root in F_p.
     """
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
         raise ValueError("modulus must be monic of degree >= 1")
-    if n == 1:
-        return True
-    x = (0, 1)
-    frob = [x]  # frob[k] = x^(p^k) mod f
-    for _ in range(n):
-        frob.append(poly_powmod(frob[-1], p, f, p))
-    if frob[n] != poly_mod(x, f, p):
-        return False
-    for r in prime_factors(n):
-        g = poly_gcd(poly_sub(frob[n // r], x, p), f, p)
-        if g != (1,):
+    x = y = (0, 1)
+    for _ in range(n // 2):
+        y = poly_powmod(y, p, f, p)
+        if poly_gcd(poly_sub(y, x, p), f, p) != (1,):
             return False
     return True
 
@@ -346,8 +341,7 @@ def make_field(p: int, n: int) -> FieldSpec:
 
     Monic degree-n candidates are scanned in lexicographic order of
     (c_0, c_1, ..., c_{n-1}) and the first irreducible one wins, so equal
-    (p, n) always yield byte-identical fields.  Candidates with a root in
-    F_p are skipped before the Rabin test, and the scan starts at the
+    (p, n) always yield byte-identical fields.  The scan starts at the
     first candidate with c_0 != 0 (x divides the others); the result is
     cached, FieldSpec being immutable.
     """
@@ -363,18 +357,9 @@ def make_field(p: int, n: int) -> FieldSpec:
     # (c_0, ..., c_{n-1}) in lexicographic order from c_0 = 1 on
     for k in range(p ** (n - 1), p ** n):
         f = tuple(k // p ** i % p for i in range(n - 1, -1, -1)) + (1,)
-        if any(_eval_mod_p(f, x, p) == 0 for x in range(p)):
-            continue
         if is_irreducible(f, p):
             return FieldSpec(p, n, f)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-def _eval_mod_p(f, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def enumerate_elements(field: FieldSpec) -> Iterator[FFElement]:
@@ -404,10 +389,12 @@ def arith(a: FFElement, b, op: str) -> FFElement:
 
 
 def multiplicative_generator(field: FieldSpec) -> FFElement:
-    """Smallest (in enumeration order) generator of the cyclic group F_q^*."""
+    """Smallest (in enumeration order) generator of the cyclic group F_q^*.
+    Elements 1..p-1 are F_p's, of order dividing p - 1, so for n >= 2 the
+    search starts at element p, which is x."""
     q1 = field.q - 1
     checks = [q1 // r for r in prime_factors(q1)] if q1 > 1 else []
-    for k in range(1, field.q):
+    for k in range(field.p if field.n > 1 else 1, field.q):
         g = field.from_index(k)
         if all((g ** c) != field.one() for c in checks):
             return g

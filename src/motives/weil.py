@@ -203,6 +203,8 @@ def weight_pieces(coeffs, q: int, name: str = "polynomial") -> dict[int, tuple[i
     d, and its image sum b_(d-i) q^(ki) t^i under alpha -> q^k / conj(alpha);
     taken first mod the prime ell, it keeps its degree there if the rest
     is a product of pieces (b_d = +-p^m)."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
     if not coeffs or coeffs[0] != 1:
         raise ValueError(f"{name} must have constant term 1")
     rest, ell, pieces = _trim(list(coeffs)), 2 ** 61 - 1, {}

@@ -379,6 +379,18 @@ def test_approximation_rows_input_validation(pc, zeros):
         approximation_rows([2.5], zeros, -1, pc)
     with pytest.raises(ValueError, match="x must be >= 2"):
         approximation_rows([2.5, 1.5], zeros, 0, pc)
+    with pytest.raises(ValueError, match="beyond sieve limit"):
+        approximation_rows([2.5, pc.limit + 1.0, 3.5], zeros, 0, pc)
+    with pytest.raises(ValueError, match="cannot convert float NaN"):
+        approximation_rows([2.5, math.nan], zeros, 0, pc)
+
+
+def test_approximation_rows_pi_column_is_sieve_pi(pc, zeros):
+    # integers, half-integers and the limit itself, across several blocks
+    xs = np.concatenate([np.arange(2.0, 1200.0, 0.5), [pc.limit - 0.5, pc.limit]])
+    pis = [row[1] for row in approximation_rows(xs, zeros, 0, pc)]
+    assert pis == [sieve_pi(x, pc) for x in xs.tolist()]
+    assert all(type(v) is int for v in pis)
 
 
 @pytest.mark.parametrize("x", [3.0, 4.999999, 5.0, 5.000001, 1025.0,

@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 
 from motives.explicit_formula import PrimeCounter, ZeroTable
 from motives.finite_field import (
+    MAX_FIELD_SIZE,
     FFElement,
     FieldSpec,
     arith,
@@ -48,7 +51,7 @@ def brute_monic_irreducibles(p, n):
 
 def first_irreducible(p, n):
     """Oracle: the first monic degree-n candidate, scanning every
-    (c_0, ..., c_{n-1}) lexicographically, that Rabin's test accepts."""
+    (c_0, ..., c_{n-1}) lexicographically, that is_irreducible accepts."""
     for k in range(p ** n):
         f = tuple(k // p ** i % p for i in range(n - 1, -1, -1)) + (1,)
         if is_irreducible(f, p):
@@ -130,6 +133,41 @@ def test_is_irreducible_agrees_with_factor_search():
         has_root = any(sum(c * x ** i for i, c in enumerate(f)) % p == 0 for x in (0, 1))
         expected = not has_root and f != sq
         assert is_irreducible(f, p) == expected, f
+
+
+def test_is_irreducible_counts_match_gauss():
+    # Gauss: there are (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles
+    # of degree n over F_p
+    for p in filter(is_prime, range(2, 2 ** 12 + 1)):
+        n = 1
+        while p ** n <= 2 ** 12:
+            gauss = sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+            accepted = sum(is_irreducible((*low, 1), p)
+                           for low in itertools.product(range(p), repeat=n))
+            assert accepted == gauss, (p, n)
+            n += 1
+
+
+def test_is_irreducible_refuses_a_non_monic_or_constant_modulus():
+    for f in [(1,), (), (1, 2), (0, 0, 2)]:
+        with pytest.raises(ValueError, match="monic of degree >= 1"):
+            is_irreducible(f, 3)
+
+
+def test_every_extension_field_modulus_is_pinned():
+    # every (p, n) with n >= 2 that make_field builds, primes ascending and
+    # n ascending within each: a changed modulus would change every table
+    # and enumeration order built on that field
+    digest = hashlib.sha256()
+    fields = 0
+    for p in filter(is_prime, range(2, 2 ** 13 + 1)):
+        n = 2
+        while p ** n <= MAX_FIELD_SIZE:
+            digest.update(repr((p, n, make_field(p, n).modulus)).encode())
+            fields, n = fields + 1, n + 1
+    assert fields == 1190
+    assert digest.hexdigest() == (
+        "c375ebd3d4760c897f612a865e6f9596b927f4c019b84cfe25cffefc23cc834a")
 
 
 def test_char2_addition():

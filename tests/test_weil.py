@@ -396,6 +396,12 @@ def test_weight_pieces_refuse_an_alpha_of_no_weight(coeffs, q):
         weight_pieces(coeffs, q)
 
 
+@pytest.mark.parametrize("coeffs, q", [((1, -1), 1), ((1,), 1), ((1, -1), 0), ((1, 2), -4)])
+def test_weight_pieces_refuse_a_base_below_2(coeffs, q):
+    with pytest.raises(ValueError, match=f"^q must be >= 2, got {q}$"):
+        weight_pieces(coeffs, q)
+
+
 @pytest.mark.parametrize("degree, digits, q", [(40, 1000, 2), (2, 4000, 3)])
 def test_weight_pieces_refuse_huge_coefficients_at_once(degree, digits, q):
     # Fujiwara's top weight grows with the digits, so a walk down from it
