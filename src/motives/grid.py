@@ -1,10 +1,11 @@
 """The array kernel of point counting: field tables and the product grid.
 
 Elements of F_q are integer ids (the position in the field's canonical
-enumeration), evaluated as discrete logs through one set of FieldTables
-per field, so that whole tiles of the search space evaluate as numpy
-arrays.  `variety` plans each count and imports this module with its
-first grid, so that parsing, planning and gridless counts need no numpy.
+enumeration) and discrete logs, related by one set of FieldTables per
+field.  The grid enumerates every variable by its log, so that whole
+tiles of the search space evaluate as numpy arrays.  `variety` plans each
+count and imports this module with its first grid, so that parsing,
+planning and gridless counts need no numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class FieldTables:
     """
 
     def __init__(self, spec: FieldSpec):
-        self.p, self.m = spec.p, spec.q - 1
+        self.p, self.n, self.m = spec.p, spec.n, spec.q - 1
         self.zero = 0 if spec.p == 2 else self.m  # the code of 0
         self.exp = _exp_table(spec)
         self.log = np.empty(spec.q, dtype=np.int32)
@@ -69,6 +70,51 @@ class FieldTables:
             d += h
             np.take(self.log, d, out=zech[s:s + ids.size], mode="clip")
         return zech
+
+    @functools.cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """One log per orbit of the Frobenius x -> x^p, and the orbit's size.
+
+        On logs the Frobenius is i -> i p mod (q - 1), so the orbits of
+        F_q^x are the cyclotomic cosets {i p^j mod (q - 1)}, and zero (the
+        log q - 1) is an orbit of its own.  Each orbit gives its least log,
+        the largest orbits first and logs ascending within a size, so zero
+        comes last.  Both arrays are int32, and the sizes sum to q.  Each
+        slice of TABLE_BUILD_ROWS logs i takes n - 1 steps
+        c -> c p mod (q - 1) from c = i through one workspace: i is least
+        when no step goes below it, and the last step j < n that comes
+        back to i is n minus the orbit's size.
+        """
+        p, n, m = self.p, self.n, self.m
+        rows = min(TABLE_BUILD_ROWS, m)
+        i = np.arange(rows, dtype=np.int64)
+        conj, high = np.empty((2, rows), dtype=np.int64)
+        least, hit = np.empty((2, rows), dtype=bool)
+        last = np.empty(rows, dtype=np.int32)
+        logs, sizes = [], []
+        for s in range(0, m, rows):
+            r = min(rows, m - s)
+            c, h, lt, b, back = conj[:r], high[:r], least[:r], hit[:r], last[:r]
+            np.copyto(c, i[:r])
+            lt.fill(True)
+            back.fill(0)
+            for j in range(1, n):
+                c *= p
+                np.floor_divide(c, m, out=h)
+                h *= m
+                c -= h
+                np.less_equal(i[:r], c, out=b)
+                lt &= b
+                np.equal(c, i[:r], out=b)
+                np.copyto(back, j, where=b)
+            logs.append(i[:r][lt].astype(np.int32))
+            sizes.append(n - back[lt])
+            i += rows
+        logs = np.concatenate(logs + [np.int32([m])])
+        sizes = np.concatenate(sizes + [np.int32([1])])
+        by_size = [sizes == d for d in range(n, 0, -1) if n % d == 0]
+        return (np.concatenate([logs[b] for b in by_size]),
+                np.concatenate([sizes[b] for b in by_size]))
 
     def _term_logs(self, coeff: int, exps, variables, size: int) -> np.ndarray:
         """Logs of coeff * prod x_j^e_j, given the logs of the x_j."""
@@ -296,11 +342,17 @@ def _tables_for(spec: FieldSpec) -> FieldTables:
 
 
 class _Grid:
-    """The q^k points of one system over one field, as rows x columns.
+    """The points of one system over one field, as rows x columns.
 
     Rows are the tuples of the first k - 1 variables x', columns the q
-    values of the last variable y.  Each polynomial is grouped by powers
-    of y, f = sum_j c_j(x') y^j, coefficients reduced mod p:
+    values of the last variable y, every variable read as a log (q - 1
+    being the log of zero).  The first row variable runs over `first`,
+    (logs, int32 weights), weights never increasing, and a row's hits
+    count its weight times; by default it runs over every log once, in
+    order, weight 1.  The other row variables and y run over every log in
+    order, so no row or column goes through a table.  Each polynomial is
+    grouped by powers of y, f = sum_j c_j(x') y^j, coefficients reduced
+    mod p:
 
     - the constant c_j, j > 0, fold into one code per column;
     - c_0, negated, gives one code per row, the right-hand side;
@@ -319,10 +371,12 @@ class _Grid:
     chunk_size rows, so that their per-call cost is shared by many tiles.
     """
 
-    def __init__(self, system: PolySystem, spec: FieldSpec, chunk_size: int):
-        self.tables = _tables_for(spec)
-        self.q, self.k = spec.q, system.num_vars
-        self.rows, self.cols, self.row_blocks, self.tiles = _tiling(spec.q, self.k, chunk_size)
+    def __init__(self, system: PolySystem, spec: FieldSpec, chunk_size: int, first=None):
+        self.tables, self.first = _tables_for(spec), first
+        q, k = self.q, self.k = spec.q, system.num_vars
+        self.inner = q ** max(k - 2, 0)  # rows per value of the first variable
+        self.num_rows = (q if first is None else first[0].size) * self.inner if k > 1 else 1
+        self.rows, self.cols, self.row_blocks, self.tiles = _tiling(q, self.num_rows, chunk_size)
         self.batch = self.rows * max(1, chunk_size // self.rows)
         self.polys = [_group_by_last(poly, spec.p) for poly in system.polys]
         self._slice = self._row_batch = (None, None)
@@ -340,8 +394,10 @@ class _Grid:
         codes."""
         # a bucket counts at most q^(k - 1) <= WORK_LIMIT < 2^31 rows
         hist, one = np.zeros(self.q, dtype=np.int32), np.int32(1)
-        for bi in range(-(-self.q ** (self.k - 1) // self.batch)):
-            np.add.at(hist, self._rows(bi)[0][0], one)  # a Python 1 takes a slow path
+        for bi in range(-(-self.num_rows // self.batch)):
+            polys, weights = self._rows(bi)
+            # a Python 1 takes a slow path
+            np.add.at(hist, polys[0][0], one if weights is None else weights)
         if not self.polys[0][1]:  # no column terms: every column codes zero
             return int(hist[self.tables.zero]) * self.q
         return sum(int(np.take(hist, self._columns(ci)[0][0]).sum())
@@ -352,7 +408,7 @@ class _Grid:
         of its row terms, over column slice ci."""
         if self._slice[0] != ci:
             t = self.tables
-            ylog = t.log[ci * self.cols:(ci + 1) * self.cols]
+            ylog = np.arange(ci * self.cols, min((ci + 1) * self.cols, self.q), dtype=np.int32)
             self._slice = (ci, [(t.values(col, [ylog], ylog.size) if col else None,
                                  [t.logs(t.values([((j,), 1)], [ylog], ylog.size))
                                   for j, _ in terms])
@@ -360,16 +416,23 @@ class _Grid:
         return self._slice[1]
 
     def _rows(self, bi: int):
-        """Per polynomial, the right-hand sides and the logs of c_j of its
-        row terms, over row batch bi, first variable slowest."""
+        """Over row batch bi, first variable slowest: per polynomial, the
+        right-hand sides and the logs of c_j of its row terms; and the
+        rows' weights, None for weight 1."""
         if self._row_batch[0] != bi:
             t, q, k = self.tables, self.q, self.k
-            idx = np.arange(bi * self.batch, min((bi + 1) * self.batch, q ** (k - 1)),
-                            dtype=np.int64)
-            xs = [t.log[idx // q ** (k - 2 - j) % q] for j in range(k - 1)]
-            self._row_batch = (bi, [(t.values(rhs, xs, idx.size),
-                                     [t.logs(t.values(c, xs, idx.size)) for _, c in terms])
-                                    for rhs, _, terms in self.polys])
+            # rows <= WORK_LIMIT < 2^31
+            idx = np.arange(bi * self.batch, min((bi + 1) * self.batch, self.num_rows),
+                            dtype=np.int32)
+            xs, weights = [], None
+            if k > 1:
+                x0 = idx // self.inner if k > 2 else idx
+                if self.first is not None:
+                    weights, x0 = self.first[1][x0], self.first[0][x0]
+                xs = [x0] + [idx // q ** (k - 2 - j) % q for j in range(1, k - 1)]
+            self._row_batch = (bi, ([(t.values(rhs, xs, idx.size),
+                                      [t.logs(t.values(c, xs, idx.size)) for _, c in terms])
+                                     for rhs, _, terms in self.polys], weights))
         return self._row_batch[1]
 
     def _count_tile(self, ci: int, ri: int) -> int:
@@ -377,8 +440,9 @@ class _Grid:
         m = t.m
         bi, r0 = divmod(ri * self.rows, self.batch)
         rows = slice(r0, r0 + self.rows)
+        polys, weights = self._rows(bi)
         mask = None
-        for (rhs, lcs), (col, powers) in zip(self._rows(bi), self._columns(ci)):
+        for (rhs, lcs), (col, powers) in zip(polys, self._columns(ci)):
             acc = col
             for lc, power in zip(lcs, powers):
                 s = lc[rows, None] + power
@@ -387,12 +451,25 @@ class _Grid:
                 acc = t.add(acc, s)  # a zero factor leaves s >= 2^29 - q: zero
             hit = np.equal(t.zero if acc is None else acc, rhs[rows, None])
             mask = hit if mask is None else mask & hit
-        tuples = (min(self.rows, self.q ** (self.k - 1) - ri * self.rows)
-                  * min(self.cols, self.q - ci * self.cols))
+        cols = min(self.cols, self.q - ci * self.cols)
         if mask is None:
-            return tuples
+            mask = np.ones((min(self.rows, self.num_rows - ri * self.rows), 1), dtype=bool)
         # a mask that never met a column (or a row) term is the same along that axis
-        return int(np.count_nonzero(mask)) * (tuples // mask.size)
+        cols //= mask.shape[1]
+        if weights is None:
+            return int(np.count_nonzero(mask)) * cols
+        w = weights[rows]
+        if w[0] == w[-1]:  # weights never increase: one weight across the tile
+            return int(np.count_nonzero(mask)) * int(w[0]) * cols
+        return sum(int(np.count_nonzero(row)) * wr for row, wr in zip(mask, w.tolist())) * cols
+
+
+def orbit_rows(spec: FieldSpec, k: int):
+    """The product grid's first variable: one log per Frobenius orbit,
+    weighted by its size (`FieldTables.orbits`), or None, every log once,
+    over a prime field (every orbit one element) and for one variable (no
+    row variable)."""
+    return _tables_for(spec).orbits if spec.n > 1 and k > 1 else None
 
 
 _worker_system: PolySystem | None = None  # the system a pool worker counts
@@ -404,5 +481,8 @@ def _init_worker(system: PolySystem) -> None:
 
 
 def _count_tiles(payload) -> int:
+    """Points in a range of the tiles of the orbit-row grid (`Plan.tiles`)."""
     p, n, modulus, chunk_size, start, stop = payload
-    return _Grid(_worker_system, FieldSpec(p, n, modulus), chunk_size).count(start, stop)
+    spec = FieldSpec(p, n, modulus)
+    first = orbit_rows(spec, _worker_system.num_vars)
+    return _Grid(_worker_system, spec, chunk_size, first).count(start, stop)

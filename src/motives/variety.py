@@ -3,11 +3,12 @@
 A PolySystem is a list of multivariate polynomials with integer
 coefficients.  Counting reduces every coefficient mod p and lays F_q^k
 out as rows, the tuples of the first k - 1 variables, times columns, the
-q values of the last one, y.  This module parses, plans (`PLANS`) and
-charges each count in pure Python; the arrays (field tables, tiles, the
-join) live in `grid`, which imports numpy and is itself imported only
-when a count builds its first grid.  Projective charts x_lead = 1 are
-affine counts.
+q values of the last one, y; the product plan's first variable takes one
+value per Frobenius orbit, weighted by its size.  This module parses,
+plans (`PLANS`) and charges each count in pure Python; the arrays (field
+tables, tiles, the join) live in `grid`, which imports numpy and is
+itself imported only when a count builds its first grid.  Projective
+charts x_lead = 1 are affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk with k <= 29 (x, y, z for k <= 3),
@@ -24,18 +25,22 @@ polynomial.  num_vars is the highest variable index written, at exponent
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .finite_field import MAX_FIELD_SIZE, FieldSpec, Record, is_prime, make_field
+from .finite_field import MAX_FIELD_SIZE, FieldSpec, Record, is_prime, make_field, prime_root
 
 WORK_LIMIT = 2 ** 28  # tuples a count may enumerate
 DEFAULT_CHUNK_SIZE = 1 << 14
-# the smallest grid a pool pays for: y^2 + xy + y = x^3 + x^2 + x, warm, 2 CPUs,
-# serial vs a new 2-worker pool, 0.26-0.29 vs 0.30-0.34 s at 2^26 tuples (F_2^13),
-# 1.13-1.29 vs 0.66-0.78 s at 2^28 (F_2^14)
+# the enumerated tuples (a plan's charge) from which a field's tiles go to a pool.
+# Set on full F_2 grids, before the product grid took one row per Frobenius
+# orbit: y^2 + xy + y = x^3 + x^2 + x, warm, 2 CPUs, serial vs a new 2-worker
+# pool, 0.26-0.29 vs 0.30-0.34 s at 2^26 tuples (F_2^13), 1.13-1.29 vs
+# 0.66-0.78 s at 2^28 (F_2^14).  On orbit rows the same curve takes 1.26-1.59 vs
+# 0.84-0.94 s at 2^27 (F_11587) and 2.69-2.91 vs 1.55-1.66 s over F_151^2
 POOL_MIN_TUPLES = 2 ** 27
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
@@ -204,11 +209,28 @@ def format_poly_system(system: PolySystem) -> str:
 # ----------------------------------------------------------------------
 # the counting plans; the arrays they count with live in grid.py
 
-def _tiling(q: int, k: int, chunk_size: int) -> tuple[int, int, int, int]:
-    """(rows per tile, columns per tile, row blocks, tiles) of the q^k grid."""
+def _tiling(q: int, num_rows: int, chunk_size: int) -> tuple[int, int, int, int]:
+    """(rows per tile, columns per tile, row blocks, tiles) of a grid of
+    num_rows rows and q columns."""
     rows, cols = max(1, chunk_size // q), min(q, chunk_size)
-    row_blocks = -(-q ** (k - 1) // rows)
+    row_blocks = -(-num_rows // rows)
     return rows, cols, row_blocks, row_blocks * -(-q // cols)
+
+
+def _orbits(q: int) -> int:
+    """Orbits of the Frobenius x -> x^p on F_q, q = p^n: the necklaces of n
+    beads in p colours, N(p, n) = (1/n) sum_{d | n} phi(d) p^(n/d), which
+    is (1/n) sum_{j < n} p^gcd(j, n) (Burnside over the n rotations) and q
+    for a prime q."""
+    p, n = prime_root(q)
+    return sum(p ** math.gcd(j, n) for j in range(n)) // n
+
+
+def _tile_rows(q: int, k: int) -> int:
+    """Rows of the tiled grid over F_q^k: the tuples of the first k - 1
+    variables, the first of them over one element per Frobenius orbit
+    (grid.orbit_rows); one empty row for k = 1."""
+    return _orbits(q) * q ** (k - 2) if k > 1 else 1
 
 
 def _group_by_last(poly, p: int):
@@ -233,21 +255,29 @@ def _group_by_last(poly, p: int):
 
 class Plan(NamedTuple):
     applies: Callable[[list], bool]  # on _group_by_last of every polynomial
-    charge: Callable[[int, int], int]  # tuples enumerated over F_q^k, from (q, k)
+    # tuples (or rows and columns) enumerated over F_q^k, from (q, k), before any field is built
+    charge: Callable[[int, int], int]
     count: Callable  # grid._Grid -> points
-    pools: bool = False
+    # counts the tiles of the grid whose first variable runs over grid.orbit_rows,
+    # which a pool may split; other plans count every row, weight 1
+    tiles: bool = False
 
 
 # The ways to count the grid, in the order `auto` tries them; `method` names
 # one, and each is exact for any chunk_size and worker count.  "separable":
 # one polynomial without row terms, g(x') = h(y), joins a q-entry histogram
-# of the rows' right-hand sides with the columns' codes.  "product" tests
-# every tuple, paying only for row terms; it always applies, is the oracle
-# and alone runs over a pool.
+# of every row's right-hand side with the columns' codes.  "product" tests
+# each tuple of the tiled grid, whose first variable takes one value per
+# Frobenius orbit and weighs its rows' hits by the orbit's size (the
+# coefficients are integers, so x -> x^p maps points to points), paying
+# only for row terms; it always applies, alone runs over a pool, and is
+# charged the N(p, n) q^(k - 1) tuples it enumerates, for N(p, n) orbits.
+# The same grid over every row, weight 1, is the tests' oracle.
 PLANS = {
     "separable": Plan(lambda polys: len(polys) == 1 and not polys[0][2],
                       lambda q, k: q ** (k - 1) + q, lambda g: g.join()),
-    "product": Plan(lambda polys: True, lambda q, k: q ** k, lambda g: g.count(), pools=True),
+    "product": Plan(lambda polys: True, lambda q, k: _tile_rows(q, k) * q,
+                    lambda g: g.count(), tiles=True),
 }
 
 
@@ -261,11 +291,14 @@ class _GridCounter:
     """One plan of PLANS for a system over F_p and its extensions, charged
     once, for the largest field q_max, before any field is built.
 
-    One pool serves every field whose tiles hold at least POOL_MIN_TUPLES
-    tuples, with as many workers as the largest field has tiles (at most
-    `workers` and the CPUs); its initializer hands each worker the system
-    once, and a field then travels as ranges of tiles, four per worker.
-    A system with no equation mod p counts q^k at once, at the same charge.
+    One pool serves every field whose charge, the tuples its tiles
+    enumerate, is at least POOL_MIN_TUPLES, with as many workers as the
+    largest field has tiles (at most `workers` and the CPUs); its
+    initializer hands each worker the system once, and a field then
+    travels as ranges of tiles, four per worker.  Planner and workers
+    read the tiles from the same rows, one per Frobenius orbit of the
+    first variable.  A system with no equation mod p counts q^k at once,
+    at the same charge.
     """
 
     def __init__(self, system: PolySystem, p: int, q_max: int, *,
@@ -283,7 +316,8 @@ class _GridCounter:
         if self.plan.charge(q_max, k) > WORK_LIMIT:
             raise ValueError("search space too large")
         self.system, self.chunk_size, self.pool = system, chunk_size, None
-        self.workers = _pool_size(workers, _tiling(q_max, k, chunk_size)[3]) if self.plan.pools else 1
+        self.workers = (_pool_size(workers, _tiling(q_max, _tile_rows(q_max, k), chunk_size)[3])
+                        if self.plan.tiles else 1)
 
     def __enter__(self):
         return self
@@ -296,14 +330,16 @@ class _GridCounter:
         if self.free:
             return spec.q ** self.system.num_vars
         from . import grid  # the array kernel: numpy loads with the first grid
-        if self.workers == 1 or spec.q ** self.system.num_vars < POOL_MIN_TUPLES:
-            return self.plan.count(grid._Grid(self.system, spec, self.chunk_size))
+        k = self.system.num_vars
+        if self.workers == 1 or self.plan.charge(spec.q, k) < POOL_MIN_TUPLES:
+            first = grid.orbit_rows(spec, k) if self.plan.tiles else None
+            return self.plan.count(grid._Grid(self.system, spec, self.chunk_size, first))
         if self.pool is None:
             from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
             self.pool = ProcessPoolExecutor(max_workers=self.workers,
                                             initializer=grid._init_worker,
                                             initargs=(self.system,))
-        tiles = _tiling(spec.q, self.system.num_vars, self.chunk_size)[3]
+        tiles = _tiling(spec.q, _tile_rows(spec.q, k), self.chunk_size)[3]
         parts = min(tiles, 4 * self.workers)
         cuts = [tiles * i // parts for i in range(parts + 1)]
         return sum(self.pool.map(grid._count_tiles, [
@@ -318,8 +354,9 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
 
     method is "auto", the first of PLANS that applies, or a plan's name.
     Tiles hold at most chunk_size tuples, over up to `workers` processes
-    (default the CPUs) from POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a
-    fixed 2^28, caps the plan's charge.
+    (default the CPUs) from a charge of POOL_MIN_TUPLES tuples on.
+    WORK_LIMIT, a fixed 2^28, caps the plan's charge, the tuples it
+    enumerates.
     """
     with _GridCounter(system, spec.p, spec.q, workers=workers, method=method,
                       chunk_size=chunk_size) as counter:

@@ -413,12 +413,12 @@ def pools(monkeypatch):
 
 
 def test_parallel_matches_serial(pools, monkeypatch):
-    f = make_field(2, 7)  # 16384 pairs
-    serial = count_affine(CURVE, f, method="product", chunk_size=1000)
+    f = make_field(2, 7)  # 20 orbit rows of 128 columns, in 7 tiles of 3 rows
+    serial = count_affine(CURVE, f, method="product", chunk_size=400)
     monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 1)
     for w in (2, 4):
         assert count_affine(CURVE, f, method="product", workers=w,
-                            chunk_size=1000) == serial
+                            chunk_size=400) == serial
     assert pools["made"] == [2, 4]
 
 
@@ -434,19 +434,21 @@ def test_workers_match_serial_with_row_terms(pools, monkeypatch):
 
 
 def test_one_pool_per_sequence(pools, monkeypatch):
-    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 16)  # from F_2^8 on
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 16)  # from F_2^10 on
     seq = affine_count_sequence(CURVE, 2, 12, method="product", workers=2)
     assert seq.counts == EXPECTED_CURVE_COUNTS
     assert pools["made"] == [2]
 
 
 def test_pool_starts_at_the_threshold_field(pools, monkeypatch):
-    # F_2^10 has exactly 2^20 tuples; F_2^9, with 2^18, is counted serially
+    # the product grid enumerates one row per Frobenius orbit: F_2^12 has
+    # 352 * 2^12 = 1,441,792 tuples, past 2^20; F_2^11, with 188 * 2^11 =
+    # 385,024, is counted serially
     monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 20)
     seq = affine_count_sequence(CURVE, 2, 12, method="product")
     assert seq.counts == EXPECTED_CURVE_COUNTS
     assert pools["made"] == [4]
-    assert pools["fields"] == {(2, 10), (2, 11), (2, 12)}
+    assert pools["fields"] == {(2, 12)}
 
 
 def test_pool_is_off_below_the_threshold(pools):
@@ -518,10 +520,11 @@ def test_join_peak_warm_within_12_bytes_per_element(p, n):
 
 
 def test_sphere_joins_past_the_product_limit():
-    # 2^30 tuples on the product grid, 2^20 + 2^10 for the join; in
-    # characteristic 2 the sphere is the plane x + y + z = 1
+    # 188 * 2^22 = 788,529,152 tuples on the product grid's orbit rows,
+    # 2^22 + 2^11 for the join; in characteristic 2 the sphere is the
+    # plane x + y + z = 1
     sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
-    f = make_field(2, 10)
+    f = make_field(2, 11)
     assert count_affine(sphere, f) == count_affine(sphere, f, method="separable") == f.q ** 2
     with pytest.raises(ValueError, match="search space too large"):
         count_affine(sphere, f, method="product")
@@ -634,6 +637,7 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
     system, f = case
     product = count_affine(system, f, method="product", chunk_size=97)
     assert product == naive_affine_count(system, f)
+    assert product == _unreduced_count(system, f, 97)
     assert count_affine(system, f, method="auto") == product
     polys = [variety._group_by_last(poly, f.p) for poly in system.polys]
     for name, plan in variety.PLANS.items():
@@ -642,6 +646,9 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
         else:
             with pytest.raises(ValueError, match=f"^system is not {name}$"):
                 count_affine(system, f, method=name)
+    if variety.PLANS["separable"].applies(polys):  # the join weighs orbit rows too
+        first = grid.orbit_rows(f, system.num_vars)
+        assert grid._Grid(system, f, 97, first).join() == product
     # a row term: some y^j, j > 0, whose coefficient mod p involves x'
     keeps_row_term = len(system.polys) > 1 or any(
         c % f.p and e[-1] and any(e[:-1]) for e, c in system.polys[0])
@@ -692,23 +699,68 @@ def grid_cases(draw):
     return PolySystem(k, polys), make_field(p, n), chunk_size
 
 
+def _unreduced_count(system, f, chunk_size):
+    """The product grid with every row of the first variable, weight 1,
+    through the orbit rows' code path: the oracle of the orbit rows."""
+    every = (np.arange(f.q, dtype=np.int32), np.ones(f.q, dtype=np.int32))
+    return grid._Grid(system, f, chunk_size, every).count()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(grid_cases())
 def test_product_grid_matches_oracle_for_any_chunk_size(case):
     system, f, chunk_size = case
-    assert count_affine(system, f, method="product", chunk_size=chunk_size) == \
-        naive_affine_count(system, f)
+    product = count_affine(system, f, method="product", chunk_size=chunk_size)
+    assert product == naive_affine_count(system, f)
+    assert product == _unreduced_count(system, f, chunk_size)
 
 
 @pytest.mark.parametrize("chunk_size", range(1, 31))
 def test_product_grid_tiles_every_row_once(chunk_size):
     # nine rows of F_3^2 in blocks of chunk_size // 3 rows; at chunk_size 7
     # the block of rows 6 and 7 would cross a batch of 7 rows, had batches
-    # not been whole blocks
+    # not been whole blocks.  Over F_2^4 (6 orbits, so 96 rows of 16) and
+    # F_3^2 (6 orbits, so 54 rows of 9) the first variable's orbits, of
+    # sizes 1, 2 and n, cross tile and batch edges
     sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
-    f = make_field(3, 1)
-    assert count_affine(sphere, f, method="product", chunk_size=chunk_size) == \
-        naive_affine_count(sphere, f)
+    for p, n in ((3, 1), (2, 4), (3, 2)):
+        f = make_field(p, n)
+        want = (naive_affine_count(sphere, f) if n == 1
+                else count_affine(sphere, f, method="separable"))
+        assert count_affine(sphere, f, method="product", chunk_size=chunk_size) == want, (p, n)
+        assert _unreduced_count(sphere, f, chunk_size) == want, (p, n)
+
+
+ORBIT_FIELDS = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 6)] + [(5, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("p,n", ORBIT_FIELDS)
+def test_orbit_rows_are_one_element_per_frobenius_orbit(p, n):
+    # each representative's orbit under x -> x^p, by FFElement powers: the
+    # orbits are disjoint, of the given sizes, and cover F_q; there are as
+    # many as the product plan charges for, and each holds its least log.
+    # Sizes never increase along the rows, as _Grid's tiles require
+    f = make_field(p, n)
+    t = FieldTables(f)
+    logs, sizes = t.orbits
+    assert (np.diff(sizes) <= 0).all()
+    g = multiplicative_generator(f)
+    seen = set()
+    for log, size in zip(logs.tolist(), sizes.tolist()):
+        x = f.zero() if log == f.q - 1 else g ** log
+        orbit = [x]
+        while (y := orbit[-1] ** p) != x:
+            orbit.append(y)
+        ids = {y.index() for y in orbit}
+        assert len(orbit) == size and not ids & seen
+        assert log == min(int(t.log[i]) for i in ids)
+        seen |= ids
+    assert len(seen) == f.q == int(sizes.sum())
+    assert logs.size == variety._orbits(f.q)
+    assert variety.PLANS["product"].charge(f.q, 2) == logs.size * f.q
+    assert (grid.orbit_rows(f, 2)[0] == logs).all()
+    # one variable, or a prime field: every log once, in order
+    assert grid.orbit_rows(f, 1) is None and grid.orbit_rows(make_field(p, 1), 2) is None
 
 
 # ----------------------------------------------------------------------
