@@ -30,11 +30,12 @@ class FieldTables:
     An element's id is its position in the field's enumeration order.
     For the smallest multiplicative generator g, exp[k] is the id of g^k
     for k < q - 1 and exp[q - 1] = 0; log inverts exp, so q - 1 is the
-    log of zero.  Both are int32.  A monomial c * x^a * y^b is one sum
-    of logs mod q - 1 plus a zero mask.  Sums are carried in one code,
-    chosen by p and known only here (`zero`, `add`, `logs`): for p = 2
-    the ids themselves, added by XOR; for odd p the logs, added through
-    Zech logarithms, log(1 + g^k), since g^a + g^b = g^a (1 + g^(b - a))
+    log of zero.  Both are int32, and log is built on first use.  A
+    monomial c * x^a * y^b is one sum of logs mod q - 1 plus a zero mask.
+    Sums are carried in one code, chosen by p and known only here
+    (`zero`, `add`, `logs`, `quadratic_solutions`): for p = 2 the ids
+    themselves, added by XOR; for odd p the logs, added through Zech
+    logarithms, log(1 + g^k), since g^a + g^b = g^a (1 + g^(b - a))
     (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Each table is
     built TABLE_BUILD_ROWS elements at a time through one workspace, so
     a field costs 4 bytes per element per table and little more.
@@ -44,14 +45,21 @@ class FieldTables:
         self.p, self.n, self.m = spec.p, spec.n, spec.q - 1
         self.zero = 0 if spec.p == 2 else self.m  # the code of 0
         self.exp = _exp_table(spec)
-        self.log = np.empty(spec.q, dtype=np.int32)
-        ids = np.empty(min(TABLE_BUILD_ROWS, spec.q), dtype=np.intp)
+        self.trace_mask = _trace_mask(spec.modulus) if spec.p == 2 else None
+
+    @functools.cached_property
+    def log(self) -> np.ndarray:
+        """log[id] = k where exp[k] = id; built on first use, which a
+        p = 2 count without row-dependent products never makes."""
+        log = np.empty_like(self.exp)
+        ids = np.empty(min(TABLE_BUILD_ROWS, log.size), dtype=np.intp)
         logs = np.arange(ids.size, dtype=np.int32)
-        for s in range(0, spec.q, ids.size):
+        for s in range(0, log.size, ids.size):
             e = self.exp[s:s + ids.size]
             np.copyto(ids[:e.size], e)
-            self.log[ids[:e.size]] = logs[:e.size]
+            log[ids[:e.size]] = logs[:e.size]
             logs += ids.size
+        return log
 
     @functools.cached_property
     def zech(self) -> np.ndarray:
@@ -119,7 +127,8 @@ class FieldTables:
     def _term_logs(self, coeff: int, exps, variables, size: int) -> np.ndarray:
         """Logs of coeff * prod x_j^e_j, given the logs of the x_j."""
         m = self.m
-        lc = int(self.log[coeff % self.p])
+        # for p = 2 every coefficient that reaches here is 1 mod 2
+        lc = 0 if self.p == 2 else int(self.log[coeff % self.p])
         used = [(v, e % m) for v, e in zip(variables, exps) if e]
         top = lc + m * sum(e for _, e in used)
         out = np.full(size, lc, dtype=np.int32 if top < 2 ** 31 else np.int64)
@@ -153,6 +162,51 @@ class FieldTables:
         logs[logs == self.m] = _ZERO_LOG
         return logs
 
+    def quadratic_solutions(self, rhs: np.ndarray, c1, c2: int) -> int:
+        """Solutions y of c2 y^2 + c1 y = rhs, summed over rows: rhs the
+        rows' codes, c1 their int32 logs (from `logs`) or one integer
+        coefficient for every row, c2 an integer nonzero mod p.
+
+        For odd p a row has 1 + chi(c1^2 + 4 c2 rhs) solutions, chi the
+        quadratic character: 0 at zero, else +1 or -1 as the log is even
+        or odd.  For p = 2, c2 = 1: a row with c1 = 0 has one, the square
+        root of rhs; any other has two if Tr(rhs / c1^2) = 0 and none
+        otherwise, since y = c1 z turns it into z^2 + z = rhs / c1^2
+        (Lidl-Niederreiter, Theorem 2.25).  Temporaries are int32.
+        """
+        m = self.m
+        if self.p == 2:
+            if not isinstance(c1, np.ndarray):  # c1 = 1 leaves rhs as it is
+                return rhs.size if c1 % 2 == 0 else 2 * (rhs.size - int(np.count_nonzero(
+                    self._trace(rhs))))
+            lr = self.logs(rhs)
+            x = np.take(self.exp, _reduce(lr - 2 * c1, m), mode="clip")
+            np.copyto(x, 0, where=lr == _ZERO_LOG)  # Tr(0) = 0
+            zero = c1 == _ZERO_LOG
+            tr = self._trace(x)
+            tr |= zero
+            return int(np.count_nonzero(zero)) + 2 * (tr.size - int(np.count_nonzero(tr)))
+        if not isinstance(c1, np.ndarray):
+            c1 = np.int32([int(self.log[c1 % self.p]) if c1 % self.p else _ZERO_LOG])
+        # logs of c1^2 and of 4 c2 rhs; a zero factor stays at least 2^29 - q: zero
+        sq = 2 * c1 - m
+        _wrap(sq, m)
+        d = self.logs(rhs)
+        d += int(self.log[4 * c2 % self.p]) - m
+        _wrap(d, m)
+        disc = self.add(self.add(None, sq), d)
+        # m is even: a zero discriminant's log is even and counts 2 - 1
+        return 2 * (disc.size - int(np.count_nonzero(disc & 1))) - int(np.count_nonzero(disc == m))
+
+    def _trace(self, ids: np.ndarray) -> np.ndarray:
+        """Tr(x), 0 or 1, of the elements of F_2^n with these ids: the
+        parity of the bits of id & trace_mask, ids being below 2^26."""
+        x = ids & self.trace_mask
+        for s in (16, 8, 4, 2, 1):
+            x ^= x >> s
+        x &= 1
+        return x
+
     def _add_logs(self, a, b):
         """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero.
 
@@ -181,6 +235,18 @@ def _wrap(x: np.ndarray, m: int) -> np.ndarray:
     sign &= m
     x += sign
     return x
+
+
+def _trace_mask(modulus) -> int:
+    """The absolute trace of F_2[x]/(f) on ids: bit j is Tr(x^j), the
+    power sum s_j of f's roots x^(2^i).  For f = x^n + a_1 x^(n-1) + ...
+    + a_n, Newton's identities mod 2 give s_j = j a_j + sum_{0<i<j} a_i
+    s_(j-i), and s_0 = Tr(1) = n mod 2."""
+    n, a = len(modulus) - 1, modulus[::-1]
+    s = [n % 2]
+    for j in range(1, n):
+        s.append((j * a[j] + sum(a[i] * s[j - i] for i in range(1, j))) % 2)
+    return sum(bit << j for j, bit in enumerate(s))
 
 
 def _exp_table(spec: FieldSpec) -> np.ndarray:
@@ -402,6 +468,20 @@ class _Grid:
             return int(hist[self.tables.zero]) * self.q
         return sum(int(np.take(hist, self._columns(ci)[0][0]).sum())
                    for ci in range(-(-self.q // self.cols)))
+
+    def fibre(self) -> int:
+        """Points of one polynomial c2 y^2 + c1(x') y + c0(x'), c2 a
+        constant nonzero mod p: the solutions in y of every row, weight 1,
+        from its right-hand side -c0 and its c1 (row terms' logs, or the
+        constant), through `FieldTables.quadratic_solutions`."""
+        (_, col, terms), = self.polys
+        coeffs = {j: c for (j,), c in col}
+        c1 = coeffs.get(1, 0)
+        total = 0
+        for bi in range(-(-self.num_rows // self.batch)):
+            ((rhs, lcs),), _ = self._rows(bi)
+            total += self.tables.quadratic_solutions(rhs, lcs[0] if terms else c1, coeffs[2])
+        return total
 
     def _columns(self, ci: int):
         """Per polynomial, the column codes (or None) and the logs of y^j

@@ -6,9 +6,9 @@ out as rows, the tuples of the first k - 1 variables, times columns, the
 q values of the last one, y; the product plan's first variable takes one
 value per Frobenius orbit, weighted by its size.  This module parses,
 plans (`PLANS`) and charges each count in pure Python; the arrays (field
-tables, tiles, the join) live in `grid`, which imports numpy and is
-itself imported only when a count builds its first grid.  Projective
-charts x_lead = 1 are affine counts.
+tables, tiles, the join, the fibre count) live in `grid`, which imports
+numpy and is itself imported only when a count builds its first grid.
+Projective charts x_lead = 1 are affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk with k <= 29 (x, y, z for k <= 3),
@@ -253,6 +253,13 @@ def _group_by_last(poly, p: int):
     return rhs, col, row
 
 
+def _quadratic_in_last(polys) -> bool:
+    """One polynomial c2 y^2 + c1(x') y + c0(x'), c2 one constant term:
+    y^2 a column term, y^1 a column or a row term, no higher power."""
+    return (len(polys) == 1 and sorted(j for (j,), _ in polys[0][1]) in ([2], [1, 2])
+            and all(j == 1 for j, _ in polys[0][2]))
+
+
 class Plan(NamedTuple):
     applies: Callable[[list], bool]  # on _group_by_last of every polynomial
     # tuples (or rows and columns) enumerated over F_q^k, from (q, k), before any field is built
@@ -264,7 +271,10 @@ class Plan(NamedTuple):
 
 
 # The ways to count the grid, in the order `auto` tries them; `method` names
-# one, and each is exact for any chunk_size and worker count.  "separable":
+# one, and each is exact for any chunk_size and worker count.  "fibre": one
+# polynomial quadratic in y with a constant y^2 coefficient, c2 y^2 + c1(x')
+# y + c0(x'), counts each row's solutions in y, 1 + chi(c1^2 - 4 c2 c0) for
+# odd p and a trace for p = 2, charged its q^(k - 1) rows.  "separable":
 # one polynomial without row terms, g(x') = h(y), joins a q-entry histogram
 # of every row's right-hand side with the columns' codes.  "product" tests
 # each tuple of the tiled grid, whose first variable takes one value per
@@ -274,6 +284,7 @@ class Plan(NamedTuple):
 # charged the N(p, n) q^(k - 1) tuples it enumerates, for N(p, n) orbits.
 # The same grid over every row, weight 1, is the tests' oracle.
 PLANS = {
+    "fibre": Plan(_quadratic_in_last, lambda q, k: q ** (k - 1), lambda g: g.fibre()),
     "separable": Plan(lambda polys: len(polys) == 1 and not polys[0][2],
                       lambda q, k: q ** (k - 1) + q, lambda g: g.join()),
     "product": Plan(lambda polys: True, lambda q, k: _tile_rows(q, k) * q,

@@ -258,8 +258,8 @@ def _reciprocal_roots(coeffs) -> list[complex]:
 
     Degree 0 has none.  Degree 2 takes the closed form
     (-b_1 -+ sqrt(b_1^2 - 4 b_2)) / 2, so a double root is exact and a
-    conjugate pair (a +- i sqrt(4p - a^2)) / 2 is found without numpy;
-    degrees 3 and up use np.roots.
+    conjugate pair (a +- i sqrt(4p - a^2)) / 2 is found in closed form;
+    degrees 3 and up, square-free, take `_aberth`.
     """
     b = _trim(list(coeffs))
     if len(b) < 2:
@@ -270,9 +270,71 @@ def _reciprocal_roots(coeffs) -> list[complex]:
         r = cmath.sqrt(b[1] * b[1] - 4 * b[2])
         roots = [(-b[1] - r) / 2, (-b[1] + r) / 2]
     else:
-        import numpy as np  # degree 3 and up
-        roots = [complex(r) for r in np.roots(np.array(b, dtype=float))]
+        roots = _aberth(b)
     return sorted(roots, key=_root_key)
+
+
+_ABERTH_SWEEPS = 500  # sweeps before the iterates are taken as they stand
+
+
+def _aberth(b) -> list[complex]:
+    """The simple roots of u^d + b_1 u^(d-1) + ... + b_d, d >= 3, integer
+    b_j, by the Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27,
+    1973): each iterate z moves by w / (1 - w sum_{j != k} 1 / (z - z_j)),
+    w the Newton step p(z) / p'(z), in place, until every move is below
+    2^-50 of its |z| or _ABERTH_SWEEPS sweeps pass.  The iterates start on
+    the circle |u| = |b_d|^(1/d), where the roots' product puts their
+    geometric mean, at angles turned off the real axis.  Each root then
+    takes one Newton step in exact integers (`_exact_newton`): from a
+    converged iterate, that leaves each part the double nearest the true
+    root.  Floats and integers only, so the same input gives the same
+    roots on every run."""
+    d, fb = len(b) - 1, [float(c) for c in b]
+
+    def step(z: complex) -> complex:  # the Newton step, Horner for p and p'
+        v, dv = 1.0, 0.0
+        for c in fb[1:]:
+            dv = dv * z + v
+            v = v * z + c
+        return v / dv if dv else 0j
+
+    radius = abs(fb[-1]) ** (1 / d)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+    for _ in range(_ABERTH_SWEEPS):
+        done = True
+        for k, zk in enumerate(z):
+            if not (w := step(zk)):
+                continue
+            move = w / (1 - w * sum(1 / (zk - zj) for zj in z if zj != zk))
+            z[k] = zk - move
+            done = done and abs(move) <= abs(zk) * 2 ** -50
+        if done:
+            break
+    return [_exact_newton(b, zk) for zk in z]
+
+
+def _exact_newton(b, z: complex) -> complex:
+    """z - p(z) / p'(z) for the integer p = sum b_j u^(d-j), b_0 = 1, in
+    exact Gaussian integers, each part rounded once: z = Z / D with Z
+    Gaussian, D a power of 2, and Horner carries D^j times its j-th
+    values, V_j = V_(j-1) Z + b_j D^j and V'_j = V'_(j-1) Z + D V_(j-1),
+    so that the new iterate is (Z V'_d - D V_d) / (D V'_d)."""
+    if not cmath.isfinite(z):
+        raise OverflowError("root past the float range")
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(xd, yd)
+    zr, zi = xn * (den // xd), yn * (den // yd)
+    vr, vi, dr, di, scale = 1, 0, 0, 0, 1
+    for c in b[1:]:
+        scale *= den
+        dr, di = dr * zr - di * zi + den * vr, dr * zi + di * zr + den * vi
+        vr, vi = vr * zr - vi * zi + c * scale, vr * zi + vi * zr
+    nr, ni = zr * dr - zi * di - den * vr, zr * di + zi * dr - den * vi
+    dr, di = den * dr, den * di
+    norm = dr * dr + di * di
+    if not norm:
+        return z
+    return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
 
 
 def weil_numbers_from_counts(p: int, g: int, counts: "CountSequence") -> WeilNumbers:

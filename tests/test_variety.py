@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import os
 import random
 import tracemalloc
@@ -534,10 +535,10 @@ def test_join_charges_rows_plus_columns(monkeypatch):
     sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
     f = make_field(2, 4)
     monkeypatch.setattr(variety, "WORK_LIMIT", f.q ** 2 + f.q)
-    assert count_affine(sphere, f) == f.q ** 2
+    assert count_affine(sphere, f, method="separable") == f.q ** 2
     monkeypatch.setattr(variety, "WORK_LIMIT", f.q ** 2 + f.q - 1)
     with pytest.raises(ValueError, match="search space too large"):
-        count_affine(sphere, f)
+        count_affine(sphere, f, method="separable")
 
 
 def test_join_without_column_terms_spans_every_column_slice():
@@ -558,12 +559,13 @@ def test_join_starts_no_pool(pools, monkeypatch):
 
 
 def test_sequence_refused_before_any_field_is_counted(monkeypatch):
-    # q^2 passes 2^28 at F_5^7: the whole sequence is charged for F_5^8 first
+    # the product grid's charge passes 2^28 at F_5^7: the whole sequence is
+    # charged for F_5^8 first (the fibre plan's 5^8 rows fit)
     built = []
     monkeypatch.setattr(grid, "_Grid", lambda *args: built.append(args))
     genus2 = parse_poly_system("y^2 + x*y - x^5 - x - 1")
     with pytest.raises(ValueError, match="search space too large"):
-        affine_count_sequence(genus2, 5, 8)
+        affine_count_sequence(genus2, 5, 8, method="product")
     assert built == []
 
 
@@ -611,20 +613,27 @@ PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # F_4 .. F_2
 
 @st.composite
 def small_systems(draw):
-    """Random systems over small extension fields, mixed monomials included,
-    and single equations whose last variable separates, g(x') = h(y).
+    """Random systems over small extension fields, mixed monomials included;
+    single equations whose last variable separates, g(x') = h(y); and
+    single equations c2 y^2 + c1(x') y + c0(x') with c2 a constant
+    nonzero mod p, whose c1 may involve x'.
 
     Three variables are drawn only over q <= 9, so the scalar oracle sees at
     most 729 tuples."""
     p, n = draw(st.sampled_from(PROPERTY_FIELDS))
     k = draw(st.integers(1, 3 if p ** n <= 9 else 2))
-    separable = draw(st.booleans())
+    shape = draw(st.sampled_from(["mixed", "separable", "quadratic"]))
     monomial = st.tuples(st.tuples(*[st.integers(0, 4)] * k), st.integers(-6, 6))
     polys = []
-    for _ in range(1 if separable else draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 2)) if shape == "mixed" else 1):
         terms = draw(st.lists(monomial, min_size=1, max_size=4))
-        if separable:  # a monomial in y carries no other variable
+        if shape == "separable":  # a monomial in y carries no other variable
             terms = [(((0,) * (k - 1) + e[-1:]) if e[-1] else e, c) for e, c in terms]
+        if shape == "quadratic":  # y^0 and y^1, a c1 term, one constant c2 y^2
+            c2 = draw(st.integers(-6, 6).filter(lambda c: c % p))
+            e, c1 = draw(monomial)
+            terms = [((*e[:-1], min(e[-1], 1)), c) for e, c in terms + [((*e[:-1], 1), c1)]]
+            terms.append(((0,) * (k - 1) + (2,), c2))
         polys.append(tuple(terms))
     return PolySystem(k, tuple(polys)), make_field(p, n)
 
@@ -649,6 +658,8 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
     if variety.PLANS["separable"].applies(polys):  # the join weighs orbit rows too
         first = grid.orbit_rows(f, system.num_vars)
         assert grid._Grid(system, f, 97, first).join() == product
+    if variety.PLANS["fibre"].applies(polys):  # row batches of at most 7 rows
+        assert grid._Grid(system, f, 7).fibre() == product
     # a row term: some y^j, j > 0, whose coefficient mod p involves x'
     keeps_row_term = len(system.polys) > 1 or any(
         c % f.p and e[-1] and any(e[:-1]) for e, c in system.polys[0])
@@ -677,6 +688,116 @@ def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch
     assert count_affine(two, f) == 1  # the product grid comes first now: x = y = 0
     assert count_affine(two, f, method="stub") == 7
     assert seen == [3, 3, 3]
+
+
+# ----------------------------------------------------------------------
+# the fibre plan: c2 y^2 + c1(x') y + c0(x'), one row at a time
+
+@pytest.mark.parametrize("text, fields", [
+    # p = 2, c1 = 0 on the rows x = 0 (and x = 1): one solution there
+    ("y^2 + x*y + x^3 + 1", [(2, n) for n in range(1, 7)]),
+    ("y^2 + x^2*y + x*y + x^5 + x", [(2, n) for n in range(1, 7)]),
+    ("y^2 - x^3 - 1", [(2, 3), (2, 4)]),  # c1 = 0 on every row
+    # odd p, zero discriminants: (y + x)^2 on every row, y^2 = x^2 at x = 0,
+    # 4 c2 c0 = c1^2 at the roots of x^3 - 1
+    ("y^2 + 2*x*y + x^2", [(3, 1), (3, 2), (5, 2), (7, 1), (3, 3)]),
+    ("y^2 - x^2", [(3, 2), (5, 1), (5, 2), (7, 2)]),
+    ("3*y^2 + 2*x*y + x^3 - 1", [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1)]),
+    # surfaces: k = 3, c1 = xy vanishing on whole rows
+    ("z^2 + x*y*z + x^3 - y", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]),
+    ("2*z^2 + x*z + y^2 - x - 1", [(3, 2), (5, 1), (7, 1)]),
+])
+def test_fibre_counts_match_the_product_grid(text, fields):
+    system = parse_poly_system(text)
+    for p, n in fields:
+        assert variety.PLANS["fibre"].applies([variety._group_by_last(system.polys[0], p)])
+        f = make_field(p, n)
+        want = _unreduced_count(system, f, 1 << 14)
+        if f.q ** system.num_vars <= 729:
+            assert want == naive_affine_count(system, f), (text, p, n)
+        for chunk_size in (1, 7, 1 << 14):
+            got = count_affine(system, f, method="fibre", chunk_size=chunk_size)
+            assert got == want, (text, p, n, chunk_size)
+        assert count_affine(system, f) == want
+
+
+@pytest.mark.parametrize("text", ["y^3 + y^2 - x", "x*y^3 + y^2 - x", "x*y^2 + y - 1",
+                                  "y^2 - x\nx - y", "y - x^2", "2*y^2 + x"])
+def test_fibre_needs_one_polynomial_with_a_constant_y_squared(text):
+    # y^3, with a constant coefficient or not; a y^2 coefficient that
+    # involves x; two polynomials; no y^2; and 2 y^2 at p = 2, which is no
+    # y^2 at all mod 2
+    system = parse_poly_system(text)
+    polys = [variety._group_by_last(poly, 2) for poly in system.polys]
+    assert not variety.PLANS["fibre"].applies(polys)
+    with pytest.raises(ValueError, match="^system is not fibre$"):
+        count_affine(system, make_field(2, 2), method="fibre")
+
+
+def test_fibre_charges_its_rows(monkeypatch):
+    # q^(k - 1) rows: the sphere over F_2^4 in 2^8, where the join charges 2^8 + 2^4
+    sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
+    f = make_field(2, 4)
+    monkeypatch.setattr(variety, "WORK_LIMIT", f.q ** 2)
+    assert variety.PLANS["fibre"].charge(f.q, 3) == f.q ** 2
+    assert count_affine(sphere, f) == count_affine(sphere, f, method="fibre") == f.q ** 2
+    monkeypatch.setattr(variety, "WORK_LIMIT", f.q ** 2 - 1)
+    with pytest.raises(ValueError, match="search space too large"):
+        count_affine(sphere, f)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_trace_mask_is_the_sum_of_conjugates(n):
+    # bit j of the mask is Tr(x^j) = x^j + x^(2j) + ... + x^(2^(n-1) j), by
+    # FFElement powers; the parity of id & mask is Tr on any element
+    f = make_field(2, n)
+    mask = grid._trace_mask(f.modulus)
+    assert 0 <= mask < f.q
+
+    def trace(a):
+        total, c = f.zero(), a
+        for _ in range(n):
+            total, c = total + c, c * c
+        assert total.index() in (0, 1)
+        return total.index()
+
+    x = f.element((0, 1)) if n > 1 else f.one()
+    assert [mask >> j & 1 for j in range(n)] == [trace(x ** j) for j in range(n)]
+    rng = random.Random(n)
+    ids = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(20)]
+    got = FieldTables(f)._trace(np.array(ids, dtype=np.int32))
+    assert got.tolist() == [trace(f.from_index(i)) for i in ids]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 16])
+def test_golden_count_builds_no_log_table_for_p_2(n):
+    # y^2 + y = x^3 + x: c1 = 1 for every row, so the trace reads the
+    # right-hand sides as ids; a row-dependent c1 needs their logs
+    grid._tables_for.cache_clear()
+    f = make_field(2, n)
+    assert count_affine(CURVE, f) == predict_affine_count(hasse_alpha(2, 4), n)
+    assert not {"log", "zech", "orbits"} & set(grid._tables_for(f).__dict__)
+    xy = parse_poly_system("y^2 + x*y + y - x^3 - x^2 - x")
+    assert count_affine(xy, f) == predict_affine_count(hasse_alpha(2, 3), n)
+    assert "log" in grid._tables_for(f).__dict__
+
+
+def test_genus_2_zeta_at_p_5_from_the_fibre_plan(tmp_path, capsys):
+    # y^2 + xy = x^5 + x + 1 over F_5..F_5^8: the product grid's charge
+    # refused it; N_1 and N_2 from the scalar oracle fix the numerator
+    from motives import cli
+
+    text = "y^2 + x*y - x^5 - x - 1"
+    s = [5 ** n + 1 - (naive_affine_count(parse_poly_system(text), make_field(5, n)) + 1)
+         for n in (1, 2)]
+    b1 = -s[0]
+    b2 = -(s[1] + b1 * s[0]) // 2
+    assert [1, b1, b2, 5 * b1, 25] == [1, -1, 5, -5, 25]
+    path = tmp_path / "genus2.txt"
+    path.write_text(text + "\n")
+    assert cli.main(["zeta", "--poly", str(path), "--p", "5", "--genus", "2",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["numerator"] == [1, -1, 5, -5, 25]
 
 
 GRID_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motives
+from motives import weil
 from motives.finite_field import is_prime, prime_root
 from motives.motive import make_motive
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
@@ -513,12 +514,63 @@ def test_fraction_free_elimination_matches_fractions(a):
 
 
 def test_weil_test_loads_no_numpy():
-    code = ("import sys; from motives.weil import is_weil_polynomial; "
+    code = ("import sys; from motives.weil import is_weil_polynomial, weight_roots; "
             "assert is_weil_polynomial((1, 2, 2), 2) and not is_weil_polynomial((1, 2, 2, 0, 0), 2); "
+            "assert len(weight_roots([(1, (1, 0, 0, 0, 4))])[1]) == 4; "
             "assert 'numpy' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=str(Path(motives.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def random_weil_product(rng):
+    """A square-free product of pure atoms of one or more weights, of
+    degree 3-12 over q in 2..13: 1 - a t + q^k t^2 with a^2 <= 4 q^k, and
+    1 -+ q^(k/2) t where q^k is a square."""
+    while True:
+        q, d = rng.choice([2, 3, 4, 5, 7, 9, 11, 13]), rng.randint(3, 12)
+        poly = (1,)
+        while len(poly) - 1 < d:
+            k = rng.randint(0, 3)
+            r = math.isqrt(q ** k)
+            if r * r == q ** k and (len(poly) == d or rng.random() < 0.3):
+                atom = (1, rng.choice([1, -1]) * r)
+            else:
+                bound = math.isqrt(4 * q ** k)
+                atom = (1, -rng.randint(-bound, bound), q ** k)
+            poly = product([poly, atom])
+        if len(poly) - 1 == d and squarefree(poly):
+            return poly
+
+
+def test_displayed_roots_agree_with_mpmath_on_weil_products():
+    # the Aberth-Ehrlich roots of square-free pieces of degree 3 and up,
+    # each within 1e-12 of an mpmath root, matched one to one
+    rng = random.Random(12)
+    for _ in range(120):
+        poly = random_weil_product(rng)
+        got = weil._reciprocal_roots(poly)
+        assert got == weil._reciprocal_roots(poly)  # deterministic
+        with mpmath.workdps(40):
+            want = [complex(r) for r in mpmath.polyroots(list(poly), maxsteps=200,
+                                                        extraprec=200)]
+        assert len(got) == len(want) == len(poly) - 1
+        for w in want:
+            z = min(got, key=lambda z: abs(z - w))
+            assert abs(z - w) <= 1e-12 * abs(w), (poly, z, w)
+            got.remove(z)
+
+
+@pytest.mark.parametrize("poly, modulus", [
+    ((1, 0, 0, 0, 4), 2 ** 0.5),  # y^2 + y = x^5 over F_2: alpha = +-1 +- i
+    ((1, 0, 0, 0, 9), 3 ** 0.5),  # and over F_3: alpha^4 = -9
+    (product([(1, 0, 2), (1, -2, 2), (1, 2, 2)]), 2 ** 0.5),
+])
+def test_displayed_roots_of_exact_pairs_are_exact(poly, modulus):
+    # the closing Newton step runs in exact integers: each part is the
+    # double nearest the true root, so |alpha| is sqrt q to the last bit
+    roots = weil._reciprocal_roots(poly)
+    assert [abs(z) for z in roots] == [modulus] * (len(poly) - 1)
 
 
 def random_candidate(rng):
