@@ -7,7 +7,7 @@ from importlib import import_module as _import_module
 # first use (PEP 562), so `import motives` loads no submodule and no numpy
 _EXPORTS = {
     "finite_field": (
-        "FFElement", "FieldSpec", "arith", "enumerate_elements", "make_field", "mobius",
+        "FFElement", "FieldSpec", "enumerate_elements", "make_field", "mobius",
     ),
     "variety": (
         "CountSequence", "PolySystem", "affine_count_sequence", "count_affine",
@@ -18,12 +18,12 @@ _EXPORTS = {
         "weil_numbers_from_counts",
     ),
     "zeta": (
-        "PowerSeries", "RationalZeta", "curve_denominator", "expand_rational",
-        "rational_reconstruct", "zeta_from_counts", "zeta_series",
+        "RationalZeta", "curve_denominator", "expand_rational", "rational_reconstruct",
+        "zeta_from_counts", "zeta_series",
     ),
     "motive": (
         "Motive", "direct_sum", "lefschetz_motive", "make_motive", "motive_of_elliptic_curve",
-        "motive_of_projective_space", "point_count", "tensor", "unit_motive", "zero_motive",
+        "motive_of_projective_space", "point_count", "tensor", "unit_motive",
     ),
     "explicit_formula": (
         "PrimeCounter", "ZeroTable", "default_zero_table", "li", "load_zeros", "rh_bound_ratio",

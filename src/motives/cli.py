@@ -164,7 +164,9 @@ def _cmd_zeta(args) -> Report:
     genus = args.genus if args.genus is not None else \
         max(1, (len(seq.counts) - 4) // 2)
     rz = zeta_from_counts(seq.counts, 2 * genus, curve_denominator(p), p)
-    rows = tuple((k, r.real, r.imag, abs(r)) for k, roots in rz.weight_table().items() for r in roots)
+    # weight_pieces certifies |alpha|^2 = p^k: |alpha| comes from p, not the rounded root
+    rows = tuple((k, r.real, r.imag, p ** (k // 2) * (math.sqrt(p) if k % 2 else 1.0))
+                 for k, roots in rz.weight_table().items() for r in roots)
     numerator = format_poly([((j,), c) for j, c in enumerate(rz.numerator) if c], ("t",))
     extra = (("numerator", list(rz.numerator)),
              ("denominator", list(rz.denominator)),

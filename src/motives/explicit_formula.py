@@ -34,9 +34,9 @@ near 1 MB whatever x_max, for up to 1024 zeros (one argument's zero
 terms fill a chunk beyond that).  The temporaries of a pass over the
 chunks live in one workspace that the pass allocates and every chunk
 reuses, so no chunk allocates and frees its own.  The one-point
-functions (li beyond 2, zero_pair_terms, smooth_term, riemann_approx)
-are the same code on a block of one, and li_grid is li beyond 2 on a
-block of integers; archimedean_tail evaluates its own graded rule.
+functions (li beyond 2, zero_pair_terms, riemann_approx) are the same
+code on a block of one, and rh_bound_ratio runs li beyond 2 on a block
+of integers; archimedean_tail evaluates its own graded rule.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ _ANCHOR_TOL = 0.01
 # primes
 
 class PrimeCounter(Record):
-    """Sieve of Eratosthenes up to limit with cumulative prime counts."""
+    """Sieve of Eratosthenes up to limit, kept as cumulative prime counts."""
 
-    __slots__ = ("limit", "is_prime", "pi_table")
+    __slots__ = ("limit", "pi_table")
 
-    def __init__(self, limit: int, is_prime: np.ndarray, pi_table: np.ndarray):
-        super().__init__(limit, is_prime, pi_table)
+    def __init__(self, limit: int, pi_table: np.ndarray):
+        super().__init__(limit, pi_table)
 
     @classmethod
     def build(cls, limit: int) -> "PrimeCounter":
@@ -78,10 +78,9 @@ class PrimeCounter(Record):
         for d in range(2, int(limit ** 0.5) + 1):
             if flags[d]:
                 flags[d * d::d] = False
-        flags.setflags(write=False)
         pi = np.cumsum(flags)
         pi.setflags(write=False)
-        return cls(limit, flags, pi)
+        return cls(limit, pi)
 
 
 def sieve_pi(x: float, pc: PrimeCounter) -> int:
@@ -239,18 +238,6 @@ def li(x: float) -> float:
     return float(total)
 
 
-def li_grid(n_max: int, n_min: int = 3) -> np.ndarray:
-    """li at every integer in [n_min, n_max], n_min >= 2.
-
-    Each point goes through the same code as li beyond 2, so no error
-    accumulates along the grid.
-    """
-    if n_min < 2 or n_max < n_min:
-        raise ValueError("need 2 <= n_min <= n_max")
-    return _chunked(_li_from_2, np.arange(n_min, n_max + 1, dtype=float),
-                    _NODES.size)
-
-
 # The tail's partition of (0, 1/y] is that of (0, 1] scaled by 1/y, so its
 # nodes, weights and node logarithms are computed once, for y = 1.
 _TAIL_S, _TAIL_W = _fixed_rule(_graded(0.0, 1.0))
@@ -397,15 +384,6 @@ def _smooth_terms(y: np.ndarray, gammas: np.ndarray):
     return li_y, f
 
 
-def smooth_term(y: float, gammas: np.ndarray) -> float:
-    """f(y) for y >= 2: li(y) minus the zero-pair corrections, minus
-    ln 2, plus the archimedean tail."""
-    if y < 2:
-        raise ValueError("y must be >= 2")
-    return float(_smooth_terms(np.array([y], dtype=float),
-                               np.asarray(gammas, dtype=float))[1][0])
-
-
 def zero_ordinates(zeros: ZeroTable, K: int) -> np.ndarray:
     """The first K ordinates, refusing K < 0 and K past the table."""
     if K < 0:
@@ -484,13 +462,17 @@ def half_integer_grid(lo: float, hi: float) -> np.ndarray:
 
 
 def rh_bound_ratio(range_max: int, pc: PrimeCounter) -> float:
-    """sup over 3 <= n <= range_max of |pi(n) - li(n)| / (sqrt(n) ln n)."""
+    """sup over 3 <= n <= range_max of |pi(n) - li(n)| / (sqrt(n) ln n).
+
+    Each li(n) goes through the same code as li beyond 2, so no error
+    accumulates along the integers.
+    """
     if range_max < 3:
         raise ValueError("range_max must be >= 3")
     if range_max > pc.limit:
         raise ValueError("beyond sieve limit")
     ns = np.arange(3, range_max + 1, dtype=float)
     pi_vals = pc.pi_table[3:range_max + 1].astype(float)
-    li_vals = li_grid(range_max)
+    li_vals = _chunked(_li_from_2, ns, _NODES.size)
     ratios = np.abs(pi_vals - li_vals) / (np.sqrt(ns) * np.log(ns))
     return float(ratios.max())

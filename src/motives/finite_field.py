@@ -10,8 +10,8 @@ every element and every enumeration order.
 
 Plain polynomials over F_p are passed around as Python tuples of ints,
 constant term first, with no trailing zeros (the zero polynomial is the
-empty tuple).  Element powers, inverses (Fermat's a^(q-2)) and Ben-Or's
-Frobenius powers share one square-and-multiply, poly_powmod.
+empty tuple).  Element powers and Ben-Or's Frobenius powers share one
+square-and-multiply, poly_powmod.
 """
 
 from __future__ import annotations
@@ -293,30 +293,11 @@ class FFElement(Record):
         p = self.field.p
         return FFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple(-a % p for a in self.coeffs))
-
     def __mul__(self, other):
         self._check(other)
         f = self.field
         prod = poly_mul(_trim(list(self.coeffs)), _trim(list(other.coeffs)), f.p)
         return f.element(poly_mod(prod, f.modulus, f.p))
-
-    def inverse(self) -> "FFElement":
-        """Multiplicative inverse by Fermat: a^(q-2), since a^(q-1) = 1."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero divisor")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -366,26 +347,6 @@ def enumerate_elements(field: FieldSpec) -> Iterator[FFElement]:
     """All q elements in the fixed order k = 0..q-1 (base-p digit vectors)."""
     for k in range(field.q):
         yield field.from_index(k)
-
-
-def arith(a: FFElement, b, op: str) -> FFElement:
-    """Single dispatch surface: op in {add, sub, mul, div, pow}.
-
-    For pow, b is a nonnegative integer exponent instead of an element.
-    """
-    if op == "pow":
-        return a ** b
-    if not isinstance(b, FFElement):
-        raise TypeError("FFElement expected")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def multiplicative_generator(field: FieldSpec) -> FFElement:

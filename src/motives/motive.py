@@ -85,11 +85,6 @@ def _from_power_sums(base_q: int, terms) -> Motive:
     return Motive(base_q, tuple(pieces))
 
 
-def zero_motive(base_q: int) -> Motive:
-    """The empty motive, unit for direct sum (zero points everywhere)."""
-    return Motive(base_q, ())
-
-
 def unit_motive(base_q: int) -> Motive:
     """h of a single point: one weight-0 eigenvalue 1."""
     return Motive(base_q, ((0, (1, -1)),))

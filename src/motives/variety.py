@@ -155,7 +155,7 @@ def _parse_poly(line: str) -> dict[tuple[tuple[int, int], ...], int]:
     return {k: v for k, v in terms.items() if v != 0}
 
 
-def parse_poly_system(text: str, num_vars: int | None = None) -> PolySystem:
+def parse_poly_system(text: str) -> PolySystem:
     """Parse the one-polynomial-per-line text format into canonical
     monomials: one per exponent vector, none with coefficient 0, sorted."""
     raw = []
@@ -165,10 +165,7 @@ def parse_poly_system(text: str, num_vars: int | None = None) -> PolySystem:
             raw.append(_parse_poly(line))
     if not raw:
         raise ValueError("no polynomials in input")
-    seen = max((idx for terms in raw for key in terms for idx, _ in key), default=0)
-    k = num_vars if num_vars is not None else max(seen, 1)
-    if seen > k:
-        raise ValueError("variable index exceeds declared num_vars")
+    k = max((idx for terms in raw for key in terms for idx, _ in key), default=1)
     polys = []
     for terms in raw:
         merged: dict[tuple, int] = {}
@@ -197,13 +194,6 @@ def format_poly(poly, names) -> str:
         parts.append(("- " if coeff < 0 else "+ ") + body)
     text = " ".join(parts)  # the head term drops its "+ " and keeps "-" unspaced
     return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
-
-
-def format_poly_system(system: PolySystem) -> str:
-    """Inverse of parse_poly_system, canonical form (for reports)."""
-    names = (["x", "y", "z"] if system.num_vars <= 3
-             else [f"x{i + 1}" for i in range(system.num_vars)])
-    return "\n".join(format_poly(poly, names) for poly in system.polys)
 
 
 # ----------------------------------------------------------------------

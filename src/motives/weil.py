@@ -40,10 +40,6 @@ class WeilNumbers(Record):
         super().__init__(p, coeffs)
 
     @property
-    def genus(self) -> int:
-        return len(self.coeffs) // 2
-
-    @property
     def roots(self) -> tuple[complex, ...]:
         """The alpha, sorted: a genus-1 pair's roots[-1] has im >= 0."""
         return weight_roots([(1, self.coeffs)])[1]

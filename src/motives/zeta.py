@@ -1,13 +1,14 @@
 """Local zeta functions: exact series and rational form.
 
 The generating function exp(sum N_n t^n / n) is carried as a power
-series with exact rational coefficients.  Reconstruction against a known
-denominator runs in integers through the Newton core of motives.weil:
-the numerator's reciprocal roots have power sums s_n(den) - N_n, so its
-coefficients are exact integers or the input was not rational of the
-declared shape.  Both polynomials split by weight into integer pieces
-that weil.weight_pieces certifies pure; floating point enters only at
-the roots a RationalZeta reports, for display.
+series, the tuple (c_0, ..., c_m) of its exact rational coefficients.
+Reconstruction against a known denominator runs in integers through the
+Newton core of motives.weil: the numerator's reciprocal roots have power
+sums s_n(den) - N_n, so its coefficients are exact integers or the input
+was not rational of the declared shape.  Both polynomials split by
+weight into integer pieces that weil.weight_pieces certifies pure;
+floating point enters only at the roots a RationalZeta reports, for
+display.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from itertools import islice
 from .finite_field import Record, prime_root
 from .variety import CountSequence
 from .weil import _newton_coeffs, _power_sums, weight_pieces, weight_roots
-
-
-class PowerSeries(Record):
-    """Truncated series c_0 + c_1 t + ... + c_m t^m, exact rationals."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple["Fraction", ...]):
-        super().__init__(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
 
 class RationalZeta(Record):
@@ -50,7 +38,7 @@ class RationalZeta(Record):
         return weight_roots(self.numerator_pieces + self.denominator_pieces)
 
 
-def zeta_series(counts) -> PowerSeries:
+def zeta_series(counts) -> tuple["Fraction", ...]:
     """exp(sum N_n t^n / n) to order m = number of counts supplied.
 
     Term-by-term: with L(t) = sum N_n t^n / n, the exponential satisfies
@@ -66,10 +54,10 @@ def zeta_series(counts) -> PowerSeries:
     for m in range(1, len(vals) + 1):
         z.append(sum(Fraction(vals[j - 1]) * z[m - j] for j in range(1, m + 1))
                  / m)
-    return PowerSeries(tuple(z))
+    return tuple(z)
 
 
-def expand_rational(num, den, order: int) -> PowerSeries:
+def expand_rational(num, den, order: int) -> tuple["Fraction", ...]:
     """Series of num(t)/den(t) to the given order; den(0) must be 1, so
     c_m = num_m - sum_{j>=1} den_j c_{m-j}."""
     from fractions import Fraction
@@ -81,7 +69,7 @@ def expand_rational(num, den, order: int) -> PowerSeries:
     c = []
     for m in range(order + 1):
         c.append(num[m] - sum(den[j] * c[m - j] for j in range(1, min(m, len(den) - 1) + 1)))
-    return PowerSeries(tuple(c))
+    return tuple(c)
 
 
 def curve_denominator(q: int) -> tuple[int, ...]:
@@ -114,12 +102,11 @@ def zeta_from_counts(counts, num_degree: int, den, base_q: int) -> RationalZeta:
     return RationalZeta(num, den, base_q)
 
 
-def rational_reconstruct(series: PowerSeries, num_degree: int, den,
-                         base_q: int) -> RationalZeta:
-    """zeta_from_counts on the counts of a zeta series, N_n = -s_n(series)
-    with the series read as a polynomial; the series may be any exact
-    rational one starting at 1."""
-    if series.coeffs[0] != 1:
+def rational_reconstruct(series, num_degree: int, den, base_q: int) -> RationalZeta:
+    """zeta_from_counts on the counts of a zeta series c_0..c_m, N_n =
+    -s_n(series) with the series read as a polynomial; the series may be
+    any exact rational one starting at 1."""
+    if not series or series[0] != 1:
         raise ValueError("zeta series must start at 1")
-    counts = [-s_n for s_n in islice(_power_sums(series.coeffs), 1, series.order + 1)]
+    counts = [-s_n for s_n in islice(_power_sums(series), 1, len(series))]
     return zeta_from_counts(counts, num_degree, den, base_q)

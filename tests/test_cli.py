@@ -152,6 +152,21 @@ def test_zeta_refuses_counts_with_an_eigenvalue_of_no_weight(capsys):
         (1, "", "error: numerator is not a product of Weil polynomials\n")
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_zeta_abs_is_sqrt_p_to_the_weight(p, tmp_path, capsys):
+    # weight_pieces certifies |alpha|^2 = p^k, so the abs cell is sqrt(p)^k
+    # rounded once; abs() of the rounded roots read 1.7320508075688774 at
+    # p = 3 and 2.6457513110645903 at p = 7
+    curve = tmp_path / "genus2.txt"
+    curve.write_text("y^2 + x*y - x^5 - x - 1\n")
+    status, out, err = run_cli(["zeta", "--poly", str(curve), "--p", str(p), "--genus", "2",
+                                "--format", "csv"], capsys)
+    assert (status, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[0], r[3]) for r in rows] == [("0", "1.0"), *[("1", repr(math.sqrt(p)))] * 4,
+                                            ("2", f"{p}.0")]
+
+
 ZETA_README_CSV = ("weight,re,im,abs\n0,1.0,0.0,1.0\n1,-1.0,-1.0,1.4142135623730951\n"
                    "1,-1.0,1.0,1.4142135623730951\n2,2.0,0.0,2.0\n")
 ZETA_GENUS2_CSV = ("weight,re,im,abs\n0,1.0,0.0,1.0\n"
@@ -165,8 +180,8 @@ def test_zeta_runs_without_the_fraction_series(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction series on the zeta path")
 
-    monkeypatch.setattr("motives.zeta.PowerSeries", refuse)
     monkeypatch.setattr("motives.zeta.zeta_series", refuse)
+    monkeypatch.setattr("motives.zeta.expand_rational", refuse)
     genus2 = tmp_path / "genus2.txt"
     genus2.write_text("y^2 + y - x^5\n")
     assert run_cli(["zeta", "--p", "2", "--counts", "5,5,5,25,25,65,145",
@@ -688,11 +703,11 @@ def test_numpy_scipy_and_the_pool_load_only_where_used(probe, loaded, modules, t
     assert done.stdout == f"{loaded}\n{sorted(modules)}\n"
 
 
-# the package's public names: 43 re-exports and the six submodules that define them
+# the package's public names: 40 re-exports and the six submodules that define them
 PACKAGE_ALL = [
     "CountSequence", "FFElement", "FieldSpec", "Motive", "PolySystem",
-    "PowerSeries", "PrimeCounter", "RationalZeta", "WeilNumbers", "ZeroTable",
-    "affine_count_sequence", "arith", "correction_term", "count_affine",
+    "PrimeCounter", "RationalZeta", "WeilNumbers", "ZeroTable",
+    "affine_count_sequence", "correction_term", "count_affine",
     "count_projective_space", "count_projective_variety", "curve_denominator",
     "default_zero_table", "direct_sum", "enumerate_elements", "expand_rational",
     "explicit_formula", "finite_field", "hasse_alpha", "lefschetz_motive", "li",
@@ -700,7 +715,7 @@ PACKAGE_ALL = [
     "motive_of_projective_space", "parse_poly_system", "point_count", "predict_affine_count",
     "rational_reconstruct", "rh_bound_ratio", "riemann_approx", "sieve_pi", "tensor",
     "unit_motive", "variety", "weil",
-    "weil_numbers_from_counts", "zero_motive", "zeta", "zeta_from_counts", "zeta_series",
+    "weil_numbers_from_counts", "zeta", "zeta_from_counts", "zeta_series",
 ]
 SUBMODULES = ["explicit_formula", "finite_field", "motive", "variety", "weil", "zeta"]
 

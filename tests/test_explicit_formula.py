@@ -14,13 +14,11 @@ from motives.explicit_formula import (
     default_zero_table,
     half_integer_grid,
     li,
-    li_grid,
     load_zeros,
     mobius,
     rh_bound_ratio,
     riemann_approx,
     sieve_pi,
-    smooth_term,
     zero_pair_terms,
 )
 
@@ -107,7 +105,7 @@ def test_sieve_dense_agreement_to_10000(pc):
 
 
 def test_sieve_flags_and_limits(pc):
-    assert pc.is_prime[2] and not pc.is_prime[4]
+    assert pc.pi_table[:8].tolist() == [0, 0, 1, 2, 2, 3, 3, 4]
     assert sieve_pi(1.9, pc) == 0
     assert sieve_pi(2.5, pc) == 1
     with pytest.raises(ValueError, match="beyond sieve limit"):
@@ -191,29 +189,37 @@ def test_li_against_mpmath(x):
     assert abs(li(x) - want) < 1e-9
 
 
-def test_li_grid_agrees_with_adaptive():
-    g = li_grid(2000)
+def _li_grid(n_min, n_max, pc, zeros):
+    """li at every integer in [n_min, n_max], the li column of the rows."""
+    return [row[2] for row in approximation_rows(np.arange(n_min, n_max + 1.0), zeros, 0, pc)]
+
+
+def test_li_grid_agrees_with_adaptive(pc, zeros):
+    g = _li_grid(3, 2000, pc, zeros)
     for n in (3, 4, 17, 200, 1999, 2000):
         assert abs(g[n - 3] - li(float(n))) < 1e-9
+    # rh_bound_ratio reads li at the integers on the same code
+    ns = np.arange(3.0, 2001.0)
+    ratios = np.abs(pc.pi_table[3:2001] - np.array(g)) / (np.sqrt(ns) * np.log(ns))
+    assert rh_bound_ratio(2000, pc) == ratios.max()
 
 
-def test_li_grid_stable_under_refinement():
-    # doubling the panel count changes nothing at the 1e-9 level
-    coarse = li_grid(500)
-    fine0 = li_grid(500, n_min=3)
-    half = np.arange(3.0, 500.0, 0.5)
-    import mpmath as mp
+def test_li_grid_stable_under_refinement(pc, zeros):
+    # the grid's last value is an independent quadrature's, and a grid
+    # that starts elsewhere, in other blocks, gives the same values
+    mp = pytest.importorskip("mpmath")
+    g = _li_grid(3, 500, pc, zeros)
     with mp.workdps(30):
         spot = li(3.0) + float(mp.quad(lambda t: 1 / mp.log(t), [3, 500]))
-    assert abs(coarse[-1] - spot) < 1e-9
-    assert np.allclose(coarse, fine0, atol=1e-12)
+    assert abs(g[-1] - spot) < 1e-9
+    assert _li_grid(250, 500, pc, zeros) == g[250 - 3:]
 
 
-def test_li_grid_does_not_drift():
+def test_li_grid_does_not_drift(pc, zeros):
     # every grid point is integrated on its own; a running sum of unit
     # panels drifted by 9.8e-11 at n = 58670
     mp = pytest.importorskip("mpmath")
-    g = li_grid(60000)
+    g = _li_grid(3, 60000, pc, zeros)
     with mp.workdps(30):
         for n in (50000, 58670, 60000):
             assert abs(g[n - 3] - float(mp.li(n))) < 1e-11, n
@@ -339,6 +345,12 @@ def test_approximation_rows_li_is_li(zeros):
     assert [r[2] for r in rows] == [li(r[0]) for r in rows]
 
 
+def _smooth_term(y, gammas):
+    """f(y) of the module docstring: li(y) minus the zero-pair terms,
+    minus ln 2, plus the archimedean tail, on the blocks' code."""
+    return float(ef._smooth_terms(np.array([y]), np.asarray(gammas, dtype=float))[1][0])
+
+
 def _evenly_spaced_zeros(count):
     # increasing ordinates from the first zero's, 0.5 apart
     return ZeroTable(tuple(14.134725141734693 + 0.5 * i for i in range(count)))
@@ -363,8 +375,8 @@ def test_zero_terms_sliced_sum(y, count):
     # up to 1024 zeros (32 ray nodes each) are one slice, summed exactly
     # as before slicing
     gammas = np.array(_evenly_spaced_zeros(count).ordinates)
-    got = smooth_term(y, gammas)
-    want = smooth_term(y, np.array([])) - zero_pair_terms(y, gammas).sum()
+    got = _smooth_term(y, gammas)
+    want = _smooth_term(y, np.array([])) - zero_pair_terms(y, gammas).sum()
     if count <= 1024:
         assert got == want
     else:
@@ -402,11 +414,6 @@ def test_li_at_doubling_panel_edges(x):
     with mp.workdps(30):
         want = float(mp.li(x))
     assert abs(li(x) - want) < 1e-9
-
-
-def test_smooth_term_needs_y_at_least_2():
-    with pytest.raises(ValueError, match="y must be >= 2"):
-        smooth_term(1.5, np.array([]))
 
 
 def test_riemann_approx_frozen_oracles(zeros):
@@ -448,10 +455,11 @@ def test_half_integer_grid():
 
 
 def test_smooth_term_combines_pieces(zeros):
-    y = 10.0
+    # below 4 only m = 1 has y = x^(1/m) >= 2, so the approximation is f(x)
+    x = 3.5
     gam = np.asarray(zeros.ordinates[:3])
-    want = li(y) - math.log(2) + archimedean_tail(y) - zero_pair_terms(y, gam).sum()
-    assert abs(smooth_term(y, gam) - want) < 1e-12
+    want = li(x) - math.log(2) + archimedean_tail(x) - zero_pair_terms(x, gam).sum()
+    assert abs(riemann_approx(x, zeros, 3) - want) < 1e-12
 
 
 # ----------------------------------------------------------------------

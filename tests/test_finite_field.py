@@ -3,7 +3,6 @@ import inspect
 import itertools
 import pickle
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from motives.finite_field import (
     MAX_FIELD_SIZE,
     FFElement,
     FieldSpec,
-    arith,
     enumerate_elements,
     is_irreducible,
     is_prime,
@@ -26,7 +24,7 @@ from motives.finite_field import (
 from motives.motive import Motive
 from motives.variety import CountSequence, PolySystem
 from motives.weil import WeilNumbers
-from motives.zeta import PowerSeries, RationalZeta
+from motives.zeta import RationalZeta
 
 
 def brute_monic_irreducibles(p, n):
@@ -184,30 +182,22 @@ def test_f4_multiplication_reduces_modulo_x2_x_1():
 
 
 def test_inverse_axiom_everywhere_small():
+    # Fermat: a^(q-2) is the inverse of a nonzero a
     for p, n in [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)]:
         f = make_field(p, n)
         for a in enumerate_elements(f):
             if not a.is_zero():
-                assert a * a.inverse() == f.one()
+                assert a * a ** (f.q - 2) == f.one()
 
 
-def test_arith_dispatch_and_errors():
+def test_elements_of_different_fields_do_not_mix():
     f4 = make_field(2, 2)
-    f2 = make_field(2, 1)
     x = f4.element((0, 1))
-    assert arith(x, x, "add").is_zero()
-    assert arith(x, f4.one(), "sub") == x - f4.one()
-    assert arith(x, x, "mul") == x * x
-    assert arith(x, x, "div") == f4.one()
-    assert arith(x, 3, "pow") == x * x * x
-    with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        arith(x, f4.zero(), "div")
-    with pytest.raises(ValueError, match="field mismatch"):
-        arith(x, f2.one(), "add")
-    with pytest.raises(ValueError):
-        arith(x, -1, "pow")
-    with pytest.raises(ValueError, match="unknown op"):
-        arith(x, x, "xor")
+    for op in (x.__add__, x.__mul__):
+        with pytest.raises(ValueError, match="field mismatch"):
+            op(make_field(2, 1).one())
+        with pytest.raises(TypeError, match="FFElement expected"):
+            op(1)
 
 
 def test_enumeration_order_and_cardinality():
@@ -251,7 +241,7 @@ def test_field_axioms_random_samples():
             assert a * (b + c) == a * b + a * c
             assert a + f.zero() == a
             assert a * f.one() == a
-            assert (a + (-a)).is_zero()
+            assert (a + a * f.element((-1,))).is_zero()
 
 
 def test_closure_of_coefficients():
@@ -260,8 +250,7 @@ def test_closure_of_coefficients():
     for _ in range(50):
         a = f.from_index(rng.randrange(f.q))
         b = f.from_index(rng.randrange(f.q))
-        for op in ("add", "sub", "mul"):
-            r = arith(a, b, op)
+        for r in (a + b, a * b, a ** rng.randrange(f.q)):
             assert len(r.coeffs) == f.n
             assert all(0 <= c < f.p for c in r.coeffs)
 
@@ -283,9 +272,7 @@ def test_inverse_is_the_brute_force_inverse(p, n):
     f = make_field(p, n)
     nonzero = list(enumerate_elements(f))[1:]
     for a in nonzero:
-        assert [b for b in nonzero if a * b == f.one()] == [a.inverse()], a
-    with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        f.zero().inverse()
+        assert [b for b in nonzero if a * b == f.one()] == [a ** (f.q - 2)], a
 
 
 def brute_order(a):
@@ -340,11 +327,10 @@ RECORDS = [
      {"projective_flag": False}),
     (WeilNumbers, dict(p=2, coeffs=(1, 2, 2)), dict(p=2, coeffs=(1, -2, 2)), {}),
     (Motive, dict(base_q=4, pieces=((2, (1, -4)),)), dict(base_q=2, pieces=((2, (1, -2)),)), {}),
-    (PowerSeries, dict(coeffs=(Fraction(1), Fraction(5, 2))), dict(coeffs=(Fraction(1),)), {}),
     (RationalZeta, dict(numerator=(1, 2, 2), denominator=(1, -3, 2), base_q=2),
      dict(numerator=(1, -2, 2), denominator=(1, -3, 2), base_q=2), {}),
-    (PrimeCounter, dict(limit=3, is_prime=FLAGS, pi_table=np.cumsum(FLAGS)),
-     dict(limit=2, is_prime=FLAGS[:3], pi_table=np.cumsum(FLAGS[:3])), {}),
+    (PrimeCounter, dict(limit=3, pi_table=np.cumsum(FLAGS)),
+     dict(limit=2, pi_table=np.cumsum(FLAGS[:3])), {}),
     (ZeroTable, dict(ordinates=(14.134725, 21.02204)), dict(ordinates=(14.134725,)), {}),
 ]
 

@@ -21,7 +21,6 @@ from motives.motive import (
     tensor,
     tensor_power,
     unit_motive,
-    zero_motive,
 )
 
 EXPECTED_CURVE_COUNTS = (4, 4, 4, 24, 24, 64, 144, 224, 544, 1024, 1984, 4224)
@@ -53,9 +52,10 @@ def test_projective_line_decomposition():
 
 
 def test_zero_motive_is_direct_sum_unit():
+    # the motive with no pieces, make_motive(q, {})
     m = motive_of_projective_space(2, 3)
-    assert direct_sum(m, zero_motive(3)).pieces == m.pieces
-    assert point_count(zero_motive(5), 4) == 0
+    assert direct_sum(m, make_motive(3, {})).pieces == m.pieces
+    assert point_count(make_motive(5, {}), 4) == 0
 
 
 def test_unit_motive_is_tensor_unit():
@@ -173,7 +173,7 @@ def test_make_motive_accepts_exactly_the_weil_polynomials():
                         assert m.pieces == ((k, poly),)
                         assert point_count(m, 1) == (-1) ** k * -b1
     assert make_motive(2, {0: (1,), 1: (1, 2, 2)}).pieces == ((1, (1, 2, 2)),)
-    assert make_motive(7, {}) == zero_motive(7)
+    assert make_motive(7, {}) == Motive(7, ())
 
 
 def test_base_mismatch_rejected():

@@ -12,7 +12,6 @@ from motives.motive import make_motive, point_count
 from motives.variety import CountSequence, affine_count_sequence, parse_poly_system
 from motives.weil import is_weil_polynomial
 from motives.zeta import (
-    PowerSeries,
     RationalZeta,
     curve_denominator,
     expand_rational,
@@ -26,19 +25,19 @@ def test_zeta_series_projective_line():
     counts = [2 ** n + 1 for n in range(1, 7)]
     s = zeta_series(counts)
     # oracle: expand 1/((1-t)(1-2t)) directly; coefficient m is 2^(m+1)-1
-    assert s.coeffs == tuple(Fraction(2 ** (m + 1) - 1) for m in range(7))
-    assert s.coeffs == expand_rational([1], [1, -3, 2], 6).coeffs
+    assert s == tuple(Fraction(2 ** (m + 1) - 1) for m in range(7))
+    assert s == expand_rational([1], [1, -3, 2], 6)
 
 
 def test_zeta_series_constant_term_is_one():
-    assert zeta_series([17]).coeffs[0] == 1
-    assert zeta_series(CountSequence(3, (1, 2, 3))).coeffs[0] == 1
+    assert zeta_series([17])[0] == 1
+    assert zeta_series(CountSequence(3, (1, 2, 3)))[0] == 1
 
 
 def test_zeta_series_elliptic_curve():
     counts = (5, 5, 5, 25, 25, 65)
     s = zeta_series(counts)
-    assert s.coeffs == expand_rational([1, 2, 2], [1, -3, 2], 6).coeffs
+    assert s == expand_rational([1, 2, 2], [1, -3, 2], 6)
 
 
 def test_projective_space_series_products():
@@ -52,8 +51,8 @@ def test_projective_space_series_products():
             for k in range(dim + 1):
                 den = [a - q ** k * b for a, b in
                        zip(den + [0], [0] + den)]
-            assert zeta_series(counts).coeffs == \
-                expand_rational([1], den, order).coeffs
+            assert zeta_series(counts) == \
+                expand_rational([1], den, order)
 
 
 def test_rational_reconstruct_elliptic():
@@ -92,14 +91,20 @@ def test_reconstruction_round_trip():
     counts = (5, 5, 5, 25, 25, 65, 145, 225)
     s = zeta_series(counts)
     rz = rational_reconstruct(s, 2, curve_denominator(2), 2)
-    again = expand_rational(rz.numerator, rz.denominator, s.order)
-    assert again.coeffs == s.coeffs
+    again = expand_rational(rz.numerator, rz.denominator, len(s) - 1)
+    assert again == s
 
 
 def test_reconstruct_needs_enough_coefficients():
     s = zeta_series((5, 5, 5))
     with pytest.raises(ValueError, match="insufficient"):
         rational_reconstruct(s, 2, curve_denominator(2), 2)
+
+
+@pytest.mark.parametrize("series", [(), (2, 1), (Fraction(1, 2), 3)])
+def test_reconstruct_refuses_a_series_not_starting_at_1(series):
+    with pytest.raises(ValueError, match="^zeta series must start at 1$"):
+        rational_reconstruct(series, 0, curve_denominator(2), 2)
 
 
 def test_reconstruct_rejects_wrong_shape():
@@ -315,7 +320,7 @@ def test_reconstruction_of_any_rational_series(case, at, shift):
     counts, degree, den, q = case
     series = reference_exp(counts)
     series[min(at, len(series) - 1)] += shift
-    assert outcome(rational_reconstruct, PowerSeries(tuple(series)), degree, den, q) == \
+    assert outcome(rational_reconstruct, tuple(series), degree, den, q) == \
         outcome(reference_reconstruct, series, degree, den, q)
 
 
