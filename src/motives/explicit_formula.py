@@ -125,11 +125,11 @@ def _rule(edges, out=None) -> tuple[np.ndarray, np.ndarray]:
     return nodes, half
 
 
-def _panels(f, edges, out=None) -> np.ndarray:
+def _panels(f, edges) -> np.ndarray:
     """Integral of f over each panel, one partition per leading index of
     edges.  f maps the node array elementwise, in place or not, and may
-    broadcast leading axes of its own; out holds the nodes if given."""
-    nodes, half = _rule(edges, out)
+    broadcast leading axes of its own."""
+    nodes, half = _rule(edges)
     return f(nodes) @ _WEIGHTS * half
 
 

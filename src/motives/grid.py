@@ -11,6 +11,7 @@ planning and gridless counts need no numpy.
 from __future__ import annotations
 
 import functools
+from itertools import islice
 
 import numpy as np
 
@@ -239,14 +240,11 @@ def _wrap(x: np.ndarray, m: int) -> np.ndarray:
 
 def _trace_mask(modulus) -> int:
     """The absolute trace of F_2[x]/(f) on ids: bit j is Tr(x^j), the
-    power sum s_j of f's roots x^(2^i).  For f = x^n + a_1 x^(n-1) + ...
-    + a_n, Newton's identities mod 2 give s_j = j a_j + sum_{0<i<j} a_i
-    s_(j-i), and s_0 = Tr(1) = n mod 2."""
-    n, a = len(modulus) - 1, modulus[::-1]
-    s = [n % 2]
-    for j in range(1, n):
-        s.append((j * a[j] + sum(a[i] * s[j - i] for i in range(1, j))) % 2)
-    return sum(bit << j for j, bit in enumerate(s))
+    power sum s_j of f's roots x^(2^i), mod 2.  They are the reciprocal
+    roots of f reversed, whose power sums `weil._power_sums` gives."""
+    from .weil import _power_sums  # only p = 2 loads weil
+    sums = islice(_power_sums(modulus[::-1]), len(modulus) - 1)
+    return sum((s & 1) << j for j, s in enumerate(sums))
 
 
 def _exp_table(spec: FieldSpec) -> np.ndarray:
@@ -532,8 +530,6 @@ class _Grid:
             hit = np.equal(t.zero if acc is None else acc, rhs[rows, None])
             mask = hit if mask is None else mask & hit
         cols = min(self.cols, self.q - ci * self.cols)
-        if mask is None:
-            mask = np.ones((min(self.rows, self.num_rows - ri * self.rows), 1), dtype=bool)
         # a mask that never met a column (or a row) term is the same along that axis
         cols //= mask.shape[1]
         if weights is None:
@@ -552,17 +548,8 @@ def orbit_rows(spec: FieldSpec, k: int):
     return _tables_for(spec).orbits if spec.n > 1 and k > 1 else None
 
 
-_worker_system: PolySystem | None = None  # the system a pool worker counts
-
-
-def _init_worker(system: PolySystem) -> None:
-    global _worker_system
-    _worker_system = system
-
-
 def _count_tiles(payload) -> int:
-    """Points in a range of the tiles of the orbit-row grid (`Plan.tiles`)."""
-    p, n, modulus, chunk_size, start, stop = payload
-    spec = FieldSpec(p, n, modulus)
-    first = orbit_rows(spec, _worker_system.num_vars)
-    return _Grid(_worker_system, spec, chunk_size, first).count(start, stop)
+    """Points in a range of the tiles of the orbit-row grid (`Plan.tiles`),
+    from a pool task (system, spec, chunk_size, start, stop)."""
+    system, spec, chunk_size, start, stop = payload
+    return _Grid(system, spec, chunk_size, orbit_rows(spec, system.num_vars)).count(start, stop)

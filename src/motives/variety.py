@@ -288,63 +288,54 @@ def _pool_size(cap: int | None, tiles: int) -> int:
     return min(cpus if cap is None else cap, tiles, cpus)
 
 
-class _GridCounter:
-    """One plan of PLANS for a system over F_p and its extensions, charged
-    once, for the largest field q_max, before any field is built.
+def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None,
+          method: str) -> Plan | None:
+    """The plan of PLANS that counts system over F_p and its extensions,
+    charged once, for the largest field q_max, before any field is built;
+    None for a system with no equation mod p, which counts q^k at the
+    same charge."""
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    if method != "auto" and method not in PLANS:
+        raise ValueError(f"unknown method {method!r}")
+    polys = [_group_by_last(poly, p) for poly in system.polys]
+    fits = [name for name, plan in PLANS.items() if plan.applies(polys)]
+    if method != "auto" and method not in fits:
+        raise ValueError(f"system is not {method}")
+    plan = PLANS[fits[0] if method == "auto" else method]
+    if plan.charge(q_max, system.num_vars) > WORK_LIMIT:
+        raise ValueError("search space too large")
+    return plan if any(map(any, polys)) else None
 
-    One pool serves every field whose charge, the tuples its tiles
-    enumerate, is at least POOL_MIN_TUPLES, with as many workers as the
-    largest field has tiles (at most `workers` and the CPUs); its
-    initializer hands each worker the system once, and a field then
-    travels as ranges of tiles, four per worker.  Planner and workers
-    read the tiles from the same rows, one per Frobenius orbit of the
-    first variable.  A system with no equation mod p counts q^k at once,
-    at the same charge.
+
+def _count(plan: Plan | None, system: PolySystem, spec: FieldSpec, workers: int | None,
+           chunk_size: int) -> int:
+    """Points of system over one field by a plan from `_plan`.
+
+    A tiles plan whose charge here, the tuples its tiles enumerate, is at
+    least POOL_MIN_TUPLES counts over a pool of as many workers as this
+    field has tiles (at most `workers` and the CPUs), started for this
+    count and ended with it; each task carries the system, the field and
+    a range of tiles, four per worker.  Planner and workers read the
+    tiles from the same rows, one per Frobenius orbit of the first
+    variable.
     """
-
-    def __init__(self, system: PolySystem, p: int, q_max: int, *,
-                 workers: int | None, method: str, chunk_size: int):
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        if method != "auto" and method not in PLANS:
-            raise ValueError(f"unknown method {method!r}")
-        polys = [_group_by_last(poly, p) for poly in system.polys]
-        self.free = not any(map(any, polys))  # no equation mod p: every tuple counts
-        fits = [name for name, plan in PLANS.items() if plan.applies(polys)]
-        if method != "auto" and method not in fits:
-            raise ValueError(f"system is not {method}")
-        self.plan, k = PLANS[fits[0] if method == "auto" else method], system.num_vars
-        if self.plan.charge(q_max, k) > WORK_LIMIT:
-            raise ValueError("search space too large")
-        self.system, self.chunk_size, self.pool = system, chunk_size, None
-        self.workers = (_pool_size(workers, _tiling(q_max, _tile_rows(q_max, k), chunk_size)[3])
-                        if self.plan.tiles else 1)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def count(self, spec: FieldSpec) -> int:
-        if self.free:
-            return spec.q ** self.system.num_vars
-        from . import grid  # the array kernel: numpy loads with the first grid
-        k = self.system.num_vars
-        if self.workers == 1 or self.plan.charge(spec.q, k) < POOL_MIN_TUPLES:
-            first = grid.orbit_rows(spec, k) if self.plan.tiles else None
-            return self.plan.count(grid._Grid(self.system, spec, self.chunk_size, first))
-        if self.pool is None:
-            from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
-            self.pool = ProcessPoolExecutor(max_workers=self.workers,
-                                            initializer=grid._init_worker,
-                                            initargs=(self.system,))
-        tiles = _tiling(spec.q, _tile_rows(spec.q, k), self.chunk_size)[3]
-        parts = min(tiles, 4 * self.workers)
-        cuts = [tiles * i // parts for i in range(parts + 1)]
-        return sum(self.pool.map(grid._count_tiles, [
-            (spec.p, spec.n, spec.modulus, self.chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
+    k = system.num_vars
+    if plan is None:
+        return spec.q ** k
+    from . import grid  # the array kernel: numpy loads with the first grid
+    pooled = plan.tiles and plan.charge(spec.q, k) >= POOL_MIN_TUPLES
+    tiles = _tiling(spec.q, _tile_rows(spec.q, k), chunk_size)[3] if pooled else 1
+    size = _pool_size(workers, tiles)
+    if size == 1:
+        first = grid.orbit_rows(spec, k) if plan.tiles else None
+        return plan.count(grid._Grid(system, spec, chunk_size, first))
+    from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
+    parts = min(tiles, 4 * size)
+    cuts = [tiles * i // parts for i in range(parts + 1)]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return sum(pool.map(grid._count_tiles, [
+            (system, spec, chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
 
 
 def count_affine(system: PolySystem, spec: FieldSpec, *,
@@ -354,14 +345,13 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
     """Number of points of F_q^k at which every polynomial vanishes.
 
     method is "auto", the first of PLANS that applies, or a plan's name.
-    Tiles hold at most chunk_size tuples, over up to `workers` processes
-    (default the CPUs) from a charge of POOL_MIN_TUPLES tuples on.
-    WORK_LIMIT, a fixed 2^28, caps the plan's charge, the tuples it
+    Tiles hold at most chunk_size tuples, over a pool of up to `workers`
+    processes (default the CPUs) from a charge of POOL_MIN_TUPLES tuples
+    on.  WORK_LIMIT, a fixed 2^28, caps the plan's charge, the tuples it
     enumerates.
     """
-    with _GridCounter(system, spec.p, spec.q, workers=workers, method=method,
-                      chunk_size=chunk_size) as counter:
-        return counter.count(spec)
+    plan = _plan(system, spec.p, spec.q, workers=workers, method=method)
+    return _count(plan, system, spec, workers, chunk_size)
 
 
 def _projective_rep_count(k: int, q: int) -> int:
@@ -430,8 +420,8 @@ def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
     top = make_field(p, 1)
     while top.n < n_max and top.q * p <= MAX_FIELD_SIZE:
         top = make_field(p, top.n + 1)
-    with _GridCounter(system, p, top.q, workers=workers, method=method,
-                      chunk_size=DEFAULT_CHUNK_SIZE) as counter:
-        fields = [make_field(p, n) for n in range(1, n_max + 1)]
-        counts = tuple(counter.count(f) + extra_point for f in fields)
+    plan = _plan(system, p, top.q, workers=workers, method=method)
+    fields = [make_field(p, n) for n in range(1, n_max + 1)]
+    counts = tuple(_count(plan, system, f, workers, DEFAULT_CHUNK_SIZE) + extra_point
+                   for f in fields)
     return CountSequence(p, counts, projective_flag=extra_point)

@@ -264,7 +264,11 @@ def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
             assert status == 0
             outputs.append(capsys.readouterr().out)
     assert len(set(outputs)) == 1
-    assert made == [2, 4, 8]
+    # one pool per field that more than one tile and one CPU can split, of as
+    # many workers as it has tiles, at most the CPUs: [2] * 4, [2, 4, 4, 4], [2, 7, 8, 8]
+    tiles = [variety._tiling(2 ** n, variety._tile_rows(2 ** n, 2), variety.DEFAULT_CHUNK_SIZE)[3]
+             for n in range(1, 13)]
+    assert made == [min(w, t) for w in (1, 2, 4, 8) for t in tiles if min(w, t) > 1]
     rows = list(csv.reader(io.StringIO(outputs[0])))
     assert [int(r[2]) for r in rows[1:]] == list(EXPECTED_COUNTS)
 

@@ -329,7 +329,7 @@ def test_workers_is_a_usage_error_for_every_command(argv, capsys):
 ], ids=lambda v: v[0] if isinstance(v, list) else v)
 def test_plan_knobs_are_usage_errors(argv, flag, capsys):
     # the planner owns the work limit and the plan: no subcommand sets either,
-    # and count offers only the oracle and the planner's own choice
+    # and count offers only the product grid and the planner's own choice
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
@@ -680,7 +680,8 @@ NUMPY_FREE = {
     "motives.cli count --poly zero.txt --p 2 --n-max 3": PSPACE,  # x^0 - 1 is the zero polynomial
 }
 NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
-    "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.grid"],
+    # the trace mask of F_2^n comes from weil's power sums
+    "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.grid", "motives.weil"],
     "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA + ["motives.grid"],
     "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
 }

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motives import grid, variety
-from motives.finite_field import enumerate_elements, make_field, multiplicative_generator
+from motives.finite_field import enumerate_elements, is_prime, make_field, multiplicative_generator
 from motives.grid import FieldTables
 from motives.variety import (
     CountSequence,
@@ -406,7 +406,8 @@ def pools(monkeypatch):
 
         def map(self, fn, payloads):
             payloads = list(payloads)
-            log["fields"].add(payloads[0][:2])
+            spec = payloads[0][1]
+            log["fields"].add((spec.p, spec.n))
             return super().map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -435,11 +436,27 @@ def test_workers_match_serial_with_row_terms(pools, monkeypatch):
     assert serial == predict_affine_count(hasse_alpha(3, count_affine(mixed, make_field(3, 1))), 5)
 
 
-def test_one_pool_per_sequence(pools, monkeypatch):
-    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 16)  # from F_2^10 on
+def test_one_pool_per_pooled_field(pools, monkeypatch):
+    # F_2^10 has 108 * 2^10 = 110,592 tuples, past 2^16; F_2^9, 60 * 2^9 =
+    # 30,720, is counted serially.  Each pooled field starts its own pool
+    monkeypatch.setattr(variety, "POOL_MIN_TUPLES", 2 ** 16)
     seq = affine_count_sequence(CURVE, 2, 12, method="product", workers=2)
     assert seq.counts == EXPECTED_CURVE_COUNTS
-    assert pools["made"] == [2]
+    assert pools["made"] == [2, 2, 2]
+    assert pools["fields"] == {(2, 10), (2, 11), (2, 12)}
+
+
+def test_no_sequence_has_two_fields_in_the_pool_band():
+    # each field pools alone: a field's product charge is more than twice the
+    # last one's, so no count sequence has two fields with a charge in
+    # [POOL_MIN_TUPLES, WORK_LIMIT], for any prime p < 2^14, k = 2..7 and
+    # q = p^n <= 2^26.  A lower threshold (say, for odd p) must revisit this
+    charge = variety.PLANS["product"].charge
+    for p in filter(is_prime, range(2, 2 ** 14)):
+        for k in range(2, 8):
+            qs = [p ** n for n in range(1, 27) if p ** n <= 2 ** 26]
+            band = [q for q in qs if variety.POOL_MIN_TUPLES <= charge(q, k) <= variety.WORK_LIMIT]
+            assert len(band) <= 1, (p, k, band)
 
 
 def test_pool_starts_at_the_threshold_field(pools, monkeypatch):
