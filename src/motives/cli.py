@@ -288,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=1)
     sp.add_argument("--projective", action="store_true",
                     help="curve convention: affine count plus one")
-    sp.add_argument("--method", choices=("product", "auto"), default="product",
-                    help="product: every tuple, the first variable over one value per "
-                         "Frobenius orbit; auto: the first plan of motives.variety.PLANS "
-                         "that applies; either refuses a plan past 2^28 tuples")
+    sp.add_argument("--method", choices=("product", "auto"), default="auto",
+                    help="auto (the default): the first plan of motives.variety.PLANS "
+                         "that applies; product: every tuple, the first variable over one "
+                         "value per Frobenius orbit; either refuses a plan past 2^28 tuples")
     common(sp, _cmd_count)
 
     sp = sub.add_parser("predict", help="Frobenius eigenvalue from N_1 and predictions")

@@ -5,18 +5,19 @@ enumeration) and discrete logs, related by one set of FieldTables per
 field.  The grid enumerates every variable by its log, so that whole
 tiles of the search space evaluate as numpy arrays.  `variety` plans each
 count and imports this module with its first grid, so that parsing,
-planning and gridless counts need no numpy.
+planning, gridless counts and the fibre counts that `variety` makes in
+pure Python (charged at most `variety.ARRAY_MIN_CHARGE` rows, over
+fields of at most that size) need no numpy.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import islice
 
 import numpy as np
 
 from .finite_field import FieldSpec, multiplicative_generator
-from .variety import PolySystem, _group_by_last, _tiling
+from .variety import PolySystem, _group_by_last, _tiling, _trace_mask
 
 # ----------------------------------------------------------------------
 # field tables: nonzero elements as discrete logs
@@ -236,15 +237,6 @@ def _wrap(x: np.ndarray, m: int) -> np.ndarray:
     sign &= m
     x += sign
     return x
-
-
-def _trace_mask(modulus) -> int:
-    """The absolute trace of F_2[x]/(f) on ids: bit j is Tr(x^j), the
-    power sum s_j of f's roots x^(2^i), mod 2.  They are the reciprocal
-    roots of f reversed, whose power sums `weil._power_sums` gives."""
-    from .weil import _power_sums  # only p = 2 loads weil
-    sums = islice(_power_sums(modulus[::-1]), len(modulus) - 1)
-    return sum((s & 1) << j for j, s in enumerate(sums))
 
 
 def _exp_table(spec: FieldSpec) -> np.ndarray:

@@ -5,10 +5,13 @@ coefficients.  Counting reduces every coefficient mod p and lays F_q^k
 out as rows, the tuples of the first k - 1 variables, times columns, the
 q values of the last one, y; the product plan's first variable takes one
 value per Frobenius orbit, weighted by its size.  This module parses,
-plans (`PLANS`) and charges each count in pure Python; the arrays (field
-tables, tiles, the join, the fibre count) live in `grid`, which imports
-numpy and is itself imported only when a count builds its first grid.
-Projective charts x_lead = 1 are affine counts.
+plans (`PLANS`) and charges each count in pure Python, and counts a fibre
+plan charged at most ARRAY_MIN_CHARGE rows, over fields of at most that
+size, in pure Python too, where numpy's import would cost more than the
+count, unless numpy is loaded already.  The arrays (field tables, tiles,
+the join, the other fibre counts) live in `grid`, which imports numpy and
+is itself imported only when a count builds its first grid.  Projective
+charts x_lead = 1 are affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk with k <= 29 (x, y, z for k <= 3),
@@ -26,12 +29,16 @@ polynomial.  num_vars is the highest variable index written, at exponent
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
+import sys
 from collections.abc import Callable
+from itertools import islice
 from typing import NamedTuple
 
-from .finite_field import MAX_FIELD_SIZE, FieldSpec, Record, is_prime, make_field, prime_root
+from .finite_field import (MAX_FIELD_SIZE, FieldSpec, Record, is_prime, make_field,
+                           multiplicative_generator, prime_root)
 
 WORK_LIMIT = 2 ** 28  # tuples a count may enumerate
 DEFAULT_CHUNK_SIZE = 1 << 14
@@ -42,6 +49,19 @@ DEFAULT_CHUNK_SIZE = 1 << 14
 # 0.66-0.78 s at 2^28 (F_2^14).  On orbit rows the same curve takes 1.26-1.59 vs
 # 0.84-0.94 s at 2^27 (F_11587) and 2.69-2.91 vs 1.55-1.66 s over F_151^2
 POOL_MIN_TUPLES = 2 ** 27
+# the largest charge, and field size, at which the fibre plan counts in pure
+# Python in a process that has not loaded numpy: a sequence charged at most this
+# never imports numpy, about 66 ms a process.  Fresh-process wall times of the
+# whole sequence in Python vs numpy's import and the array count, min of 7, 2 CPUs
+# (`python -c pass` 38 ms): y^2 + xy + y = x^3 + x^2 + x (c1 in x) to F_2^14 0.091
+# vs 0.138 s, to F_2^15 0.128 vs 0.141 s, to F_2^16 0.217 vs 0.154 s; y^2 + y =
+# x^3 + x to F_2^16 0.125 vs 0.145 s; y^2 + y = x^5 to F_3^10 0.133 vs 0.146 s;
+# y^2 + xy = x^5 + x + 1 to F_5^7 0.183 vs 0.134 s.  The break-even lies past 2^15
+# rows; 2^14 keeps 45 ms in hand on every curve.  The field size counts too, as the
+# kernel holds an exp list and a log map of q Python ints: a one-variable curve is
+# charged 1 row.  Once numpy is loaded the array kernel is faster: a mixed curve
+# over F_2^11, warm, 0.2 vs 1.8 ms
+ARRAY_MIN_CHARGE = 2 ** 14
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
 Monomial = tuple[tuple[int, ...], int]
@@ -243,6 +263,122 @@ def _group_by_last(poly, p: int):
     return rhs, col, row
 
 
+def _trace_mask(modulus) -> int:
+    """The absolute trace of F_2[x]/(f) on ids: bit j is Tr(x^j), the
+    power sum s_j of f's roots x^(2^i), mod 2.  They are the reciprocal
+    roots of f reversed, whose power sums `weil._power_sums` gives."""
+    from .weil import _power_sums  # only p = 2 loads weil
+    sums = islice(_power_sums(modulus[::-1]), len(modulus) - 1)
+    return sum((s & 1) << j for j, s in enumerate(sums))
+
+
+def _exp_codes(spec: FieldSpec):
+    """(exp, add): exp[k] the code of g^k for k < q - 1, g the generator
+    of `multiplicative_generator`, and exp[q - 1] = 0, the code of zero;
+    add sums two lists of codes, element by element.
+
+    A code packs an element's digits into lanes of w bits, digit j at bit
+    w j.  For p = 2, w = 1, so a code is the element's id and codes add by
+    XOR.  For odd p a lane holds the sum of two digits, and the top bit of
+    lane + 2^(w-1) - p flags the lanes to take p from, as `grid._Multiplier`
+    does.  Multiplication by g is F_p-linear: a code's image is the sum of
+    the images of its low and high halves, each read from a table indexed
+    by the half's lanes.  A prime field multiplies mod p.
+    """
+    p, n, q = spec.p, spec.n, spec.q
+    w = 1 if p == 2 else (2 * p - 2).bit_length()
+    ones = sum(1 << w * j for j in range(n))
+    excess, top = ((1 << w - 1) - p) * ones, w - 1
+    if p == 2:
+        plus = operator.xor
+    else:
+        def plus(a, b):
+            s = a + b
+            return s - ((s + excess) >> top & ones) * p
+
+    def add(a, b):
+        return list(map(plus, a, b))
+
+    def pack(digits):
+        return sum(d << w * j for j, d in enumerate(digits))
+
+    g, e, exp = multiplicative_generator(spec), 1, [1]
+    if n == 1:
+        h = g.index()
+        for _ in range(q - 2):
+            e = e * h % p
+            exp.append(e)
+        return exp + [0], add
+    images = []  # the digits of g x^j
+    for _ in range(n):
+        images.append(g.coeffs)
+        g = spec.element((0, *g.coeffs))
+    c = (n + 1) // 2
+    low, high = ([0] * (1 << w * (b - a)) for a, b in ((0, c), (c, n)))
+    for table, part in ((low, images[:c]), (high, images[c:])):
+        keys = values = [0]  # the half's codes with lanes below j, and their images
+        for j, digits in enumerate(part):
+            times = [pack([d * x % p for x in digits]) for d in range(p)]
+            keys = [k + (d << w * j) for d in range(p) for k in keys]
+            values = add([v for _ in times for v in values], [t for t in times for _ in values])
+        for k, v in zip(keys, values):
+            table[k] = v
+    shift, mask, step = w * c, (1 << w * c) - 1, exp.append
+    for _ in range(q - 2):
+        e = plus(low[e & mask], high[e >> shift])
+        step(e)
+    return exp + [0], add
+
+
+def _fibre_count(system: PolySystem, spec: FieldSpec) -> int:
+    """Points of one polynomial c2 y^2 + c1(x') y + c0(x'), c2 a constant
+    nonzero mod p, over one field, without numpy: `grid`'s rule
+    (`FieldTables.quadratic_solutions`) on every row's right-hand side
+    -c0 and c1, as codes (`_exp_codes`).  A row is a tuple of the row
+    variables' logs, each 0..q - 2 and then q - 1 for zero, the first
+    variable slowest."""
+    (rhs, col, row), = [_group_by_last(poly, spec.p) for poly in system.polys]
+    p, q, m = spec.p, spec.q, spec.q - 1
+    rows = q ** (system.num_vars - 1)
+    exp, add = _exp_codes(spec)
+    log = {e: i for i, e in enumerate(exp)}
+
+    def codes(terms, shift=0):
+        """The codes of g^shift times the sum of the terms, row by row."""
+        acc = None
+        for exps, c in terms:
+            heads = [(log[c % p] + shift) % m]  # the term's logs over all but the last variable
+            for e in exps[:-1]:
+                heads = [m if a == m or e and i == m else (a + e * i) % m
+                         for a in heads for i in range(q)]
+            if not exps:  # y alone: one row
+                term = [exp[heads[0]]]
+            else:
+                e, term = exps[-1], []
+                for a in heads:
+                    term += ([0] * q if a == m else [exp[a]] * q if e == 0 else
+                             [exp[(a + e * i) % m] for i in range(m)] + [0])
+            acc = term if acc is None else add(acc, term)
+        return [0] * rows if acc is None else acc
+
+    coeffs = {j: c for (j,), c in col}
+    c1 = codes(row[0][1]) if row else None  # None: the constant coeffs.get(1, 0)
+    if p == 2:
+        r, mask = codes(rhs), _trace_mask(spec.modulus)
+        if c1 is None:  # c1 is 0 or 1: one square root of each rhs, or y^2 + y = rhs
+            return rows if coeffs.get(1, 0) % 2 == 0 else 2 * sum(
+                1 for x in r if not (x & mask).bit_count() & 1)
+        # y = c1 z: z^2 + z = rhs / c1^2, two roots or none as its trace is 0 or 1
+        return sum(1 if c == 0 else 0 if x and (exp[(log[x] - 2 * log[c]) % m]
+                                                & mask).bit_count() & 1 else 2
+                   for x, c in zip(r, c1))
+    # 1 + chi(c1^2 + 4 c2 rhs), chi the parity of the log: m is even
+    disc = codes(rhs, log[4 * coeffs[2] % p])
+    square = ([coeffs.get(1, 0) ** 2 % p] * rows if c1 is None
+              else [exp[2 * log[c] % m] if c else 0 for c in c1])
+    return sum(1 if d == 0 else 2 - 2 * (log[d] & 1) for d in add(square, disc))
+
+
 def _quadratic_in_last(polys) -> bool:
     """One polynomial c2 y^2 + c1(x') y + c0(x'), c2 one constant term:
     y^2 a column term, y^1 a column or a row term, no higher power."""
@@ -288,12 +424,15 @@ def _pool_size(cap: int | None, tiles: int) -> int:
     return min(cpus if cap is None else cap, tiles, cpus)
 
 
-def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None,
-          method: str) -> Plan | None:
-    """The plan of PLANS that counts system over F_p and its extensions,
-    charged once, for the largest field q_max, before any field is built;
-    None for a system with no equation mod p, which counts q^k at the
-    same charge."""
+def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method: str,
+          chunk_size: int) -> Callable[[FieldSpec], int]:
+    """How system is counted over F_p and its extensions, as a function of
+    one field: by the plan of PLANS that applies, charged once, for the
+    largest field q_max, before any field is built.  The fibre plan counts
+    in pure Python when that charge and q_max are at most ARRAY_MIN_CHARGE
+    and numpy is not loaded, so a sequence never pays for both its rows in
+    Python and numpy's import; a system with no equation mod p counts q^k
+    at the same charge."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     if method != "auto" and method not in PLANS:
@@ -302,15 +441,21 @@ def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None,
     fits = [name for name, plan in PLANS.items() if plan.applies(polys)]
     if method != "auto" and method not in fits:
         raise ValueError(f"system is not {method}")
-    plan = PLANS[fits[0] if method == "auto" else method]
-    if plan.charge(q_max, system.num_vars) > WORK_LIMIT:
+    plan, k = PLANS[fits[0] if method == "auto" else method], system.num_vars
+    charge = plan.charge(q_max, k)
+    if charge > WORK_LIMIT:
         raise ValueError("search space too large")
-    return plan if any(map(any, polys)) else None
+    if not any(map(any, polys)):
+        return lambda spec: spec.q ** k
+    if (plan is PLANS["fibre"] and max(charge, q_max) <= ARRAY_MIN_CHARGE
+            and "numpy" not in sys.modules):
+        return lambda spec: _fibre_count(system, spec)
+    return lambda spec: _count(plan, system, spec, workers, chunk_size)
 
 
-def _count(plan: Plan | None, system: PolySystem, spec: FieldSpec, workers: int | None,
+def _count(plan: Plan, system: PolySystem, spec: FieldSpec, workers: int | None,
            chunk_size: int) -> int:
-    """Points of system over one field by a plan from `_plan`.
+    """Points of system over one field by a plan's array kernel.
 
     A tiles plan whose charge here, the tuples its tiles enumerate, is at
     least POOL_MIN_TUPLES counts over a pool of as many workers as this
@@ -321,8 +466,6 @@ def _count(plan: Plan | None, system: PolySystem, spec: FieldSpec, workers: int 
     variable.
     """
     k = system.num_vars
-    if plan is None:
-        return spec.q ** k
     from . import grid  # the array kernel: numpy loads with the first grid
     pooled = plan.tiles and plan.charge(spec.q, k) >= POOL_MIN_TUPLES
     tiles = _tiling(spec.q, _tile_rows(spec.q, k), chunk_size)[3] if pooled else 1
@@ -344,14 +487,16 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
     """Number of points of F_q^k at which every polynomial vanishes.
 
-    method is "auto", the first of PLANS that applies, or a plan's name.
-    Tiles hold at most chunk_size tuples, over a pool of up to `workers`
-    processes (default the CPUs) from a charge of POOL_MIN_TUPLES tuples
-    on.  WORK_LIMIT, a fixed 2^28, caps the plan's charge, the tuples it
-    enumerates.
+    method is "auto", the first of PLANS that applies, or a plan's name;
+    a fibre plan charged at most ARRAY_MIN_CHARGE rows, over a field of at
+    most that size, counts in pure Python, without tiles, until numpy is
+    loaded.  Tiles hold at most chunk_size tuples, over a
+    pool of up to `workers` processes (default the CPUs) from a charge of
+    POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a fixed 2^28, caps the plan's
+    charge, the tuples it enumerates.
     """
-    plan = _plan(system, spec.p, spec.q, workers=workers, method=method)
-    return _count(plan, system, spec, workers, chunk_size)
+    return _plan(system, spec.p, spec.q, workers=workers, method=method,
+                 chunk_size=chunk_size)(spec)
 
 
 def _projective_rep_count(k: int, q: int) -> int:
@@ -420,8 +565,8 @@ def affine_count_sequence(system: PolySystem, p: int, n_max: int, *,
     top = make_field(p, 1)
     while top.n < n_max and top.q * p <= MAX_FIELD_SIZE:
         top = make_field(p, top.n + 1)
-    plan = _plan(system, p, top.q, workers=workers, method=method)
+    count = _plan(system, p, top.q, workers=workers, method=method,
+                  chunk_size=DEFAULT_CHUNK_SIZE)
     fields = [make_field(p, n) for n in range(1, n_max + 1)]
-    counts = tuple(_count(plan, system, f, workers, DEFAULT_CHUNK_SIZE) + extra_point
-                   for f in fields)
+    counts = tuple(count(f) + extra_point for f in fields)
     return CountSequence(p, counts, projective_flag=extra_point)

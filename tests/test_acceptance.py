@@ -260,7 +260,7 @@ def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda w=w: w)
         for _ in range(2 if w == 1 else 1):
             status = cli_main(["count", "--poly", str(curve_file), "--p", "2",
-                               "--n-max", "12", "--format", "csv"])
+                               "--n-max", "12", "--method", "product", "--format", "csv"])
             assert status == 0
             outputs.append(capsys.readouterr().out)
     assert len(set(outputs)) == 1

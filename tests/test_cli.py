@@ -50,7 +50,8 @@ def test_count_workers_identical_output(curve_file, capsys, monkeypatch):
     for w in (1, 2, 4, 8):
         monkeypatch.setattr(os, "cpu_count", lambda w=w: w)
         status, out, _ = run_cli(["count", "--poly", curve_file, "--p", "2",
-                                  "--n-max", "10", "--format", "csv"], capsys)
+                                  "--n-max", "10", "--method", "product", "--format", "csv"],
+                                 capsys)
         assert status == 0
         outs.append(out)
     assert len(set(outs)) == 1
@@ -678,11 +679,17 @@ NUMPY_FREE = {
     "motives.cli zeta --p 2 --counts 3,5,9,33,33,65,129,193": ZETA,
     "motives.cli pspace --dim 2 --q 4 --n-max 2": PSPACE,
     "motives.cli count --poly zero.txt --p 2 --n-max 3": PSPACE,  # x^0 - 1 is the zero polynomial
+    # the fibre plan in pure Python, charged at most ARRAY_MIN_CHARGE rows; the
+    # trace mask of F_2^n comes from weil's power sums
+    "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.weil"],
+    "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA,
+    "motives.cli predict --p 2 --n1 4 --poly curve.txt --n-max 12": PSPACE + ["motives.weil"],
 }
 NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
-    # the trace mask of F_2^n comes from weil's power sums
-    "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.grid", "motives.weil"],
-    "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA + ["motives.grid"],
+    "motives.cli count --poly curve.txt --p 2 --n-max 3 --method product":
+        PSPACE + ["motives.grid", "motives.weil"],
+    # F_2^15: the fibre plan's rows pass ARRAY_MIN_CHARGE
+    "motives.cli count --poly curve.txt --p 2 --n-max 15": PSPACE + ["motives.grid", "motives.weil"],
     "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
 }
 
@@ -808,7 +815,7 @@ _THREADS_PROBE = """\
 import os
 from motives.cli import main
 
-main(["count", "--poly", "curve.txt", "--p", "3", "--n-max", "4", "--method", "auto"])
+main(["count", "--poly", "curve.txt", "--p", "3", "--n-max", "4", "--method", "product"])
 with open("/proc/self/status") as f:
     threads = next(line.split()[1] for line in f if line.startswith("Threads:"))
 print(threads, os.environ["OPENBLAS_NUM_THREADS"])
@@ -834,6 +841,7 @@ def test_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path, inherited, wan
 
 _BUDGET_PROBE = """\
 import resource, sys
+import motives.grid  # numpy and the array kernel, which the F_2^22 count loads
 from motives.cli import main
 
 def vm_peak():
@@ -841,7 +849,7 @@ def vm_peak():
         return next(int(line.split()[1]) for line in f if line.startswith("VmPeak:")) * 1024
 
 count = ["count", "--poly", "curve.txt", "--p", "2", "--method", "auto", "--n-max"]
-main(count + ["4"])  # numpy and the counting kernel loaded, one small field counted
+main(count + ["4"])  # one small field counted, by the array kernel: numpy is loaded
 # the stated budget for this curve, 4 bytes per element of F_2^22, and 8 MiB of slack
 cap = vm_peak() + 4 * 2 ** 22 + 8 * 2 ** 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))

@@ -2,7 +2,10 @@ import concurrent.futures
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,7 +679,8 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
     if variety.PLANS["separable"].applies(polys):  # the join weighs orbit rows too
         first = grid.orbit_rows(f, system.num_vars)
         assert grid._Grid(system, f, 97, first).join() == product
-    if variety.PLANS["fibre"].applies(polys):  # row batches of at most 7 rows
+    if variety.PLANS["fibre"].applies(polys):  # both kernels; row batches of at most 7 rows
+        assert variety._fibre_count(system, f) == product
         assert grid._Grid(system, f, 7).fibre() == product
     # a row term: some y^j, j > 0, whose coefficient mod p involves x'
     keeps_row_term = len(system.polys) > 1 or any(
@@ -734,9 +738,100 @@ def test_fibre_counts_match_the_product_grid(text, fields):
         if f.q ** system.num_vars <= 729:
             assert want == naive_affine_count(system, f), (text, p, n)
         for chunk_size in (1, 7, 1 << 14):
-            got = count_affine(system, f, method="fibre", chunk_size=chunk_size)
+            got = grid._Grid(system, f, chunk_size).fibre()
             assert got == want, (text, p, n, chunk_size)
-        assert count_affine(system, f) == want
+        assert count_affine(system, f, method="fibre") == count_affine(system, f) == want
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("c1", ["zero", "constant", "row"])
+def test_both_fibre_kernels_match_the_every_row_grid(p, n, k, c1):
+    # random c2 y^2 + c1 y + c0(x'), the c1 term zero, constant or in x'
+    rng = random.Random(f"{p} {n} {k} {c1}")
+    f = make_field(p, n)
+    for _ in range(4):
+        terms = [(tuple(rng.randrange(5) for _ in range(k - 1)) + (0,), rng.randint(-6, 6))
+                 for _ in range(rng.randint(0, 3))]
+        if c1 != "zero":
+            row = [0] * (k - 1)
+            if c1 == "row":
+                row[rng.randrange(k - 1)] = rng.randint(1, 4)
+            terms.append((tuple(row) + (1,), rng.choice([c for c in range(1, 7) if c % p])))
+        terms.append(((0,) * (k - 1) + (2,), rng.choice([c for c in range(-6, 7) if c % p])))
+        system = PolySystem(k, (tuple(terms),))
+        polys = [variety._group_by_last(system.polys[0], p)]
+        assert variety.PLANS["fibre"].applies(polys)
+        assert bool(polys[0][2]) == (c1 == "row")
+        want = _unreduced_count(system, f, 97)
+        assert variety._fibre_count(system, f) == want, terms
+        assert grid._Grid(system, f, 7).fibre() == want, terms
+
+
+def test_python_exp_is_the_array_exp():
+    # g^k for every log k, as an element, in every field of p < 300 the
+    # Python kernel counts: a code's lanes are the element's digits
+    fields = [(p, n) for p in range(2, 300) if is_prime(p) for n in range(1, 15)
+              if p ** n <= variety.ARRAY_MIN_CHARGE]
+    assert len(fields) == 123
+    for p, n in fields:
+        f = make_field(p, n)
+        exp, _ = variety._exp_codes(f)
+        w = 1 if p == 2 else (2 * p - 2).bit_length()
+        digits = [[code >> w * j & (1 << w) - 1 for j in range(n)] for code in exp]
+        assert all(d < p for row in digits for d in row), (p, n)
+        ids = [sum(d * p ** j for j, d in enumerate(row)) for row in digits]
+        assert ids == FieldTables(f).exp.tolist(), (p, n)
+
+
+_BOUNDARY_PROBE = """\
+import sys
+from motives import variety
+from motives.finite_field import make_field
+
+n = variety.ARRAY_MIN_CHARGE.bit_length() - 1
+curve = variety.parse_poly_system("y^2 + y - x^3 - x")
+sphere = variety.parse_poly_system("x^2 + y^2 + z^2 - 1")
+line = variety.parse_poly_system("x^2 + x + 1")
+print(variety.affine_count_sequence(curve, 2, n).counts[-1],
+      variety.count_affine(sphere, make_field(2, n // 2)),
+      variety.count_affine(line, make_field(2, n)), "numpy" in sys.modules)
+past = {"curve": lambda: variety.affine_count_sequence(curve, 2, n + 1).counts[-1],
+        "line": lambda: variety.count_affine(line, make_field(2, n + 1))}[sys.argv[1]]()
+print(past, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("past", ["curve", "line"])
+def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, past):
+    # charged exactly ARRAY_MIN_CHARGE rows (F_2^14 in two variables, F_2^7
+    # in three), or one row over a field of that size, a count runs in pure
+    # Python; one field past it loads numpy, for its rows or its field
+    n = variety.ARRAY_MIN_CHARGE.bit_length() - 1
+    assert variety.ARRAY_MIN_CHARGE == 2 ** n and n % 2 == 0
+    assert variety.PLANS["fibre"].charge(2 ** (n // 2), 3) == variety.ARRAY_MIN_CHARGE
+    assert variety.PLANS["fibre"].charge(2 ** (n + 1), 1) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, past], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    # x^2 + x + 1 has its two roots in F_4, so in F_2^n for even n only
+    golden = predict_affine_count(hasse_alpha(2, 4), n)
+    want = {"curve": predict_affine_count(hasse_alpha(2, 4), n + 1), "line": 0}[past]
+    assert done.stdout == f"{golden} {2 ** n} 2 False\n{want} True\n"
+
+
+def test_a_process_with_numpy_loaded_counts_with_arrays(monkeypatch):
+    # numpy is loaded here, so the array kernel is the cheaper at any size
+    assert "numpy" in sys.modules
+
+    def refuse(system, spec):
+        raise AssertionError("counted in pure Python")
+
+    monkeypatch.setattr(variety, "_fibre_count", refuse)
+    assert count_affine(CURVE, make_field(2, 4)) == predict_affine_count(hasse_alpha(2, 4), 4)
+    assert affine_count_sequence(CURVE, 2, 3).counts == tuple(
+        predict_affine_count(hasse_alpha(2, 4), n) for n in (1, 2, 3))
 
 
 @pytest.mark.parametrize("text", ["y^3 + y^2 - x", "x*y^3 + y^2 - x", "x*y^2 + y - 1",
@@ -769,7 +864,7 @@ def test_trace_mask_is_the_sum_of_conjugates(n):
     # bit j of the mask is Tr(x^j) = x^j + x^(2j) + ... + x^(2^(n-1) j), by
     # FFElement powers; the parity of id & mask is Tr on any element
     f = make_field(2, n)
-    mask = grid._trace_mask(f.modulus)
+    mask = variety._trace_mask(f.modulus)
     assert 0 <= mask < f.q
 
     def trace(a):
@@ -790,13 +885,15 @@ def test_trace_mask_is_the_sum_of_conjugates(n):
 @pytest.mark.parametrize("n", [1, 2, 9, 16])
 def test_golden_count_builds_no_log_table_for_p_2(n):
     # y^2 + y = x^3 + x: c1 = 1 for every row, so the trace reads the
-    # right-hand sides as ids; a row-dependent c1 needs their logs
+    # right-hand sides as ids; a row-dependent c1 needs their logs.  These
+    # are the array kernel's tables, which count_affine builds only past
+    # ARRAY_MIN_CHARGE rows or with numpy loaded
     grid._tables_for.cache_clear()
     f = make_field(2, n)
-    assert count_affine(CURVE, f) == predict_affine_count(hasse_alpha(2, 4), n)
+    assert grid._Grid(CURVE, f, 1 << 14).fibre() == predict_affine_count(hasse_alpha(2, 4), n)
     assert not {"log", "zech", "orbits"} & set(grid._tables_for(f).__dict__)
     xy = parse_poly_system("y^2 + x*y + y - x^3 - x^2 - x")
-    assert count_affine(xy, f) == predict_affine_count(hasse_alpha(2, 3), n)
+    assert grid._Grid(xy, f, 1 << 14).fibre() == predict_affine_count(hasse_alpha(2, 3), n)
     assert "log" in grid._tables_for(f).__dict__
 
 
@@ -946,7 +1043,7 @@ def test_system_without_equations_mod_p_needs_no_tables(monkeypatch):
 
 def test_table_cache_keeps_only_the_field_being_counted(monkeypatch):
     grid._tables_for.cache_clear()
-    affine_count_sequence(CURVE, 2, 6)
+    affine_count_sequence(CURVE, 2, 6, method="product")
     assert grid._tables_for.cache_info().currsize == 1
     built = []
     monkeypatch.setattr(grid, "FieldTables", lambda spec: built.append(spec) or
