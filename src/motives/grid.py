@@ -6,8 +6,10 @@ field.  The grid enumerates every variable by its log, so that whole
 tiles of the search space evaluate as numpy arrays.  `variety` plans each
 count and imports this module with its first grid, so that parsing,
 planning, gridless counts and the fibre counts that `variety` makes in
-pure Python (charged at most `variety.ARRAY_MIN_CHARGE` rows, over
-fields of at most that size) need no numpy.
+pure Python need no numpy: for p = 2 on bit planes up to
+`variety.PLANES_MAX_ROWS` rows, and for odd p in one variable or up to
+`variety.ARRAY_MIN_CHARGE` rows.  The fibre counts here are those past
+these bounds, and those of odd p in a process that has loaded numpy.
 """
 
 from __future__ import annotations

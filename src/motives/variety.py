@@ -6,11 +6,13 @@ out as rows, the tuples of the first k - 1 variables, times columns, the
 q values of the last one, y; the product plan's first variable takes one
 value per Frobenius orbit, weighted by its size.  This module parses,
 plans (`PLANS`) and charges each count in pure Python, and counts a fibre
-plan charged at most ARRAY_MIN_CHARGE rows, over fields of at most that
-size, in pure Python too, where numpy's import would cost more than the
-count, unless numpy is loaded already.  The arrays (field tables, tiles,
-the join, the other fibre counts) live in `grid`, which imports numpy and
-is itself imported only when a count builds its first grid.  Projective
+plan in pure Python too: for p = 2 on bit planes, one Python int per
+coefficient holding every row, up to PLANES_MAX_ROWS rows, numpy loaded or
+not; for odd p through codes, up to ARRAY_MIN_CHARGE rows, where numpy's
+import would cost more than the count, unless numpy is loaded already, and
+in one variable by Euler's criterion.  The arrays (field tables, tiles, the
+join, the other fibre counts) live in `grid`, which imports numpy and is
+itself imported only when a count builds its first grid.  Projective
 charts x_lead = 1 are affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
@@ -29,7 +31,6 @@ polynomial.  num_vars is the highest variable index written, at exponent
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
 import sys
@@ -49,19 +50,29 @@ DEFAULT_CHUNK_SIZE = 1 << 14
 # 0.66-0.78 s at 2^28 (F_2^14).  On orbit rows the same curve takes 1.26-1.59 vs
 # 0.84-0.94 s at 2^27 (F_11587) and 2.69-2.91 vs 1.55-1.66 s over F_151^2
 POOL_MIN_TUPLES = 2 ** 27
-# the largest charge, and field size, at which the fibre plan counts in pure
-# Python in a process that has not loaded numpy: a sequence charged at most this
-# never imports numpy, about 66 ms a process.  Fresh-process wall times of the
-# whole sequence in Python vs numpy's import and the array count, min of 7, 2 CPUs
-# (`python -c pass` 38 ms): y^2 + xy + y = x^3 + x^2 + x (c1 in x) to F_2^14 0.091
-# vs 0.138 s, to F_2^15 0.128 vs 0.141 s, to F_2^16 0.217 vs 0.154 s; y^2 + y =
-# x^3 + x to F_2^16 0.125 vs 0.145 s; y^2 + y = x^5 to F_3^10 0.133 vs 0.146 s;
-# y^2 + xy = x^5 + x + 1 to F_5^7 0.183 vs 0.134 s.  The break-even lies past 2^15
-# rows; 2^14 keeps 45 ms in hand on every curve.  The field size counts too, as the
-# kernel holds an exp list and a log map of q Python ints: a one-variable curve is
-# charged 1 row.  Once numpy is loaded the array kernel is faster: a mixed curve
-# over F_2^11, warm, 0.2 vs 1.8 ms
+# the largest charge at which the fibre plan counts odd p in pure Python
+# (`_fibre_count`: codes through an exp list and a log map of q Python ints) in a
+# process that has not loaded numpy: a sequence charged at most this never imports
+# numpy, about 66 ms a process.  Fresh-process wall times of the whole sequence in
+# Python vs numpy's import and the array count, min of 7, 2 CPUs (`python -c pass`
+# 38 ms): y^2 + y = x^5 to F_3^10 0.133 vs 0.146 s; y^2 + xy = x^5 + x + 1 to F_5^7
+# 0.183 vs 0.134 s; on the same kernel for p = 2, before the bit planes,
+# y^2 + xy + y = x^3 + x^2 + x to F_2^15 0.128 vs 0.141 s, to F_2^16 0.217 vs
+# 0.154 s.  2^14 keeps 45 ms in hand.  One variable is one row whose discriminant
+# lies in F_p, counted without tables, numpy loaded or not.  Once numpy is loaded
+# the array kernel is faster: a mixed curve over F_2^11, warm, 0.2 vs 1.8 ms
 ARRAY_MIN_CHARGE = 2 ** 14
+# the largest charge, in rows, at which the fibre plan counts p = 2 on bit planes
+# (`_plane_count`), numpy loaded or not.  Whole sequences, warm, numpy loaded, best
+# of 5, 2 CPUs, planes vs arrays: y^2 + y = x^3 + x to F_2^20 50 vs 101 ms, to
+# F_2^21 72 vs 92 ms, to F_2^22 178 vs 152 ms; y^2 + xy + y = x^3 + x^2 + x (c1 in
+# x, an inversion a row) to F_2^20 144 vs 143 ms, to F_2^21 295 vs 311 ms, to F_2^22
+# 895 vs 580 ms; y^2 + y = x^5 to F_2^21 61 vs 75 ms, to F_2^22 155 vs 123 ms.  The
+# warm break-even lies between 2^21 and 2^22 rows; at 2^20 the curve with c1 in x
+# is even warm, and a fresh process saves numpy's import besides (the same curve
+# to F_2^20, `count`, 0.22 vs 0.31 s, min of 9).  Peak resident set of that count,
+# planes vs arrays: 35.7 vs 39.0 MB
+PLANES_MAX_ROWS = 2 ** 20
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
 Monomial = tuple[tuple[int, ...], int]
@@ -272,29 +283,138 @@ def _trace_mask(modulus) -> int:
     return sum((s & 1) << j for j, s in enumerate(sums))
 
 
+def _index_bit(b: int, rows: int) -> int:
+    """The rows r < rows whose bit b is set, as the bits of one int: a
+    byte pattern repeated, read by int.from_bytes."""
+    if b < 3:
+        pattern = bytes([(0xAA, 0xCC, 0xF0)[b]]) * -(-rows // 8)
+    else:
+        half = 1 << b - 3
+        pattern = (bytes(half) + b"\xff" * half) * (rows >> b + 1)
+    return int.from_bytes(pattern, "little") & (1 << rows) - 1
+
+
+def _plane_count(system: PolySystem, spec: FieldSpec) -> int:
+    """Points of one polynomial y^2 + c1(x') y + c0(x') over F_2^n on bit
+    planes, without numpy, a generator or any table of the field.
+
+    The R = q^(k - 1) rows are the tuples of the row variables, row r
+    holding the ids of the n-bit fields of r, the first variable highest.
+    A function from the rows to F_2^n is n Python ints of R bits, plane j
+    holding coefficient j of every row's value, so one big-int operation
+    acts on all rows at once (bitslicing: E. Biham, FSE 1997).  Sums are
+    XOR; a product is the n^2 AND/XOR schoolbook product, reduced by the
+    taps of the modulus x^n = sum of its lower terms; squaring is linear.
+    A row has one solution where c1 = 0 and else two or none as
+    Tr(rhs / c1^2) is 0 or 1, rhs = -c0, as in
+    `grid.FieldTables.quadratic_solutions`.  c1^-2 is (c1^(2^(n-1) - 1))^4,
+    by the Itoh-Tsujii chain (Inf. Comput. 78, 1988), and Tr(a b) is the
+    sum of a_i Tr(x^i b), x^i b one shift and reduction after another."""
+    (rhs, col, row), = [_group_by_last(poly, 2) for poly in system.polys]
+    n, q, k = spec.n, spec.q, system.num_vars
+    rows = q ** (k - 1)
+    full = (1 << rows) - 1
+    taps = [j for j in range(n) if spec.modulus[j]]
+    mask = _trace_mask(spec.modulus)
+
+    def reduce(t):
+        """The n planes of a polynomial of degree < 2n - 1, mod the modulus."""
+        for d in range(len(t) - 1, n - 1, -1):
+            if top := t[d]:
+                for j in taps:
+                    t[d - n + j] ^= top
+        return t[:n]
+
+    def mul(a, b):
+        t = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    t[i + j] ^= ai & bj
+        return reduce(t)
+
+    def square(a, times=1):
+        for _ in range(times):
+            t = [0] * (2 * n - 1)
+            t[::2] = a
+            a = reduce(t)
+        return a
+
+    def power(a, e):
+        """a^e for e > 0, e first brought into 1..q - 1."""
+        out = a
+        for bit in bin((e - 1) % (q - 1) + 1)[3:]:
+            out = square(out)
+            if bit == "1":
+                out = mul(out, a)
+        return out
+
+    def trace(a):
+        t = 0
+        for j, plane in enumerate(a):
+            if mask >> j & 1:
+                t ^= plane
+        return t
+
+    variables = [[_index_bit(n * (k - 2 - i) + j, rows) for j in range(n)]
+                 for i in range(k - 1)]
+    one = [full] + [0] * (n - 1)
+
+    def value(terms):
+        """The planes of the sum of the terms, whose coefficients are odd."""
+        total = [0] * n
+        for exps, _ in terms:
+            term = one
+            for v, e in zip(variables, exps):
+                if e:
+                    term = power(v, e) if term is one else mul(term, power(v, e))
+            total = [s ^ t for s, t in zip(total, term)]
+        return total
+
+    if not row:  # c1 is 0: one square root of each rhs; or 1: y^2 + y = rhs
+        return 2 * (rows - trace(value(rhs)).bit_count()) if (1,) in dict(col) else rows
+    r, c1 = value(rhs), value(row[0][1])
+    nz = 0
+    for plane in c1:
+        nz |= plane
+    # y = c1 z turns y^2 + c1 y = r into z^2 + z = r c1^-2, where c1 != 0
+    beta, i = c1, 1  # beta = c1^(2^i - 1), i up to n - 1; over F_2, c1^4 = c1 = 1
+    for bit in bin(n - 1)[3:]:
+        beta, i = mul(square(beta, i), beta), 2 * i
+        if bit == "1":
+            beta, i = mul(square(beta), c1), i + 1
+    inverse = square(beta, 2)
+    tr = 0  # Tr(r c1^-2), the sum of r_i Tr(x^i c1^-2)
+    for plane in r:
+        tr ^= plane & trace(inverse)
+        top = inverse.pop()
+        inverse.insert(0, 0)
+        for j in taps:
+            inverse[j] ^= top
+    return rows - nz.bit_count() + 2 * (nz & ~tr).bit_count()
+
+
 def _exp_codes(spec: FieldSpec):
-    """(exp, add): exp[k] the code of g^k for k < q - 1, g the generator
-    of `multiplicative_generator`, and exp[q - 1] = 0, the code of zero;
-    add sums two lists of codes, element by element.
+    """(exp, add) of a field of odd p: exp[k] the code of g^k for
+    k < q - 1, g the generator of `multiplicative_generator`, and
+    exp[q - 1] = 0, the code of zero; add sums two lists of codes,
+    element by element.
 
     A code packs an element's digits into lanes of w bits, digit j at bit
-    w j.  For p = 2, w = 1, so a code is the element's id and codes add by
-    XOR.  For odd p a lane holds the sum of two digits, and the top bit of
+    w j.  A lane holds the sum of two digits, and the top bit of
     lane + 2^(w-1) - p flags the lanes to take p from, as `grid._Multiplier`
     does.  Multiplication by g is F_p-linear: a code's image is the sum of
     the images of its low and high halves, each read from a table indexed
     by the half's lanes.  A prime field multiplies mod p.
     """
     p, n, q = spec.p, spec.n, spec.q
-    w = 1 if p == 2 else (2 * p - 2).bit_length()
+    w = (2 * p - 2).bit_length()
     ones = sum(1 << w * j for j in range(n))
     excess, top = ((1 << w - 1) - p) * ones, w - 1
-    if p == 2:
-        plus = operator.xor
-    else:
-        def plus(a, b):
-            s = a + b
-            return s - ((s + excess) >> top & ones) * p
+
+    def plus(a, b):
+        s = a + b
+        return s - ((s + excess) >> top & ones) * p
 
     def add(a, b):
         return list(map(plus, a, b))
@@ -332,13 +452,19 @@ def _exp_codes(spec: FieldSpec):
 
 def _fibre_count(system: PolySystem, spec: FieldSpec) -> int:
     """Points of one polynomial c2 y^2 + c1(x') y + c0(x'), c2 a constant
-    nonzero mod p, over one field, without numpy: `grid`'s rule
+    nonzero mod p, over one field of odd p, without numpy: `grid`'s rule
     (`FieldTables.quadratic_solutions`) on every row's right-hand side
     -c0 and c1, as codes (`_exp_codes`).  A row is a tuple of the row
     variables' logs, each 0..q - 2 and then q - 1 for zero, the first
-    variable slowest."""
+    variable slowest.  In one variable the one row's discriminant d lies
+    in F_p, so the count is 1 + chi_p(d)^n by Euler's criterion, and no
+    table is built."""
     (rhs, col, row), = [_group_by_last(poly, spec.p) for poly in system.polys]
     p, q, m = spec.p, spec.q, spec.q - 1
+    coeffs = {j: c for (j,), c in col}
+    if system.num_vars == 1:
+        d = (coeffs.get(1, 0) ** 2 + 4 * coeffs[2] * sum(c for _, c in rhs)) % p
+        return 1 if d == 0 else 1 + (1 if pow(d, (p - 1) // 2, p) == 1 else -1) ** spec.n
     rows = q ** (system.num_vars - 1)
     exp, add = _exp_codes(spec)
     log = {e: i for i, e in enumerate(exp)}
@@ -351,31 +477,17 @@ def _fibre_count(system: PolySystem, spec: FieldSpec) -> int:
             for e in exps[:-1]:
                 heads = [m if a == m or e and i == m else (a + e * i) % m
                          for a in heads for i in range(q)]
-            if not exps:  # y alone: one row
-                term = [exp[heads[0]]]
-            else:
-                e, term = exps[-1], []
-                for a in heads:
-                    term += ([0] * q if a == m else [exp[a]] * q if e == 0 else
-                             [exp[(a + e * i) % m] for i in range(m)] + [0])
+            e, term = exps[-1], []
+            for a in heads:
+                term += ([0] * q if a == m else [exp[a]] * q if e == 0 else
+                         [exp[(a + e * i) % m] for i in range(m)] + [0])
             acc = term if acc is None else add(acc, term)
         return [0] * rows if acc is None else acc
 
-    coeffs = {j: c for (j,), c in col}
-    c1 = codes(row[0][1]) if row else None  # None: the constant coeffs.get(1, 0)
-    if p == 2:
-        r, mask = codes(rhs), _trace_mask(spec.modulus)
-        if c1 is None:  # c1 is 0 or 1: one square root of each rhs, or y^2 + y = rhs
-            return rows if coeffs.get(1, 0) % 2 == 0 else 2 * sum(
-                1 for x in r if not (x & mask).bit_count() & 1)
-        # y = c1 z: z^2 + z = rhs / c1^2, two roots or none as its trace is 0 or 1
-        return sum(1 if c == 0 else 0 if x and (exp[(log[x] - 2 * log[c]) % m]
-                                                & mask).bit_count() & 1 else 2
-                   for x, c in zip(r, c1))
     # 1 + chi(c1^2 + 4 c2 rhs), chi the parity of the log: m is even
     disc = codes(rhs, log[4 * coeffs[2] % p])
-    square = ([coeffs.get(1, 0) ** 2 % p] * rows if c1 is None
-              else [exp[2 * log[c] % m] if c else 0 for c in c1])
+    square = ([coeffs.get(1, 0) ** 2 % p] * rows if not row
+              else [exp[2 * log[c] % m] if c else 0 for c in codes(row[0][1])])
     return sum(1 if d == 0 else 2 - 2 * (log[d] & 1) for d in add(square, disc))
 
 
@@ -429,10 +541,11 @@ def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method
     """How system is counted over F_p and its extensions, as a function of
     one field: by the plan of PLANS that applies, charged once, for the
     largest field q_max, before any field is built.  The fibre plan counts
-    in pure Python when that charge and q_max are at most ARRAY_MIN_CHARGE
-    and numpy is not loaded, so a sequence never pays for both its rows in
-    Python and numpy's import; a system with no equation mod p counts q^k
-    at the same charge."""
+    in pure Python for p = 2 when that charge is at most PLANES_MAX_ROWS,
+    and for odd p in one variable, or when the charge is at most
+    ARRAY_MIN_CHARGE and numpy is not loaded, so a sequence never pays for
+    both its rows in Python and numpy's import; a system with no equation
+    mod p counts q^k at the same charge."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     if method != "auto" and method not in PLANS:
@@ -447,9 +560,11 @@ def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method
         raise ValueError("search space too large")
     if not any(map(any, polys)):
         return lambda spec: spec.q ** k
-    if (plan is PLANS["fibre"] and max(charge, q_max) <= ARRAY_MIN_CHARGE
-            and "numpy" not in sys.modules):
-        return lambda spec: _fibre_count(system, spec)
+    if plan is PLANS["fibre"]:
+        if p == 2 and charge <= PLANES_MAX_ROWS:
+            return lambda spec: _plane_count(system, spec)
+        if p > 2 and (k == 1 or charge <= ARRAY_MIN_CHARGE and "numpy" not in sys.modules):
+            return lambda spec: _fibre_count(system, spec)
     return lambda spec: _count(plan, system, spec, workers, chunk_size)
 
 
@@ -488,12 +603,12 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
     """Number of points of F_q^k at which every polynomial vanishes.
 
     method is "auto", the first of PLANS that applies, or a plan's name;
-    a fibre plan charged at most ARRAY_MIN_CHARGE rows, over a field of at
-    most that size, counts in pure Python, without tiles, until numpy is
-    loaded.  Tiles hold at most chunk_size tuples, over a
-    pool of up to `workers` processes (default the CPUs) from a charge of
-    POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a fixed 2^28, caps the plan's
-    charge, the tuples it enumerates.
+    a fibre plan counts in pure Python, without tiles, for p = 2 up to
+    PLANES_MAX_ROWS rows, and for odd p in one variable, or up to
+    ARRAY_MIN_CHARGE rows until numpy is loaded.  Tiles hold at most
+    chunk_size tuples, over a pool of up to `workers` processes (default
+    the CPUs) from a charge of POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a
+    fixed 2^28, caps the plan's charge, the tuples it enumerates.
     """
     return _plan(system, spec.p, spec.q, workers=workers, method=method,
                  chunk_size=chunk_size)(spec)

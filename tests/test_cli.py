@@ -679,17 +679,21 @@ NUMPY_FREE = {
     "motives.cli zeta --p 2 --counts 3,5,9,33,33,65,129,193": ZETA,
     "motives.cli pspace --dim 2 --q 4 --n-max 2": PSPACE,
     "motives.cli count --poly zero.txt --p 2 --n-max 3": PSPACE,  # x^0 - 1 is the zero polynomial
-    # the fibre plan in pure Python, charged at most ARRAY_MIN_CHARGE rows; the
-    # trace mask of F_2^n comes from weil's power sums
+    # the fibre plan on bit planes, charged at most PLANES_MAX_ROWS rows (F_2^15
+    # was past the codes kernel's ARRAY_MIN_CHARGE); the trace mask of F_2^n
+    # comes from weil's power sums
     "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.weil"],
+    "motives.cli count --poly curve.txt --p 2 --n-max 15": PSPACE + ["motives.weil"],
     "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA,
     "motives.cli predict --p 2 --n1 4 --poly curve.txt --n-max 12": PSPACE + ["motives.weil"],
 }
 NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
     "motives.cli count --poly curve.txt --p 2 --n-max 3 --method product":
         PSPACE + ["motives.grid", "motives.weil"],
-    # F_2^15: the fibre plan's rows pass ARRAY_MIN_CHARGE
-    "motives.cli count --poly curve.txt --p 2 --n-max 15": PSPACE + ["motives.grid", "motives.weil"],
+    # F_2^21: the fibre plan's rows pass PLANES_MAX_ROWS
+    "motives.cli count --poly curve.txt --p 2 --n-max 21": PSPACE + ["motives.grid", "motives.weil"],
+    # F_3^9: odd p, the fibre plan's rows pass ARRAY_MIN_CHARGE
+    "motives.cli count --poly curve.txt --p 3 --n-max 9": PSPACE + ["motives.grid"],
     "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
 }
 
@@ -849,7 +853,7 @@ def vm_peak():
         return next(int(line.split()[1]) for line in f if line.startswith("VmPeak:")) * 1024
 
 count = ["count", "--poly", "curve.txt", "--p", "2", "--method", "auto", "--n-max"]
-main(count + ["4"])  # one small field counted, by the array kernel: numpy is loaded
+main(count + ["4"])  # one small field counted, on bit planes; the import above loaded numpy
 # the stated budget for this curve, 4 bytes per element of F_2^22, and 8 MiB of slack
 cap = vm_peak() + 4 * 2 ** 22 + 8 * 2 ** 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))

@@ -680,7 +680,7 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
         first = grid.orbit_rows(f, system.num_vars)
         assert grid._Grid(system, f, 97, first).join() == product
     if variety.PLANS["fibre"].applies(polys):  # both kernels; row batches of at most 7 rows
-        assert variety._fibre_count(system, f) == product
+        assert _python_fibre(system, f) == product
         assert grid._Grid(system, f, 7).fibre() == product
     # a row term: some y^j, j > 0, whose coefficient mod p involves x'
     keeps_row_term = len(system.polys) > 1 or any(
@@ -714,6 +714,11 @@ def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch
 
 # ----------------------------------------------------------------------
 # the fibre plan: c2 y^2 + c1(x') y + c0(x'), one row at a time
+
+def _python_fibre(system, f):
+    """The fibre count without numpy: bit planes for p = 2, codes for odd p."""
+    return (variety._plane_count if f.p == 2 else variety._fibre_count)(system, f)
+
 
 @pytest.mark.parametrize("text, fields", [
     # p = 2, c1 = 0 on the rows x = 0 (and x = 1): one solution there
@@ -764,71 +769,194 @@ def test_both_fibre_kernels_match_the_every_row_grid(p, n, k, c1):
         assert variety.PLANS["fibre"].applies(polys)
         assert bool(polys[0][2]) == (c1 == "row")
         want = _unreduced_count(system, f, 97)
-        assert variety._fibre_count(system, f) == want, terms
+        assert _python_fibre(system, f) == want, terms
         assert grid._Grid(system, f, 7).fibre() == want, terms
 
 
 def test_python_exp_is_the_array_exp():
-    # g^k for every log k, as an element, in every field of p < 300 the
-    # Python kernel counts: a code's lanes are the element's digits
-    fields = [(p, n) for p in range(2, 300) if is_prime(p) for n in range(1, 15)
+    # g^k for every log k, as an element, in every field of odd p < 300 the
+    # codes kernel counts: a code's lanes are the element's digits
+    fields = [(p, n) for p in range(3, 300) if is_prime(p) for n in range(1, 15)
               if p ** n <= variety.ARRAY_MIN_CHARGE]
-    assert len(fields) == 123
+    assert len(fields) == 109
     for p, n in fields:
         f = make_field(p, n)
         exp, _ = variety._exp_codes(f)
-        w = 1 if p == 2 else (2 * p - 2).bit_length()
+        w = (2 * p - 2).bit_length()
         digits = [[code >> w * j & (1 << w) - 1 for j in range(n)] for code in exp]
         assert all(d < p for row in digits for d in row), (p, n)
         ids = [sum(d * p ** j for j, d in enumerate(row)) for row in digits]
         assert ids == FieldTables(f).exp.tolist(), (p, n)
 
 
-_BOUNDARY_PROBE = """\
-import sys
-from motives import variety
-from motives.finite_field import make_field
+def _random_fibre_p2(rng, k, c1):
+    """y^2 + c1 y + c0 in k variables over F_2, the last one y: c0 up to
+    four monomials in x', c1 zero, one or a sum of up to three monomials,
+    one at least in x'.  Exponents reach 9, past q - 1 on the smallest
+    fields, where planes bring them into 1..q - 1."""
+    def monomial(last, free=True):
+        exps = [rng.randrange(10) for _ in range(k - 1)]
+        if not free and not any(exps):
+            exps[rng.randrange(k - 1)] = rng.randint(1, 9)
+        return tuple(exps) + (last,), rng.choice([-3, -1, 1, 3, 5])
 
-n = variety.ARRAY_MIN_CHARGE.bit_length() - 1
-curve = variety.parse_poly_system("y^2 + y - x^3 - x")
-sphere = variety.parse_poly_system("x^2 + y^2 + z^2 - 1")
-line = variety.parse_poly_system("x^2 + x + 1")
-print(variety.affine_count_sequence(curve, 2, n).counts[-1],
-      variety.count_affine(sphere, make_field(2, n // 2)),
-      variety.count_affine(line, make_field(2, n)), "numpy" in sys.modules)
-past = {"curve": lambda: variety.affine_count_sequence(curve, 2, n + 1).counts[-1],
-        "line": lambda: variety.count_affine(line, make_field(2, n + 1))}[sys.argv[1]]()
-print(past, "numpy" in sys.modules)
+    terms = [monomial(0) for _ in range(rng.randint(0, 4))] + [((0,) * (k - 1) + (2,), 1)]
+    if c1 == "constant":
+        terms.append(((0,) * (k - 1) + (1,), rng.choice([-1, 1, 3])))
+    if c1 == "row":
+        terms += [monomial(1, free=False)] + [monomial(1) for _ in range(rng.randint(0, 2))]
+    return PolySystem(k, (tuple(terms),))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bit_planes_match_the_every_row_grid(n):
+    # every k = 1, 2, 3 whose grid over F_2^n has at most 2^16 tuples, with
+    # c1 zero, constant or in the row variables (k > 1)
+    f, rng = make_field(2, n), random.Random(n)
+    cases = 0
+    for k in (1, 2, 3):
+        if f.q ** k > 2 ** 16:
+            continue
+        for c1 in ("zero", "constant", "row")[:2 if k == 1 else 3]:
+            for _ in range(4):
+                system = _random_fibre_p2(rng, k, c1)
+                polys = [variety._group_by_last(system.polys[0], 2)]
+                assert variety.PLANS["fibre"].applies(polys)
+                want = _unreduced_count(system, f, 1 << 12)
+                assert variety._plane_count(system, f) == want, (n, system)
+                cases += 1
+    assert cases == {1: 32, 2: 32, 3: 32, 4: 32, 5: 32, 6: 20, 7: 20, 8: 20}[n]
+
+
+@pytest.mark.parametrize("text", ["y^2 + y - x^3 - x", "y^2 + x*y + y - x^3 - x^2 - x",
+                                  "y^2 + y - x^5"])
+def test_bit_planes_match_the_array_kernel_to_f_2_20(text):
+    # the golden curve (c1 = 1), the xy curve (c1 = x + 1) and genus 2, at
+    # every field the planes count, up to PLANES_MAX_ROWS = 2^20 rows
+    system = parse_poly_system(text)
+    top = variety.PLANES_MAX_ROWS.bit_length() - 1
+    assert top == 20
+    for n in range(1, top + 1):
+        f = make_field(2, n)
+        assert variety._plane_count(system, f) == grid._Grid(system, f, 1 << 14).fibre(), n
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("counted by the wrong kernel")
+
+
+def test_one_variable_over_f_2_26_counts_on_one_row_of_planes(monkeypatch):
+    # x^2 + x + 1 has its two roots in F_4, so in F_2^n for even n only; one
+    # row of planes a field, no field table even with numpy loaded
+    monkeypatch.setattr(grid, "_Grid", _refuse)
+    line = parse_poly_system("x^2 + x + 1")
+    assert affine_count_sequence(line, 2, 26).counts == tuple(
+        2 if n % 2 == 0 else 0 for n in range(1, 27))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_one_variable_quadratic_by_eulers_criterion(p, monkeypatch):
+    # c2 x^2 + c1 x + c0: the one row's discriminant d lies in F_p, so the
+    # count over F_p^n is 1 + chi_p(d)^n, here against the scalar oracle
+    # and the every-row grid; numpy loaded or not, no grid is built
+    rng = random.Random(p)
+    for _ in range(8):
+        c0, c1 = rng.randint(-6, 6), rng.randint(-6, 6)
+        c2 = rng.choice([c for c in range(-6, 7) if c % p])
+        system = PolySystem(1, (tuple(((e,), c) for e, c in ((0, c0), (1, c1), (2, c2)) if c),))
+        for n in range(1, 5):
+            f = make_field(p, n)
+            want = naive_affine_count(system, f)
+            assert _unreduced_count(system, f, 97) == want
+            assert variety._fibre_count(system, f) == want, (system, n)
+            with monkeypatch.context() as m:
+                m.setattr(grid, "_Grid", _refuse)
+                assert count_affine(system, f) == want
+
+
+_ONE_VARIABLE_PROBE = """\
+import sys
+from motives.cli import main
+
+main(["count", "--poly", "line.txt", "--p", sys.argv[1], "--n-max", sys.argv[2],
+      "--format", "csv"])
+with open("/proc/self/status") as f:  # VmHWM: this process's peak resident set, in kB
+    peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print("numpy" in sys.modules, peak < 48 * 1024)
 """
 
 
-@pytest.mark.parametrize("past", ["curve", "line"])
-def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, past):
-    # charged exactly ARRAY_MIN_CHARGE rows (F_2^14 in two variables, F_2^7
-    # in three), or one row over a field of that size, a count runs in pure
-    # Python; one field past it loads numpy, for its rows or its field
-    n = variety.ARRAY_MIN_CHARGE.bit_length() - 1
-    assert variety.ARRAY_MIN_CHARGE == 2 ** n and n % 2 == 0
-    assert variety.PLANS["fibre"].charge(2 ** (n // 2), 3) == variety.ARRAY_MIN_CHARGE
-    assert variety.PLANS["fibre"].charge(2 ** (n + 1), 1) == 1
+@pytest.mark.parametrize("p, n", [(3, 16), (5, 11)])
+def test_one_variable_counts_build_no_field_tables(tmp_path, p, n):
+    # x^2 + 1 over F_3^16 (43 million elements) and F_5^11 (49 million): -1
+    # is a square in F_5 and in F_3^n for even n, so both have two roots; no
+    # numpy, and a peak resident set under 48 MB, where the field tables took
+    # over 500 MB
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc")
+    (tmp_path / "line.txt").write_text("x^2 + 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, past], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _ONE_VARIABLE_PROBE, str(p), str(n)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    # x^2 + x + 1 has its two roots in F_4, so in F_2^n for even n only
-    golden = predict_affine_count(hasse_alpha(2, 4), n)
-    want = {"curve": predict_affine_count(hasse_alpha(2, 4), n + 1), "line": 0}[past]
-    assert done.stdout == f"{golden} {2 ** n} 2 False\n{want} True\n"
+    *_, last, probe = done.stdout.splitlines()
+    assert last == f"{n},{p ** n},2"
+    assert probe == "False True"
+
+
+_BOUNDARY_PROBE = """import sys
+from motives import variety
+from motives.finite_field import make_field
+
+p, n = int(sys.argv[1]), int(sys.argv[2])
+curve = variety.parse_poly_system("y^2 + y - x^3 - x")
+sphere = variety.parse_poly_system("x^2 + y^2 + z^2 - 1")
+line = variety.parse_poly_system("x^2 + x + 1" if p == 2 else "x^2 + 1")
+print(variety.affine_count_sequence(curve, p, n).counts[-1],
+      variety.count_affine(sphere, make_field(p, n // 2)),
+      variety.affine_count_sequence(line, p, 26 if p == 2 else 16).counts[-1],
+      "numpy" in sys.modules)
+print(variety.affine_count_sequence(curve, p, n + 1).counts[-1], "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, p):
+    # the fibre plan counts without numpy while its rows, q^(k - 1) over the
+    # largest field, are at most the bound of p: PLANES_MAX_ROWS for p = 2,
+    # ARRAY_MIN_CHARGE for odd p.  The curve to the last field within it
+    # (F_2^20, F_3^8), the sphere at the same charge (F_2^10, F_3^4) and one
+    # variable over the largest field run in pure Python; one field more
+    # loads numpy
+    bound = variety.PLANES_MAX_ROWS if p == 2 else variety.ARRAY_MIN_CHARGE
+    n = {2: 20, 3: 8}[p]
+    assert p ** n <= bound < p ** (n + 1) and n % 2 == 0
+    assert variety.PLANS["fibre"].charge(p ** (n // 2), 3) == p ** n
+    assert variety.PLANS["fibre"].charge(p ** 16, 1) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, str(p), str(n)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    golden = hasse_alpha(p, {2: 4, 3: 3}[p])
+    # x^2 + y^2 + z^2 = 1: (x + y + z)^2 = 1 for p = 2, else q^2 + q chi(-1), and
+    # -1 is a square in F_81
+    sphere = p ** n + (p ** (n // 2) if p > 2 else 0)
+    assert done.stdout == (f"{predict_affine_count(golden, n)} {sphere} 2 False\n"
+                           f"{predict_affine_count(golden, n + 1)} True\n")
 
 
 def test_a_process_with_numpy_loaded_counts_with_arrays(monkeypatch):
-    # numpy is loaded here, so the array kernel is the cheaper at any size
+    # numpy is loaded here, so for odd p the array kernel is the cheaper at
+    # any charge of two variables or more; p = 2 counts on bit planes all the
+    # same up to PLANES_MAX_ROWS rows, where they beat the arrays
     assert "numpy" in sys.modules
-
-    def refuse(system, spec):
-        raise AssertionError("counted in pure Python")
-
-    monkeypatch.setattr(variety, "_fibre_count", refuse)
+    monkeypatch.setattr(variety, "_fibre_count", _refuse)
+    monkeypatch.setattr(variety, "_plane_count", _refuse)
+    assert count_affine(CURVE, make_field(3, 4)) == predict_affine_count(hasse_alpha(3, 3), 4)
+    assert affine_count_sequence(CURVE, 3, 3).counts == tuple(
+        predict_affine_count(hasse_alpha(3, 3), n) for n in (1, 2, 3))
+    monkeypatch.undo()
+    monkeypatch.setattr(grid, "_Grid", _refuse)
     assert count_affine(CURVE, make_field(2, 4)) == predict_affine_count(hasse_alpha(2, 4), 4)
     assert affine_count_sequence(CURVE, 2, 3).counts == tuple(
         predict_affine_count(hasse_alpha(2, 4), n) for n in (1, 2, 3))
@@ -886,8 +1014,8 @@ def test_trace_mask_is_the_sum_of_conjugates(n):
 def test_golden_count_builds_no_log_table_for_p_2(n):
     # y^2 + y = x^3 + x: c1 = 1 for every row, so the trace reads the
     # right-hand sides as ids; a row-dependent c1 needs their logs.  These
-    # are the array kernel's tables, which count_affine builds only past
-    # ARRAY_MIN_CHARGE rows or with numpy loaded
+    # are the array kernel's tables, which count_affine builds for p = 2 only
+    # past PLANES_MAX_ROWS rows
     grid._tables_for.cache_clear()
     f = make_field(2, n)
     assert grid._Grid(CURVE, f, 1 << 14).fibre() == predict_affine_count(hasse_alpha(2, 4), n)
