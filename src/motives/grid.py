@@ -6,10 +6,10 @@ field.  The grid enumerates every variable by its log, so that whole
 tiles of the search space evaluate as numpy arrays.  `variety` plans each
 count and imports this module with its first grid, so that parsing,
 planning, gridless counts and the fibre counts that `variety` makes in
-pure Python need no numpy: for p = 2 on bit planes up to
-`variety.PLANES_MAX_ROWS` rows, and for odd p in one variable or up to
-`variety.ARRAY_MIN_CHARGE` rows.  The fibre counts here are those past
-these bounds, and those of odd p in a process that has loaded numpy.
+pure Python need no numpy: every one of p = 2, on bit planes, and those
+of odd p in one variable or up to `variety.ARRAY_MIN_CHARGE` rows.  The
+fibre counts here are odd p only: those past that bound, and those in a
+process that has loaded numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from .finite_field import FieldSpec, multiplicative_generator
-from .variety import PolySystem, _group_by_last, _tiling, _trace_mask
+from .variety import PolySystem, _group_by_last, _tiling
 
 # ----------------------------------------------------------------------
 # field tables: nonzero elements as discrete logs
@@ -37,7 +37,7 @@ class FieldTables:
     log of zero.  Both are int32, and log is built on first use.  A
     monomial c * x^a * y^b is one sum of logs mod q - 1 plus a zero mask.
     Sums are carried in one code, chosen by p and known only here
-    (`zero`, `add`, `logs`, `quadratic_solutions`): for p = 2 the ids
+    (`zero`, `add`, `logs`): for p = 2 the ids
     themselves, added by XOR; for odd p the logs, added through Zech
     logarithms, log(1 + g^k), since g^a + g^b = g^a (1 + g^(b - a))
     (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Each table is
@@ -49,7 +49,6 @@ class FieldTables:
         self.p, self.n, self.m = spec.p, spec.n, spec.q - 1
         self.zero = 0 if spec.p == 2 else self.m  # the code of 0
         self.exp = _exp_table(spec)
-        self.trace_mask = _trace_mask(spec.modulus) if spec.p == 2 else None
 
     @functools.cached_property
     def log(self) -> np.ndarray:
@@ -167,29 +166,15 @@ class FieldTables:
         return logs
 
     def quadratic_solutions(self, rhs: np.ndarray, c1, c2: int) -> int:
-        """Solutions y of c2 y^2 + c1 y = rhs, summed over rows: rhs the
-        rows' codes, c1 their int32 logs (from `logs`) or one integer
-        coefficient for every row, c2 an integer nonzero mod p.
+        """Solutions y of c2 y^2 + c1 y = rhs over a field of odd p, summed
+        over rows: rhs the rows' codes, c1 their int32 logs (from `logs`) or
+        one integer coefficient for every row, c2 an integer nonzero mod p.
 
-        For odd p a row has 1 + chi(c1^2 + 4 c2 rhs) solutions, chi the
-        quadratic character: 0 at zero, else +1 or -1 as the log is even
-        or odd.  For p = 2, c2 = 1: a row with c1 = 0 has one, the square
-        root of rhs; any other has two if Tr(rhs / c1^2) = 0 and none
-        otherwise, since y = c1 z turns it into z^2 + z = rhs / c1^2
-        (Lidl-Niederreiter, Theorem 2.25).  Temporaries are int32.
+        A row has 1 + chi(c1^2 + 4 c2 rhs) solutions, chi the quadratic
+        character: 0 at zero, else +1 or -1 as the log is even or odd.
+        Temporaries are int32.
         """
         m = self.m
-        if self.p == 2:
-            if not isinstance(c1, np.ndarray):  # c1 = 1 leaves rhs as it is
-                return rhs.size if c1 % 2 == 0 else 2 * (rhs.size - int(np.count_nonzero(
-                    self._trace(rhs))))
-            lr = self.logs(rhs)
-            x = np.take(self.exp, _reduce(lr - 2 * c1, m), mode="clip")
-            np.copyto(x, 0, where=lr == _ZERO_LOG)  # Tr(0) = 0
-            zero = c1 == _ZERO_LOG
-            tr = self._trace(x)
-            tr |= zero
-            return int(np.count_nonzero(zero)) + 2 * (tr.size - int(np.count_nonzero(tr)))
         if not isinstance(c1, np.ndarray):
             c1 = np.int32([int(self.log[c1 % self.p]) if c1 % self.p else _ZERO_LOG])
         # logs of c1^2 and of 4 c2 rhs; a zero factor stays at least 2^29 - q: zero
@@ -201,15 +186,6 @@ class FieldTables:
         disc = self.add(self.add(None, sq), d)
         # m is even: a zero discriminant's log is even and counts 2 - 1
         return 2 * (disc.size - int(np.count_nonzero(disc & 1))) - int(np.count_nonzero(disc == m))
-
-    def _trace(self, ids: np.ndarray) -> np.ndarray:
-        """Tr(x), 0 or 1, of the elements of F_2^n with these ids: the
-        parity of the bits of id & trace_mask, ids being below 2^26."""
-        x = ids & self.trace_mask
-        for s in (16, 8, 4, 2, 1):
-            x ^= x >> s
-        x &= 1
-        return x
 
     def _add_logs(self, a, b):
         """Logs of g^a + g^b = g^a (1 + g^(b - a)); q - 1 stands for zero.
@@ -462,8 +438,9 @@ class _Grid:
                    for ci in range(-(-self.q // self.cols)))
 
     def fibre(self) -> int:
-        """Points of one polynomial c2 y^2 + c1(x') y + c0(x'), c2 a
-        constant nonzero mod p: the solutions in y of every row, weight 1,
+        """Points of one polynomial c2 y^2 + c1(x') y + c0(x') over a field
+        of odd p, c2 a constant nonzero mod p (`variety` counts p = 2 on bit
+        planes): the solutions in y of every row, weight 1,
         from its right-hand side -c0 and its c1 (row terms' logs, or the
         constant), through `FieldTables.quadratic_solutions`."""
         (_, col, terms), = self.polys

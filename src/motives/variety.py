@@ -6,12 +6,12 @@ out as rows, the tuples of the first k - 1 variables, times columns, the
 q values of the last one, y; the product plan's first variable takes one
 value per Frobenius orbit, weighted by its size.  This module parses,
 plans (`PLANS`) and charges each count in pure Python, and counts a fibre
-plan in pure Python too: for p = 2 on bit planes, one Python int per
-coefficient holding every row, up to PLANES_MAX_ROWS rows, numpy loaded or
-not; for odd p through codes, up to ARRAY_MIN_CHARGE rows, where numpy's
-import would cost more than the count, unless numpy is loaded already, and
-in one variable by Euler's criterion.  The arrays (field tables, tiles, the
-join, the other fibre counts) live in `grid`, which imports numpy and is
+plan in pure Python too: for p = 2 always, on bit planes, one Python int
+per coefficient holding a block of PLANE_BLOCK_ROWS rows; for odd p through
+codes, up to ARRAY_MIN_CHARGE rows, where numpy's import would cost more
+than the count, unless numpy is loaded already, and in one variable by
+Euler's criterion.  The arrays (field tables, tiles, the join, the odd-p
+fibre counts past that bound) live in `grid`, which imports numpy and is
 itself imported only when a count builds its first grid.  Projective
 charts x_lead = 1 are affine counts.
 
@@ -62,17 +62,15 @@ POOL_MIN_TUPLES = 2 ** 27
 # lies in F_p, counted without tables, numpy loaded or not.  Once numpy is loaded
 # the array kernel is faster: a mixed curve over F_2^11, warm, 0.2 vs 1.8 ms
 ARRAY_MIN_CHARGE = 2 ** 14
-# the largest charge, in rows, at which the fibre plan counts p = 2 on bit planes
-# (`_plane_count`), numpy loaded or not.  Whole sequences, warm, numpy loaded, best
-# of 5, 2 CPUs, planes vs arrays: y^2 + y = x^3 + x to F_2^20 50 vs 101 ms, to
-# F_2^21 72 vs 92 ms, to F_2^22 178 vs 152 ms; y^2 + xy + y = x^3 + x^2 + x (c1 in
-# x, an inversion a row) to F_2^20 144 vs 143 ms, to F_2^21 295 vs 311 ms, to F_2^22
-# 895 vs 580 ms; y^2 + y = x^5 to F_2^21 61 vs 75 ms, to F_2^22 155 vs 123 ms.  The
-# warm break-even lies between 2^21 and 2^22 rows; at 2^20 the curve with c1 in x
-# is even warm, and a fresh process saves numpy's import besides (the same curve
-# to F_2^20, `count`, 0.22 vs 0.31 s, min of 9).  Peak resident set of that count,
-# planes vs arrays: 35.7 vs 39.0 MB
-PLANES_MAX_ROWS = 2 ** 20
+# the rows per block of the bit planes (`_plane_count`), which count every p = 2
+# fibre plan: a plane holds one block's rows, so memory does not grow with the
+# field.  Whole sequences, warm, numpy loaded, best of 3, 2 CPUs, 2^16-row blocks vs
+# the arrays they replaced: y^2 + y = x^3 + x to F_2^22 67 vs 140 ms, to F_2^24
+# 0.32 vs 0.50 s; y^2 + xy + y = x^3 + x^2 + x (c1 in x, an inversion a row) to
+# F_2^22 0.39 vs 0.61 s, to F_2^24 2.2 vs 2.9 s; y^2 + y = x^5 to F_2^22 73 vs
+# 118 ms.  `count` of the golden curve to F_2^26 took 1.5 vs 2.1-2.6 s and peaked
+# at 15 vs 285 MB resident.  Blocks of 2^12, 2^14 and 2^18 rows were slower on each
+PLANE_BLOCK_ROWS = 2 ** 16
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
 Monomial = tuple[tuple[int, ...], int]
@@ -299,21 +297,25 @@ def _plane_count(system: PolySystem, spec: FieldSpec) -> int:
     planes, without numpy, a generator or any table of the field.
 
     The R = q^(k - 1) rows are the tuples of the row variables, row r
-    holding the ids of the n-bit fields of r, the first variable highest.
-    A function from the rows to F_2^n is n Python ints of R bits, plane j
+    holding the ids of the n-bit fields of r, the first variable highest,
+    counted in blocks of B = min(R, PLANE_BLOCK_ROWS) rows.  Over a block,
+    a function from the rows to F_2^n is n Python ints of B bits, plane j
     holding coefficient j of every row's value, so one big-int operation
-    acts on all rows at once (bitslicing: E. Biham, FSE 1997).  Sums are
-    XOR; a product is the n^2 AND/XOR schoolbook product, reduced by the
-    taps of the modulus x^n = sum of its lower terms; squaring is linear.
-    A row has one solution where c1 = 0 and else two or none as
-    Tr(rhs / c1^2) is 0 or 1, rhs = -c0, as in
-    `grid.FieldTables.quadratic_solutions`.  c1^-2 is (c1^(2^(n-1) - 1))^4,
-    by the Itoh-Tsujii chain (Inf. Comput. 78, 1988), and Tr(a b) is the
-    sum of a_i Tr(x^i b), x^i b one shift and reduction after another."""
+    acts on all its rows at once (bitslicing: E. Biham, FSE 1997); a row
+    bit past log2(B) is the same on the whole block, a plane of 0 or of
+    all ones.  Sums are XOR; a product is the n^2 AND/XOR schoolbook
+    product, reduced by the taps of the modulus x^n = sum of its lower
+    terms; squaring is linear.  A row has one solution where c1 = 0 and
+    else two or none as Tr(rhs / c1^2) is 0 or 1, rhs = -c0, since y = c1 z
+    turns it into z^2 + z = rhs / c1^2 (Lidl-Niederreiter, Theorem 2.25).
+    c1^-2 is (c1^(2^(n-1) - 1))^4, by the Itoh-Tsujii chain (Inf. Comput.
+    78, 1988), and Tr(a b) is the sum of a_i Tr(x^i b), x^i b one shift
+    and reduction after another."""
     (rhs, col, row), = [_group_by_last(poly, 2) for poly in system.polys]
     n, q, k = spec.n, spec.q, system.num_vars
     rows = q ** (k - 1)
-    full = (1 << rows) - 1
+    block = min(rows, PLANE_BLOCK_ROWS)
+    full = (1 << block) - 1
     taps = [j for j in range(n) if spec.modulus[j]]
     mask = _trace_mask(spec.modulus)
 
@@ -356,12 +358,11 @@ def _plane_count(system: PolySystem, spec: FieldSpec) -> int:
                 t ^= plane
         return t
 
-    variables = [[_index_bit(n * (k - 2 - i) + j, rows) for j in range(n)]
-                 for i in range(k - 1)]
     one = [full] + [0] * (n - 1)
 
     def value(terms):
-        """The planes of the sum of the terms, whose coefficients are odd."""
+        """The planes of the sum of the terms, whose coefficients are odd,
+        over the block of rows the row variables' planes hold."""
         total = [0] * n
         for exps, _ in terms:
             term = one
@@ -371,27 +372,34 @@ def _plane_count(system: PolySystem, spec: FieldSpec) -> int:
             total = [s ^ t for s, t in zip(total, term)]
         return total
 
-    if not row:  # c1 is 0: one square root of each rhs; or 1: y^2 + y = rhs
-        return 2 * (rows - trace(value(rhs)).bit_count()) if (1,) in dict(col) else rows
-    r, c1 = value(rhs), value(row[0][1])
-    nz = 0
-    for plane in c1:
-        nz |= plane
-    # y = c1 z turns y^2 + c1 y = r into z^2 + z = r c1^-2, where c1 != 0
-    beta, i = c1, 1  # beta = c1^(2^i - 1), i up to n - 1; over F_2, c1^4 = c1 = 1
-    for bit in bin(n - 1)[3:]:
-        beta, i = mul(square(beta, i), beta), 2 * i
-        if bit == "1":
-            beta, i = mul(square(beta), c1), i + 1
-    inverse = square(beta, 2)
-    tr = 0  # Tr(r c1^-2), the sum of r_i Tr(x^i c1^-2)
-    for plane in r:
-        tr ^= plane & trace(inverse)
-        top = inverse.pop()
-        inverse.insert(0, 0)
-        for j in taps:
-            inverse[j] ^= top
-    return rows - nz.bit_count() + 2 * (nz & ~tr).bit_count()
+    # row bits below log2(block) vary within a block; each higher one is constant
+    low, points = [_index_bit(b, block) for b in range(block.bit_length() - 1)], 0
+    for start in range(0, rows, block):
+        bits = low + [full if start >> b & 1 else 0 for b in range(len(low), n * (k - 1))]
+        variables = [bits[n * (k - 2 - i):n * (k - 1 - i)] for i in range(k - 1)]
+        if not row:  # c1 is 0: one square root of each rhs; or 1: y^2 + y = rhs
+            points += 2 * (block - trace(value(rhs)).bit_count()) if (1,) in dict(col) else block
+            continue
+        r, c1 = value(rhs), value(row[0][1])
+        nz = 0
+        for plane in c1:
+            nz |= plane
+        # y = c1 z turns y^2 + c1 y = r into z^2 + z = r c1^-2, where c1 != 0
+        beta, i = c1, 1  # beta = c1^(2^i - 1), i up to n - 1; over F_2, c1^4 = c1 = 1
+        for bit in bin(n - 1)[3:]:
+            beta, i = mul(square(beta, i), beta), 2 * i
+            if bit == "1":
+                beta, i = mul(square(beta), c1), i + 1
+        inverse = square(beta, 2)
+        tr = 0  # Tr(r c1^-2), the sum of r_i Tr(x^i c1^-2)
+        for plane in r:
+            tr ^= plane & trace(inverse)
+            top = inverse.pop()
+            inverse.insert(0, 0)
+            for j in taps:
+                inverse[j] ^= top
+        points += block - nz.bit_count() + 2 * (nz & ~tr).bit_count()
+    return points
 
 
 def _exp_codes(spec: FieldSpec):
@@ -512,7 +520,8 @@ class Plan(NamedTuple):
 # one, and each is exact for any chunk_size and worker count.  "fibre": one
 # polynomial quadratic in y with a constant y^2 coefficient, c2 y^2 + c1(x')
 # y + c0(x'), counts each row's solutions in y, 1 + chi(c1^2 - 4 c2 c0) for
-# odd p and a trace for p = 2, charged its q^(k - 1) rows.  "separable":
+# odd p (its grid kernel) and a trace for p = 2 (on bit planes, `_plan`),
+# charged its q^(k - 1) rows.  "separable":
 # one polynomial without row terms, g(x') = h(y), joins a q-entry histogram
 # of every row's right-hand side with the columns' codes.  "product" tests
 # each tuple of the tiled grid, whose first variable takes one value per
@@ -541,11 +550,11 @@ def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method
     """How system is counted over F_p and its extensions, as a function of
     one field: by the plan of PLANS that applies, charged once, for the
     largest field q_max, before any field is built.  The fibre plan counts
-    in pure Python for p = 2 when that charge is at most PLANES_MAX_ROWS,
-    and for odd p in one variable, or when the charge is at most
-    ARRAY_MIN_CHARGE and numpy is not loaded, so a sequence never pays for
-    both its rows in Python and numpy's import; a system with no equation
-    mod p counts q^k at the same charge."""
+    in pure Python for p = 2, on bit planes, and for odd p in one variable,
+    or when the charge is at most ARRAY_MIN_CHARGE and numpy is not loaded,
+    so a sequence never pays for both its rows in Python and numpy's
+    import; a system with no equation mod p counts q^k at the same
+    charge."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     if method != "auto" and method not in PLANS:
@@ -561,7 +570,7 @@ def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method
     if not any(map(any, polys)):
         return lambda spec: spec.q ** k
     if plan is PLANS["fibre"]:
-        if p == 2 and charge <= PLANES_MAX_ROWS:
+        if p == 2:
             return lambda spec: _plane_count(system, spec)
         if p > 2 and (k == 1 or charge <= ARRAY_MIN_CHARGE and "numpy" not in sys.modules):
             return lambda spec: _fibre_count(system, spec)
@@ -603,9 +612,9 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
     """Number of points of F_q^k at which every polynomial vanishes.
 
     method is "auto", the first of PLANS that applies, or a plan's name;
-    a fibre plan counts in pure Python, without tiles, for p = 2 up to
-    PLANES_MAX_ROWS rows, and for odd p in one variable, or up to
-    ARRAY_MIN_CHARGE rows until numpy is loaded.  Tiles hold at most
+    a fibre plan counts in pure Python, without tiles, for p = 2 on bit
+    planes of PLANE_BLOCK_ROWS rows, and for odd p in one variable, or up
+    to ARRAY_MIN_CHARGE rows until numpy is loaded.  Tiles hold at most
     chunk_size tuples, over a pool of up to `workers` processes (default
     the CPUs) from a charge of POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a
     fixed 2^28, caps the plan's charge, the tuples it enumerates.

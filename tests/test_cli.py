@@ -679,19 +679,19 @@ NUMPY_FREE = {
     "motives.cli zeta --p 2 --counts 3,5,9,33,33,65,129,193": ZETA,
     "motives.cli pspace --dim 2 --q 4 --n-max 2": PSPACE,
     "motives.cli count --poly zero.txt --p 2 --n-max 3": PSPACE,  # x^0 - 1 is the zero polynomial
-    # the fibre plan on bit planes, charged at most PLANES_MAX_ROWS rows (F_2^15
-    # was past the codes kernel's ARRAY_MIN_CHARGE); the trace mask of F_2^n
-    # comes from weil's power sums
+    # the fibre plan on bit planes, at any charge (F_2^15 was past the codes
+    # kernel's ARRAY_MIN_CHARGE, F_2^21 past the planes' old bound of 2^20 rows);
+    # the trace mask of F_2^n comes from weil's power sums
     "motives.cli count --poly curve.txt --p 2 --n-max 3": PSPACE + ["motives.weil"],
     "motives.cli count --poly curve.txt --p 2 --n-max 15": PSPACE + ["motives.weil"],
+    "motives.cli count --poly curve.txt --p 2 --n-max 21": PSPACE + ["motives.weil"],
     "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA,
     "motives.cli predict --p 2 --n1 4 --poly curve.txt --n-max 12": PSPACE + ["motives.weil"],
 }
 NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
+    # the product grid reads no trace mask, so it loads no weil
     "motives.cli count --poly curve.txt --p 2 --n-max 3 --method product":
-        PSPACE + ["motives.grid", "motives.weil"],
-    # F_2^21: the fibre plan's rows pass PLANES_MAX_ROWS
-    "motives.cli count --poly curve.txt --p 2 --n-max 21": PSPACE + ["motives.grid", "motives.weil"],
+        PSPACE + ["motives.grid"],
     # F_3^9: odd p, the fibre plan's rows pass ARRAY_MIN_CHARGE
     "motives.cli count --poly curve.txt --p 3 --n-max 9": PSPACE + ["motives.grid"],
     "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
@@ -845,7 +845,7 @@ def test_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path, inherited, wan
 
 _BUDGET_PROBE = """\
 import resource, sys
-import motives.grid  # numpy and the array kernel, which the F_2^22 count loads
+import motives.grid  # numpy and the array kernel, under the cap as a library caller has them
 from motives.cli import main
 
 def vm_peak():
@@ -853,7 +853,7 @@ def vm_peak():
         return next(int(line.split()[1]) for line in f if line.startswith("VmPeak:")) * 1024
 
 count = ["count", "--poly", "curve.txt", "--p", "2", "--method", "auto", "--n-max"]
-main(count + ["4"])  # one small field counted, on bit planes; the import above loaded numpy
+main(count + ["4"])  # one small field counted, on bit planes, as every p = 2 fibre plan is
 # the stated budget for this curve, 4 bytes per element of F_2^22, and 8 MiB of slack
 cap = vm_peak() + 4 * 2 ** 22 + 8 * 2 ** 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
@@ -862,10 +862,10 @@ sys.exit(main(count + ["22"]))
 
 
 def test_count_sequence_to_f_2_22_within_the_memory_budget(tmp_path):
-    # the fibre plan reads y^2 + y = x^3 + x by traces of ids: the exp table
-    # alone, 4 bytes per element, on top of the process that has loaded numpy,
-    # with no log table and no histogram; the address space is capped for this
-    # process only
+    # the budget the arrays' exp table held, 4 bytes per element, on top of a
+    # process that has loaded numpy; the fibre plan counts y^2 + y = x^3 + x on
+    # bit planes in blocks of PLANE_BLOCK_ROWS rows, with no field table at
+    # all.  The address space is capped for this process only
     resource = pytest.importorskip("resource")
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc")

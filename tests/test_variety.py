@@ -26,7 +26,7 @@ from motives.variety import (
     format_poly,
     parse_poly_system,
 )
-from motives.weil import hasse_alpha, predict_affine_count
+from motives.weil import hasse_alpha, predict_affine_count, weil_numbers_from_counts
 
 CURVE = parse_poly_system("y^2 + y - x^3 - x")
 
@@ -679,9 +679,10 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
     if variety.PLANS["separable"].applies(polys):  # the join weighs orbit rows too
         first = grid.orbit_rows(f, system.num_vars)
         assert grid._Grid(system, f, 97, first).join() == product
-    if variety.PLANS["fibre"].applies(polys):  # both kernels; row batches of at most 7 rows
+    if variety.PLANS["fibre"].applies(polys):  # both kernels of odd p; row batches of 7 rows
         assert _python_fibre(system, f) == product
-        assert grid._Grid(system, f, 7).fibre() == product
+        if f.p > 2:
+            assert grid._Grid(system, f, 7).fibre() == product
     # a row term: some y^j, j > 0, whose coefficient mod p involves x'
     keeps_row_term = len(system.polys) > 1 or any(
         c % f.p and e[-1] and any(e[:-1]) for e, c in system.polys[0])
@@ -742,9 +743,12 @@ def test_fibre_counts_match_the_product_grid(text, fields):
         want = _unreduced_count(system, f, 1 << 14)
         if f.q ** system.num_vars <= 729:
             assert want == naive_affine_count(system, f), (text, p, n)
-        for chunk_size in (1, 7, 1 << 14):
-            got = grid._Grid(system, f, chunk_size).fibre()
-            assert got == want, (text, p, n, chunk_size)
+        if p == 2:  # bit planes; the arrays count odd p only
+            assert variety._plane_count(system, f) == want, (text, n)
+        else:
+            for chunk_size in (1, 7, 1 << 14):
+                got = grid._Grid(system, f, chunk_size).fibre()
+                assert got == want, (text, p, n, chunk_size)
         assert count_affine(system, f, method="fibre") == count_affine(system, f) == want
 
 
@@ -770,7 +774,8 @@ def test_both_fibre_kernels_match_the_every_row_grid(p, n, k, c1):
         assert bool(polys[0][2]) == (c1 == "row")
         want = _unreduced_count(system, f, 97)
         assert _python_fibre(system, f) == want, terms
-        assert grid._Grid(system, f, 7).fibre() == want, terms
+        if p > 2:  # the arrays; p = 2 counts on bit planes alone
+            assert grid._Grid(system, f, 7).fibre() == want, terms
 
 
 def test_python_exp_is_the_array_exp():
@@ -808,10 +813,15 @@ def _random_fibre_p2(rng, k, c1):
     return PolySystem(k, (tuple(terms),))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_bit_planes_match_the_every_row_grid(n):
+@pytest.mark.parametrize("n, block", [(n, variety.PLANE_BLOCK_ROWS) for n in range(1, 9)]
+                         + [(n, 4) for n in range(1, 9)],
+                         ids=[f"{n}" for n in range(1, 9)] + [f"{n}-block4" for n in range(1, 9)])
+def test_bit_planes_match_the_every_row_grid(n, block, monkeypatch):
     # every k = 1, 2, 3 whose grid over F_2^n has at most 2^16 tuples, with
-    # c1 zero, constant or in the row variables (k > 1)
+    # c1 zero, constant or in the row variables (k > 1); in one block of
+    # rows, and in blocks of 4 rows, so that the k = 2 and k = 3 systems
+    # span many blocks, whose high row bits are constant planes
+    monkeypatch.setattr(variety, "PLANE_BLOCK_ROWS", block)
     f, rng = make_field(2, n), random.Random(n)
     cases = 0
     for k in (1, 2, 3):
@@ -828,17 +838,22 @@ def test_bit_planes_match_the_every_row_grid(n):
     assert cases == {1: 32, 2: 32, 3: 32, 4: 32, 5: 32, 6: 20, 7: 20, 8: 20}[n]
 
 
-@pytest.mark.parametrize("text", ["y^2 + y - x^3 - x", "y^2 + x*y + y - x^3 - x^2 - x",
-                                  "y^2 + y - x^5"])
-def test_bit_planes_match_the_array_kernel_to_f_2_20(text):
-    # the golden curve (c1 = 1), the xy curve (c1 = x + 1) and genus 2, at
-    # every field the planes count, up to PLANES_MAX_ROWS = 2^20 rows
+@pytest.mark.parametrize("text, genus, top", [("y^2 + y - x^3 - x", 1, 26),
+                                              ("y^2 + x*y + y - x^3 - x^2 - x", 1, 22),
+                                              ("y^2 + y - x^5", 2, 22)],
+                         ids=["y^2 + y - x^3 - x", "y^2 + x*y + y - x^3 - x^2 - x",
+                              "y^2 + y - x^5"])
+def test_bit_planes_match_weils_prediction(text, genus, top):
+    # the golden curve (c1 = 1) to F_2^26, the xy curve (c1 = x + 1) and
+    # genus 2 to F_2^22, past one block of PLANE_BLOCK_ROWS rows from F_2^17
+    # on: every count is the one Weil's polynomial predicts from N_1, or from
+    # N_1 and N_2 for genus 2; each curve has one point at infinity
+    assert 2 ** top > variety.PLANE_BLOCK_ROWS
     system = parse_poly_system(text)
-    top = variety.PLANES_MAX_ROWS.bit_length() - 1
-    assert top == 20
-    for n in range(1, top + 1):
-        f = make_field(2, n)
-        assert variety._plane_count(system, f) == grid._Grid(system, f, 1 << 14).fibre(), n
+    counts = [variety._plane_count(system, make_field(2, n)) for n in range(1, top + 1)]
+    first = CountSequence(2, tuple(c + 1 for c in counts[:genus]), projective_flag=True)
+    weil = weil_numbers_from_counts(2, genus, first)
+    assert counts == [weil.predict_projective_count(n) - 1 for n in range(1, top + 1)]
 
 
 def _refuse(*args, **kwargs):
@@ -874,11 +889,13 @@ def test_one_variable_quadratic_by_eulers_criterion(p, monkeypatch):
                 assert count_affine(system, f) == want
 
 
-_ONE_VARIABLE_PROBE = """\
+_NO_TABLES_PROBE = """\
 import sys
+from pathlib import Path
 from motives.cli import main
 
-main(["count", "--poly", "line.txt", "--p", sys.argv[1], "--n-max", sys.argv[2],
+Path("poly.txt").write_text(sys.argv[1] + "\\n")
+main(["count", "--poly", "poly.txt", "--p", sys.argv[2], "--n-max", sys.argv[3],
       "--format", "csv"])
 with open("/proc/self/status") as f:  # VmHWM: this process's peak resident set, in kB
     peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
@@ -886,21 +903,23 @@ print("numpy" in sys.modules, peak < 48 * 1024)
 """
 
 
-@pytest.mark.parametrize("p, n", [(3, 16), (5, 11)])
-def test_one_variable_counts_build_no_field_tables(tmp_path, p, n):
+@pytest.mark.parametrize("text, p, n, points", [("x^2 + 1", 3, 16, 2), ("x^2 + 1", 5, 11, 2),
+                                                ("y^2 + y - x^3 - x", 2, 26, 2 ** 26)],
+                         ids=["3-16", "5-11", "2-26"])
+def test_one_variable_counts_build_no_field_tables(tmp_path, text, p, n, points):
     # x^2 + 1 over F_3^16 (43 million elements) and F_5^11 (49 million): -1
-    # is a square in F_5 and in F_3^n for even n, so both have two roots; no
-    # numpy, and a peak resident set under 48 MB, where the field tables took
-    # over 500 MB
+    # is a square in F_5 and in F_3^n for even n, so both have two roots; and
+    # the golden curve to F_2^26, on bit planes in blocks of PLANE_BLOCK_ROWS
+    # rows.  No numpy, and a peak resident set under 48 MB, where the field
+    # tables took over 500 MB (285 MB for the golden curve)
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc")
-    (tmp_path / "line.txt").write_text("x^2 + 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _ONE_VARIABLE_PROBE, str(p), str(n)],
+    done = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE, text, str(p), str(n)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     *_, last, probe = done.stdout.splitlines()
-    assert last == f"{n},{p ** n},2"
+    assert last == f"{n},{p ** n},{points}"
     assert probe == "False True"
 
 
@@ -908,39 +927,36 @@ _BOUNDARY_PROBE = """import sys
 from motives import variety
 from motives.finite_field import make_field
 
-p, n = int(sys.argv[1]), int(sys.argv[2])
+n = int(sys.argv[1])
 curve = variety.parse_poly_system("y^2 + y - x^3 - x")
 sphere = variety.parse_poly_system("x^2 + y^2 + z^2 - 1")
-line = variety.parse_poly_system("x^2 + x + 1" if p == 2 else "x^2 + 1")
-print(variety.affine_count_sequence(curve, p, n).counts[-1],
-      variety.count_affine(sphere, make_field(p, n // 2)),
-      variety.affine_count_sequence(line, p, 26 if p == 2 else 16).counts[-1],
+line = variety.parse_poly_system("x^2 + 1")
+print(variety.affine_count_sequence(curve, 3, n).counts[-1],
+      variety.count_affine(sphere, make_field(3, n // 2)),
+      variety.affine_count_sequence(line, 3, 16).counts[-1],
       "numpy" in sys.modules)
-print(variety.affine_count_sequence(curve, p, n + 1).counts[-1], "numpy" in sys.modules)
+print(variety.affine_count_sequence(curve, 3, n + 1).counts[-1], "numpy" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [3])
 def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, p):
-    # the fibre plan counts without numpy while its rows, q^(k - 1) over the
-    # largest field, are at most the bound of p: PLANES_MAX_ROWS for p = 2,
-    # ARRAY_MIN_CHARGE for odd p.  The curve to the last field within it
-    # (F_2^20, F_3^8), the sphere at the same charge (F_2^10, F_3^4) and one
-    # variable over the largest field run in pure Python; one field more
-    # loads numpy
-    bound = variety.PLANES_MAX_ROWS if p == 2 else variety.ARRAY_MIN_CHARGE
-    n = {2: 20, 3: 8}[p]
-    assert p ** n <= bound < p ** (n + 1) and n % 2 == 0
+    # odd p: the fibre plan counts without numpy while its rows, q^(k - 1)
+    # over the largest field, are at most ARRAY_MIN_CHARGE.  The curve to the
+    # last field within it (F_3^8), the sphere at the same charge (F_3^4) and
+    # one variable over the largest field run in pure Python; one field more
+    # loads numpy.  p = 2 counts on bit planes at every charge
+    n = 8
+    assert p ** n <= variety.ARRAY_MIN_CHARGE < p ** (n + 1)
     assert variety.PLANS["fibre"].charge(p ** (n // 2), 3) == p ** n
     assert variety.PLANS["fibre"].charge(p ** 16, 1) == 1
     env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, str(p), str(n)],
+    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, str(n)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    golden = hasse_alpha(p, {2: 4, 3: 3}[p])
-    # x^2 + y^2 + z^2 = 1: (x + y + z)^2 = 1 for p = 2, else q^2 + q chi(-1), and
-    # -1 is a square in F_81
-    sphere = p ** n + (p ** (n // 2) if p > 2 else 0)
+    golden = hasse_alpha(p, 3)
+    # x^2 + y^2 + z^2 = 1: q^2 + q chi(-1), and -1 is a square in F_81
+    sphere = p ** n + p ** (n // 2)
     assert done.stdout == (f"{predict_affine_count(golden, n)} {sphere} 2 False\n"
                            f"{predict_affine_count(golden, n + 1)} True\n")
 
@@ -948,7 +964,7 @@ def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, p):
 def test_a_process_with_numpy_loaded_counts_with_arrays(monkeypatch):
     # numpy is loaded here, so for odd p the array kernel is the cheaper at
     # any charge of two variables or more; p = 2 counts on bit planes all the
-    # same up to PLANES_MAX_ROWS rows, where they beat the arrays
+    # same, the one p = 2 fibre kernel
     assert "numpy" in sys.modules
     monkeypatch.setattr(variety, "_fibre_count", _refuse)
     monkeypatch.setattr(variety, "_plane_count", _refuse)
@@ -990,7 +1006,8 @@ def test_fibre_charges_its_rows(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_trace_mask_is_the_sum_of_conjugates(n):
     # bit j of the mask is Tr(x^j) = x^j + x^(2j) + ... + x^(2^(n-1) j), by
-    # FFElement powers; the parity of id & mask is Tr on any element
+    # FFElement powers; the parity of id & mask is Tr on any element, as the
+    # bit planes read it
     f = make_field(2, n)
     mask = variety._trace_mask(f.modulus)
     assert 0 <= mask < f.q
@@ -1006,23 +1023,7 @@ def test_trace_mask_is_the_sum_of_conjugates(n):
     assert [mask >> j & 1 for j in range(n)] == [trace(x ** j) for j in range(n)]
     rng = random.Random(n)
     ids = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(20)]
-    got = FieldTables(f)._trace(np.array(ids, dtype=np.int32))
-    assert got.tolist() == [trace(f.from_index(i)) for i in ids]
-
-
-@pytest.mark.parametrize("n", [1, 2, 9, 16])
-def test_golden_count_builds_no_log_table_for_p_2(n):
-    # y^2 + y = x^3 + x: c1 = 1 for every row, so the trace reads the
-    # right-hand sides as ids; a row-dependent c1 needs their logs.  These
-    # are the array kernel's tables, which count_affine builds for p = 2 only
-    # past PLANES_MAX_ROWS rows
-    grid._tables_for.cache_clear()
-    f = make_field(2, n)
-    assert grid._Grid(CURVE, f, 1 << 14).fibre() == predict_affine_count(hasse_alpha(2, 4), n)
-    assert not {"log", "zech", "orbits"} & set(grid._tables_for(f).__dict__)
-    xy = parse_poly_system("y^2 + x*y + y - x^3 - x^2 - x")
-    assert grid._Grid(xy, f, 1 << 14).fibre() == predict_affine_count(hasse_alpha(2, 3), n)
-    assert "log" in grid._tables_for(f).__dict__
+    assert [(i & mask).bit_count() & 1 for i in ids] == [trace(f.from_index(i)) for i in ids]
 
 
 def test_genus_2_zeta_at_p_5_from_the_fibre_plan(tmp_path, capsys):
