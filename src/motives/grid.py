@@ -9,7 +9,8 @@ planning, gridless counts and the fibre counts that `variety` makes in
 pure Python need no numpy: every one of p = 2, on bit planes, and those
 of odd p in one variable or up to `variety.ARRAY_MIN_CHARGE` rows.  The
 fibre counts here are odd p only: those past that bound, and those in a
-process that has loaded numpy.
+process that has loaded numpy.  The product grid's rows over the Frobenius
+orbits come from `variety._frobenius_orbits`, which needs only p and n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import numpy as np
 
 from .finite_field import FieldSpec, multiplicative_generator
-from .variety import PolySystem, _group_by_last, _tiling
+from .variety import PolySystem, _frobenius_orbits, _group_by_last, _tiling
 
 # ----------------------------------------------------------------------
 # field tables: nonzero elements as discrete logs
@@ -46,7 +47,7 @@ class FieldTables:
     """
 
     def __init__(self, spec: FieldSpec):
-        self.p, self.n, self.m = spec.p, spec.n, spec.q - 1
+        self.p, self.m = spec.p, spec.q - 1
         self.zero = 0 if spec.p == 2 else self.m  # the code of 0
         self.exp = _exp_table(spec)
 
@@ -81,51 +82,6 @@ class FieldTables:
             d += h
             np.take(self.log, d, out=zech[s:s + ids.size], mode="clip")
         return zech
-
-    @functools.cached_property
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """One log per orbit of the Frobenius x -> x^p, and the orbit's size.
-
-        On logs the Frobenius is i -> i p mod (q - 1), so the orbits of
-        F_q^x are the cyclotomic cosets {i p^j mod (q - 1)}, and zero (the
-        log q - 1) is an orbit of its own.  Each orbit gives its least log,
-        the largest orbits first and logs ascending within a size, so zero
-        comes last.  Both arrays are int32, and the sizes sum to q.  Each
-        slice of TABLE_BUILD_ROWS logs i takes n - 1 steps
-        c -> c p mod (q - 1) from c = i through one workspace: i is least
-        when no step goes below it, and the last step j < n that comes
-        back to i is n minus the orbit's size.
-        """
-        p, n, m = self.p, self.n, self.m
-        rows = min(TABLE_BUILD_ROWS, m)
-        i = np.arange(rows, dtype=np.int64)
-        conj, high = np.empty((2, rows), dtype=np.int64)
-        least, hit = np.empty((2, rows), dtype=bool)
-        last = np.empty(rows, dtype=np.int32)
-        logs, sizes = [], []
-        for s in range(0, m, rows):
-            r = min(rows, m - s)
-            c, h, lt, b, back = conj[:r], high[:r], least[:r], hit[:r], last[:r]
-            np.copyto(c, i[:r])
-            lt.fill(True)
-            back.fill(0)
-            for j in range(1, n):
-                c *= p
-                np.floor_divide(c, m, out=h)
-                h *= m
-                c -= h
-                np.less_equal(i[:r], c, out=b)
-                lt &= b
-                np.equal(c, i[:r], out=b)
-                np.copyto(back, j, where=b)
-            logs.append(i[:r][lt].astype(np.int32))
-            sizes.append(n - back[lt])
-            i += rows
-        logs = np.concatenate(logs + [np.int32([m])])
-        sizes = np.concatenate(sizes + [np.int32([1])])
-        by_size = [sizes == d for d in range(n, 0, -1) if n % d == 0]
-        return (np.concatenate([logs[b] for b in by_size]),
-                np.concatenate([sizes[b] for b in by_size]))
 
     def _term_logs(self, coeff: int, exps, variables, size: int) -> np.ndarray:
         """Logs of coeff * prod x_j^e_j, given the logs of the x_j."""
@@ -381,10 +337,12 @@ class _Grid:
     Rows are the tuples of the first k - 1 variables x', columns the q
     values of the last variable y, every variable read as a log (q - 1
     being the log of zero).  The first row variable runs over `first`,
-    (logs, int32 weights), weights never increasing, and a row's hits
-    count its weight times; by default it runs over every log once, in
-    order, weight 1.  The other row variables and y run over every log in
-    order, so no row or column goes through a table.  Each polynomial is
+    (logs, weights) as two sequences of ints, kept as int32 arrays,
+    weights never increasing (the product plan's `_frobenius_orbits`),
+    and a row's hits count its weight times; by default it runs over
+    every log once, in order, weight 1.  The other row variables and y
+    run over every log in order, so no row or column goes through a
+    table.  Each polynomial is
     grouped by powers of y, f = sum_j c_j(x') y^j, coefficients reduced
     mod p:
 
@@ -406,10 +364,11 @@ class _Grid:
     """
 
     def __init__(self, system: PolySystem, spec: FieldSpec, chunk_size: int, first=None):
-        self.tables, self.first = _tables_for(spec), first
+        self.tables = _tables_for(spec)
+        self.first = None if first is None else [np.asarray(a, dtype=np.int32) for a in first]
         q, k = self.q, self.k = spec.q, system.num_vars
         self.inner = q ** max(k - 2, 0)  # rows per value of the first variable
-        self.num_rows = (q if first is None else first[0].size) * self.inner if k > 1 else 1
+        self.num_rows = (q if first is None else len(first[0])) * self.inner if k > 1 else 1
         self.rows, self.cols, self.row_blocks, self.tiles = _tiling(q, self.num_rows, chunk_size)
         self.batch = self.rows * max(1, chunk_size // self.rows)
         self.polys = [_group_by_last(poly, spec.p) for poly in system.polys]
@@ -511,16 +470,9 @@ class _Grid:
         return sum(int(np.count_nonzero(row)) * wr for row, wr in zip(mask, w.tolist())) * cols
 
 
-def orbit_rows(spec: FieldSpec, k: int):
-    """The product grid's first variable: one log per Frobenius orbit,
-    weighted by its size (`FieldTables.orbits`), or None, every log once,
-    over a prime field (every orbit one element) and for one variable (no
-    row variable)."""
-    return _tables_for(spec).orbits if spec.n > 1 and k > 1 else None
-
-
 def _count_tiles(payload) -> int:
     """Points in a range of the tiles of the orbit-row grid (`Plan.tiles`),
     from a pool task (system, spec, chunk_size, start, stop)."""
     system, spec, chunk_size, start, stop = payload
-    return _Grid(system, spec, chunk_size, orbit_rows(spec, system.num_vars)).count(start, stop)
+    first = _frobenius_orbits(spec.p, spec.n) if system.num_vars > 1 else None
+    return _Grid(system, spec, chunk_size, first).count(start, stop)

@@ -56,11 +56,12 @@ POOL_MIN_TUPLES = 2 ** 27
 # numpy, about 66 ms a process.  Fresh-process wall times of the whole sequence in
 # Python vs numpy's import and the array count, min of 7, 2 CPUs (`python -c pass`
 # 38 ms): y^2 + y = x^5 to F_3^10 0.133 vs 0.146 s; y^2 + xy = x^5 + x + 1 to F_5^7
-# 0.183 vs 0.134 s; on the same kernel for p = 2, before the bit planes,
-# y^2 + xy + y = x^3 + x^2 + x to F_2^15 0.128 vs 0.141 s, to F_2^16 0.217 vs
-# 0.154 s.  2^14 keeps 45 ms in hand.  One variable is one row whose discriminant
-# lies in F_p, counted without tables, numpy loaded or not.  Once numpy is loaded
-# the array kernel is faster: a mixed curve over F_2^11, warm, 0.2 vs 1.8 ms
+# 0.183 vs 0.134 s, and to F_5^6 (15625 rows) 0.081 vs 0.130 s, so 2^14 keeps
+# about 50 ms in hand.  One variable is one row whose discriminant lies in F_p,
+# counted without tables, numpy loaded or not.  Once numpy is loaded the array
+# kernel is faster: whole sequences, warm, best of 3, Python vs arrays,
+# y^2 + y = x^3 + x to F_3^9 30 vs 9 ms, y^2 + xy = x^5 + x + 1 to F_5^6 29 vs 8 ms
+# and to F_7^5 26 vs 6 ms
 ARRAY_MIN_CHARGE = 2 ** 14
 # the rows per block of the bit planes (`_plane_count`), which count every p = 2
 # fibre plan: a plane holds one block's rows, so memory does not grow with the
@@ -245,10 +246,38 @@ def _orbits(q: int) -> int:
     return sum(p ** math.gcd(j, n) for j in range(n)) // n
 
 
+def _frobenius_orbits(p: int, n: int) -> tuple[list[int], list[int]]:
+    """The product grid's first variable over F_q, q = p^n: one log per
+    orbit of the Frobenius x -> x^p, and the orbit's size.
+
+    On logs the Frobenius is i -> i p mod (q - 1), so the orbits of F_q^x
+    are the cyclotomic cosets {i p^j mod (q - 1)}, and zero (the log
+    q - 1) is an orbit of its own.  One pass over the logs in order marks
+    each coset from its least element, which is the log it gives.  The
+    largest orbits come first and logs ascend within a size, so zero comes
+    last and the sizes, which sum to q, never increase.  A prime field
+    gives every log once, in order, size 1.
+    """
+    m = p ** n - 1
+    seen, by_size = bytearray(m), {d: [] for d in range(n, 0, -1) if n % d == 0}
+    for i in range(m):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        c, size = i * p % m, 1
+        while c != i:
+            seen[c] = 1
+            c, size = c * p % m, size + 1
+        by_size[size].append(i)
+    by_size[1].append(m)
+    return ([i for d in by_size for i in by_size[d]],
+            [d for d in by_size for _ in by_size[d]])
+
+
 def _tile_rows(q: int, k: int) -> int:
     """Rows of the tiled grid over F_q^k: the tuples of the first k - 1
     variables, the first of them over one element per Frobenius orbit
-    (grid.orbit_rows); one empty row for k = 1."""
+    (`_frobenius_orbits`); one empty row for k = 1."""
     return _orbits(q) * q ** (k - 2) if k > 1 else 1
 
 
@@ -511,7 +540,7 @@ class Plan(NamedTuple):
     # tuples (or rows and columns) enumerated over F_q^k, from (q, k), before any field is built
     charge: Callable[[int, int], int]
     count: Callable  # grid._Grid -> points
-    # counts the tiles of the grid whose first variable runs over grid.orbit_rows,
+    # counts the tiles of the grid whose first variable runs over _frobenius_orbits,
     # which a pool may split; other plans count every row, weight 1
     tiles: bool = False
 
@@ -587,7 +616,7 @@ def _count(plan: Plan, system: PolySystem, spec: FieldSpec, workers: int | None,
     count and ended with it; each task carries the system, the field and
     a range of tiles, four per worker.  Planner and workers read the
     tiles from the same rows, one per Frobenius orbit of the first
-    variable.
+    variable (`_frobenius_orbits`, from p and n before any table).
     """
     k = system.num_vars
     from . import grid  # the array kernel: numpy loads with the first grid
@@ -595,7 +624,7 @@ def _count(plan: Plan, system: PolySystem, spec: FieldSpec, workers: int | None,
     tiles = _tiling(spec.q, _tile_rows(spec.q, k), chunk_size)[3] if pooled else 1
     size = _pool_size(workers, tiles)
     if size == 1:
-        first = grid.orbit_rows(spec, k) if plan.tiles else None
+        first = _frobenius_orbits(spec.p, spec.n) if plan.tiles and k > 1 else None
         return plan.count(grid._Grid(system, spec, chunk_size, first))
     from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
     parts = min(tiles, 4 * size)

@@ -677,7 +677,7 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
             with pytest.raises(ValueError, match=f"^system is not {name}$"):
                 count_affine(system, f, method=name)
     if variety.PLANS["separable"].applies(polys):  # the join weighs orbit rows too
-        first = grid.orbit_rows(f, system.num_vars)
+        first = variety._frobenius_orbits(f.p, f.n) if system.num_vars > 1 else None
         assert grid._Grid(system, f, 97, first).join() == product
     if variety.PLANS["fibre"].applies(polys):  # both kernels of odd p; row batches of 7 rows
         assert _python_fibre(system, f) == product
@@ -1084,11 +1084,12 @@ def test_product_grid_matches_oracle_for_any_chunk_size(case):
 def test_product_grid_tiles_every_row_once(chunk_size):
     # nine rows of F_3^2 in blocks of chunk_size // 3 rows; at chunk_size 7
     # the block of rows 6 and 7 would cross a batch of 7 rows, had batches
-    # not been whole blocks.  Over F_2^4 (6 orbits, so 96 rows of 16) and
-    # F_3^2 (6 orbits, so 54 rows of 9) the first variable's orbits, of
-    # sizes 1, 2 and n, cross tile and batch edges
+    # not been whole blocks.  Over F_2^4 (6 orbits, so 96 rows of 16), F_3^2
+    # (6 orbits, so 54 rows of 9) and F_5^2 (15 orbits, so 375 rows of 25)
+    # the first variable's orbits, of sizes 1, 2 and n, cross tile and batch
+    # edges
     sphere = parse_poly_system("x^2 + y^2 + z^2 - 1")
-    for p, n in ((3, 1), (2, 4), (3, 2)):
+    for p, n in ((3, 1), (2, 4), (3, 2), (5, 2)):
         f = make_field(p, n)
         want = (naive_affine_count(sphere, f) if n == 1
                 else count_affine(sphere, f, method="separable"))
@@ -1106,26 +1107,51 @@ def test_orbit_rows_are_one_element_per_frobenius_orbit(p, n):
     # many as the product plan charges for, and each holds its least log.
     # Sizes never increase along the rows, as _Grid's tiles require
     f = make_field(p, n)
-    t = FieldTables(f)
-    logs, sizes = t.orbits
-    assert (np.diff(sizes) <= 0).all()
+    log = FieldTables(f).log
+    logs, sizes = variety._frobenius_orbits(p, n)
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     g = multiplicative_generator(f)
     seen = set()
-    for log, size in zip(logs.tolist(), sizes.tolist()):
-        x = f.zero() if log == f.q - 1 else g ** log
+    for i, size in zip(logs, sizes):
+        x = f.zero() if i == f.q - 1 else g ** i
         orbit = [x]
         while (y := orbit[-1] ** p) != x:
             orbit.append(y)
         ids = {y.index() for y in orbit}
         assert len(orbit) == size and not ids & seen
-        assert log == min(int(t.log[i]) for i in ids)
+        assert i == min(int(log[j]) for j in ids)
         seen |= ids
-    assert len(seen) == f.q == int(sizes.sum())
-    assert logs.size == variety._orbits(f.q)
-    assert variety.PLANS["product"].charge(f.q, 2) == logs.size * f.q
-    assert (grid.orbit_rows(f, 2)[0] == logs).all()
-    # one variable, or a prime field: every log once, in order
-    assert grid.orbit_rows(f, 1) is None and grid.orbit_rows(make_field(p, 1), 2) is None
+    assert len(seen) == f.q == sum(sizes)
+    assert len(logs) == variety._orbits(f.q)
+    assert variety.PLANS["product"].charge(f.q, 2) == len(logs) * f.q
+    # a prime field: every log once, in order, weight 1
+    assert variety._frobenius_orbits(p, 1) == (list(range(p)), [1] * p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 15), (3, 9), (5, 6), (7, 5), (13, 4), (29, 3), (151, 2)])
+def test_frobenius_orbits_at_the_product_plans_reach(p, n):
+    # the largest field of each p whose two-variable product plan fits the
+    # work limit: as many orbits as N(p, n), sizes dividing n, never
+    # increasing and summing to q, and zero, its own orbit, last
+    q = p ** n
+    assert variety.PLANS["product"].charge(q, 2) <= variety.WORK_LIMIT
+    assert variety.PLANS["product"].charge(q * p, 2) > variety.WORK_LIMIT
+    logs, sizes = variety._frobenius_orbits(p, n)
+    assert len(logs) == len(sizes) == variety._orbits(q)
+    assert all(n % d == 0 for d in sizes) and sum(sizes) == q
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert (logs[-1], sizes[-1]) == (q - 1, 1) and logs.count(q - 1) == 1
+
+
+def test_frobenius_orbits_load_no_numpy():
+    # the planner's rows come from p and n alone, before any field table
+    probe = ("import sys; from motives import variety; "
+             "logs, sizes = variety._frobenius_orbits(2, 15); "
+             "print(len(logs), sum(sizes), 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "2192 32768 False\n")
 
 
 # ----------------------------------------------------------------------
