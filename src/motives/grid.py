@@ -6,11 +6,10 @@ field.  The grid enumerates every variable by its log, so that whole
 tiles of the search space evaluate as numpy arrays.  `variety` plans each
 count and imports this module with its first grid, so that parsing,
 planning, gridless counts and the fibre counts that `variety` makes in
-pure Python need no numpy: every one of p = 2, on bit planes, and those
-of odd p in one variable or up to `variety.ARRAY_MIN_CHARGE` rows.  The
-fibre counts here are odd p only: those past that bound, and those in a
-process that has loaded numpy.  The product grid's rows over the Frobenius
-orbits come from `variety._frobenius_orbits`, which needs only p and n.
+pure Python need no numpy; which fibre counts come here is
+`variety._count_fibre`'s rule.  The product plan counts through
+`_count_tiles` alone, whose rows over the Frobenius orbits come from
+`variety._frobenius_orbits`, which needs only p and n.
 """
 
 from __future__ import annotations
@@ -471,8 +470,9 @@ class _Grid:
 
 
 def _count_tiles(payload) -> int:
-    """Points in a range of the tiles of the orbit-row grid (`Plan.tiles`),
-    from a pool task (system, spec, chunk_size, start, stop)."""
+    """Points in a range of the tiles of the orbit-row grid, the product
+    plan's one kernel: (system, spec, chunk_size, start, stop), stop None
+    for the last tile, from the serial count or a pool task."""
     system, spec, chunk_size, start, stop = payload
     first = _frobenius_orbits(spec.p, spec.n) if system.num_vars > 1 else None
     return _Grid(system, spec, chunk_size, first).count(start, stop)

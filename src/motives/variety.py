@@ -5,15 +5,12 @@ coefficients.  Counting reduces every coefficient mod p and lays F_q^k
 out as rows, the tuples of the first k - 1 variables, times columns, the
 q values of the last one, y; the product plan's first variable takes one
 value per Frobenius orbit, weighted by its size.  This module parses,
-plans (`PLANS`) and charges each count in pure Python, and counts a fibre
-plan in pure Python too: for p = 2 always, on bit planes, one Python int
-per coefficient holding a block of PLANE_BLOCK_ROWS rows; for odd p through
-codes, up to ARRAY_MIN_CHARGE rows, where numpy's import would cost more
-than the count, unless numpy is loaded already, and in one variable by
-Euler's criterion.  The arrays (field tables, tiles, the join, the odd-p
-fibre counts past that bound) live in `grid`, which imports numpy and is
-itself imported only when a count builds its first grid.  Projective
-charts x_lead = 1 are affine counts.
+plans (`PLANS`) and charges each count in pure Python.  Each plan's count
+picks its own kernel; the fibre plan's (`_count_fibre`) mostly count in
+pure Python too, on bit planes or through codes.  The arrays (field
+tables, tiles, the join, the larger odd-p fibre counts) live in `grid`,
+which imports numpy and is itself imported only when a count builds its
+first grid.  Projective charts x_lead = 1 are affine counts.
 
 Text format, one polynomial per line: integer-coefficient monomials
 joined with + and -, variables x1..xk with k <= 29 (x, y, z for k <= 3),
@@ -33,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import sys
 from collections.abc import Callable
 from itertools import islice
 from typing import NamedTuple
@@ -50,18 +46,17 @@ DEFAULT_CHUNK_SIZE = 1 << 14
 # 0.66-0.78 s at 2^28 (F_2^14).  On orbit rows the same curve takes 1.26-1.59 vs
 # 0.84-0.94 s at 2^27 (F_11587) and 2.69-2.91 vs 1.55-1.66 s over F_151^2
 POOL_MIN_TUPLES = 2 ** 27
-# the largest charge at which the fibre plan counts odd p in pure Python
-# (`_fibre_count`: codes through an exp list and a log map of q Python ints) in a
-# process that has not loaded numpy: a sequence charged at most this never imports
-# numpy, about 66 ms a process.  Fresh-process wall times of the whole sequence in
-# Python vs numpy's import and the array count, min of 7, 2 CPUs (`python -c pass`
-# 38 ms): y^2 + y = x^5 to F_3^10 0.133 vs 0.146 s; y^2 + xy = x^5 + x + 1 to F_5^7
-# 0.183 vs 0.134 s, and to F_5^6 (15625 rows) 0.081 vs 0.130 s, so 2^14 keeps
-# about 50 ms in hand.  One variable is one row whose discriminant lies in F_p,
-# counted without tables, numpy loaded or not.  Once numpy is loaded the array
-# kernel is faster: whole sequences, warm, best of 3, Python vs arrays,
-# y^2 + y = x^3 + x to F_3^9 30 vs 9 ms, y^2 + xy = x^5 + x + 1 to F_5^6 29 vs 8 ms
-# and to F_7^5 26 vs 6 ms
+# the largest charge at which the fibre plan counts odd p in pure Python (the rule
+# is `_count_fibre`'s; codes through an exp list and a log map of q Python ints): a
+# sequence charged at most this never imports numpy, about 66 ms a process.
+# Fresh-process wall times of the whole sequence in Python vs numpy's import and
+# the array count, min of 7, 2 CPUs (`python -c pass` 38 ms): y^2 + y = x^5 to
+# F_3^10 0.133 vs 0.146 s; y^2 + xy = x^5 + x + 1 to F_5^7 0.183 vs 0.134 s, and to
+# F_5^6 (15625 rows) 0.081 vs 0.130 s, so 2^14 keeps about 50 ms in hand.  A caller
+# that has loaded numpy already would count faster on the arrays (whole sequences,
+# warm, min of 5, arrays vs codes: y^2 + y = x^3 + x to F_3^8 6.4 vs 10.3 ms,
+# y^2 + xy = x^5 + x + 1 to F_5^6 8.0 vs 27 ms); the rule does not ask, so that the
+# kernel follows from the system, p and the charge alone
 ARRAY_MIN_CHARGE = 2 ** 14
 # the rows per block of the bit planes (`_plane_count`), which count every p = 2
 # fibre plan: a plane holds one block's rows, so memory does not grow with the
@@ -535,37 +530,25 @@ def _quadratic_in_last(polys) -> bool:
             and all(j == 1 for j, _ in polys[0][2]))
 
 
-class Plan(NamedTuple):
-    applies: Callable[[list], bool]  # on _group_by_last of every polynomial
-    # tuples (or rows and columns) enumerated over F_q^k, from (q, k), before any field is built
-    charge: Callable[[int, int], int]
-    count: Callable  # grid._Grid -> points
-    # counts the tiles of the grid whose first variable runs over _frobenius_orbits,
-    # which a pool may split; other plans count every row, weight 1
-    tiles: bool = False
+def _count_fibre(system, spec, charge, workers, chunk_size) -> int:
+    """The fibre plan's count, and its kernel rule, from p, the number of
+    variables and the charge, the rows over the sequence's largest field:
+    p = 2 counts on bit planes (`_plane_count`); odd p in one variable, or
+    charged at most ARRAY_MIN_CHARGE rows, through codes (`_fibre_count`),
+    so that a sequence never pays for both its rows in Python and numpy's
+    import; any other on the arrays (`grid._Grid.fibre`)."""
+    if spec.p == 2:
+        return _plane_count(system, spec)
+    if system.num_vars == 1 or charge <= ARRAY_MIN_CHARGE:
+        return _fibre_count(system, spec)
+    from . import grid  # the array kernel: numpy loads with the first grid
+    return grid._Grid(system, spec, chunk_size).fibre()
 
 
-# The ways to count the grid, in the order `auto` tries them; `method` names
-# one, and each is exact for any chunk_size and worker count.  "fibre": one
-# polynomial quadratic in y with a constant y^2 coefficient, c2 y^2 + c1(x')
-# y + c0(x'), counts each row's solutions in y, 1 + chi(c1^2 - 4 c2 c0) for
-# odd p (its grid kernel) and a trace for p = 2 (on bit planes, `_plan`),
-# charged its q^(k - 1) rows.  "separable":
-# one polynomial without row terms, g(x') = h(y), joins a q-entry histogram
-# of every row's right-hand side with the columns' codes.  "product" tests
-# each tuple of the tiled grid, whose first variable takes one value per
-# Frobenius orbit and weighs its rows' hits by the orbit's size (the
-# coefficients are integers, so x -> x^p maps points to points), paying
-# only for row terms; it always applies, alone runs over a pool, and is
-# charged the N(p, n) q^(k - 1) tuples it enumerates, for N(p, n) orbits.
-# The same grid over every row, weight 1, is the tests' oracle.
-PLANS = {
-    "fibre": Plan(_quadratic_in_last, lambda q, k: q ** (k - 1), lambda g: g.fibre()),
-    "separable": Plan(lambda polys: len(polys) == 1 and not polys[0][2],
-                      lambda q, k: q ** (k - 1) + q, lambda g: g.join()),
-    "product": Plan(lambda polys: True, lambda q, k: _tile_rows(q, k) * q,
-                    lambda g: g.count(), tiles=True),
-}
+def _count_separable(system, spec, charge, workers, chunk_size) -> int:
+    """The separable plan's count: the histogram join over every row."""
+    from . import grid
+    return grid._Grid(system, spec, chunk_size).join()
 
 
 def _pool_size(cap: int | None, tiles: int) -> int:
@@ -574,18 +557,69 @@ def _pool_size(cap: int | None, tiles: int) -> int:
     return min(cpus if cap is None else cap, tiles, cpus)
 
 
+def _count_product(system, spec, charge, workers, chunk_size) -> int:
+    """The product plan's count: the tiles of the orbit-row grid, through
+    `grid._count_tiles`.  A field whose own charge, the tuples its tiles
+    enumerate, is at least POOL_MIN_TUPLES counts over a pool of as many
+    workers as it has tiles (at most `workers` and the CPUs), started for
+    this count and ended with it; each task carries the system, the field
+    and a range of tiles, four per worker."""
+    from . import grid
+    rows = _tile_rows(spec.q, system.num_vars)
+    tiles = _tiling(spec.q, rows, chunk_size)[3] if rows * spec.q >= POOL_MIN_TUPLES else 1
+    size = _pool_size(workers, tiles)
+    if size == 1:
+        return grid._count_tiles((system, spec, chunk_size, 0, None))
+    from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
+    parts = min(tiles, 4 * size)
+    cuts = [tiles * i // parts for i in range(parts + 1)]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return sum(pool.map(grid._count_tiles, [
+            (system, spec, chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
+
+
+class Plan(NamedTuple):
+    applies: Callable[[list], bool]  # on _group_by_last of every polynomial
+    # tuples (or rows and columns) enumerated over F_q^k, from (q, k), before any field is built
+    charge: Callable[[int, int], int]
+    # (system, field, charge over the largest field, workers, chunk_size) -> points
+    count: Callable[[PolySystem, FieldSpec, int, int | None, int], int]
+
+
+# The ways to count the grid, in the order `auto` tries them; `method` names
+# one, and each is exact for any chunk_size and worker count.  "fibre": one
+# polynomial quadratic in y with a constant y^2 coefficient, c2 y^2 + c1(x')
+# y + c0(x'), counts each row's solutions in y, 1 + chi(c1^2 - 4 c2 c0) for
+# odd p and a trace for p = 2 (its kernels: `_count_fibre`), charged its
+# q^(k - 1) rows.  "separable": one polynomial without row terms, g(x') =
+# h(y), joins a q-entry histogram of every row's right-hand side with the
+# columns' codes.  "product" tests each tuple of the tiled grid, whose first
+# variable takes one value per Frobenius orbit and weighs its rows' hits by
+# the orbit's size (the coefficients are integers, so x -> x^p maps points
+# to points), paying only for row terms; it always applies, alone runs over
+# a pool, and is charged the N(p, n) q^(k - 1) tuples it enumerates, for
+# N(p, n) orbits.  The same grid over every row, weight 1, is the tests'
+# oracle.
+PLANS = {
+    "fibre": Plan(_quadratic_in_last, lambda q, k: q ** (k - 1), _count_fibre),
+    "separable": Plan(lambda polys: len(polys) == 1 and not polys[0][2],
+                      lambda q, k: q ** (k - 1) + q, _count_separable),
+    "product": Plan(lambda polys: True, lambda q, k: _tile_rows(q, k) * q, _count_product),
+}
+
+
 def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method: str,
           chunk_size: int) -> Callable[[FieldSpec], int]:
     """How system is counted over F_p and its extensions, as a function of
     one field: by the plan of PLANS that applies, charged once, for the
-    largest field q_max, before any field is built.  The fibre plan counts
-    in pure Python for p = 2, on bit planes, and for odd p in one variable,
-    or when the charge is at most ARRAY_MIN_CHARGE and numpy is not loaded,
-    so a sequence never pays for both its rows in Python and numpy's
-    import; a system with no equation mod p counts q^k at the same
-    charge."""
+    largest field q_max, before any field is built, and handed to the
+    plan's count, which picks its kernel (the fibre plan's rule is
+    `_count_fibre`'s); a system with no equation mod p counts q^k at the
+    same charge."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     if method != "auto" and method not in PLANS:
         raise ValueError(f"unknown method {method!r}")
     polys = [_group_by_last(poly, p) for poly in system.polys]
@@ -598,40 +632,7 @@ def _plan(system: PolySystem, p: int, q_max: int, *, workers: int | None, method
         raise ValueError("search space too large")
     if not any(map(any, polys)):
         return lambda spec: spec.q ** k
-    if plan is PLANS["fibre"]:
-        if p == 2:
-            return lambda spec: _plane_count(system, spec)
-        if p > 2 and (k == 1 or charge <= ARRAY_MIN_CHARGE and "numpy" not in sys.modules):
-            return lambda spec: _fibre_count(system, spec)
-    return lambda spec: _count(plan, system, spec, workers, chunk_size)
-
-
-def _count(plan: Plan, system: PolySystem, spec: FieldSpec, workers: int | None,
-           chunk_size: int) -> int:
-    """Points of system over one field by a plan's array kernel.
-
-    A tiles plan whose charge here, the tuples its tiles enumerate, is at
-    least POOL_MIN_TUPLES counts over a pool of as many workers as this
-    field has tiles (at most `workers` and the CPUs), started for this
-    count and ended with it; each task carries the system, the field and
-    a range of tiles, four per worker.  Planner and workers read the
-    tiles from the same rows, one per Frobenius orbit of the first
-    variable (`_frobenius_orbits`, from p and n before any table).
-    """
-    k = system.num_vars
-    from . import grid  # the array kernel: numpy loads with the first grid
-    pooled = plan.tiles and plan.charge(spec.q, k) >= POOL_MIN_TUPLES
-    tiles = _tiling(spec.q, _tile_rows(spec.q, k), chunk_size)[3] if pooled else 1
-    size = _pool_size(workers, tiles)
-    if size == 1:
-        first = _frobenius_orbits(spec.p, spec.n) if plan.tiles and k > 1 else None
-        return plan.count(grid._Grid(system, spec, chunk_size, first))
-    from concurrent.futures import ProcessPoolExecutor  # only pooled counts import it
-    parts = min(tiles, 4 * size)
-    cuts = [tiles * i // parts for i in range(parts + 1)]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return sum(pool.map(grid._count_tiles, [
-            (system, spec, chunk_size, a, b) for a, b in zip(cuts, cuts[1:])]))
+    return lambda spec: plan.count(system, spec, charge, workers, chunk_size)
 
 
 def count_affine(system: PolySystem, spec: FieldSpec, *,
@@ -641,12 +642,11 @@ def count_affine(system: PolySystem, spec: FieldSpec, *,
     """Number of points of F_q^k at which every polynomial vanishes.
 
     method is "auto", the first of PLANS that applies, or a plan's name;
-    a fibre plan counts in pure Python, without tiles, for p = 2 on bit
-    planes of PLANE_BLOCK_ROWS rows, and for odd p in one variable, or up
-    to ARRAY_MIN_CHARGE rows until numpy is loaded.  Tiles hold at most
-    chunk_size tuples, over a pool of up to `workers` processes (default
-    the CPUs) from a charge of POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a
-    fixed 2^28, caps the plan's charge, the tuples it enumerates.
+    each plan picks its own kernel (the fibre plan's rule is
+    `_count_fibre`'s).  Tiles hold at most chunk_size >= 1 tuples, over a
+    pool of up to `workers` processes (default the CPUs) from a charge of
+    POOL_MIN_TUPLES tuples on.  WORK_LIMIT, a fixed 2^28, caps the plan's
+    charge, the tuples it enumerates.
     """
     return _plan(system, spec.p, spec.q, workers=workers, method=method,
                  chunk_size=chunk_size)(spec)

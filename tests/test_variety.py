@@ -483,10 +483,14 @@ def test_pool_is_off_below_the_threshold(pools):
 
 
 def test_workers_below_one_rejected():
-    for method in ("product", "separable"):
+    # and chunk sizes below one, which counted 0 points on the tiles or divided by zero
+    for method in ("fibre", "separable", "product"):
         for w in (0, -3):
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 count_affine(CURVE, make_field(2, 2), method=method, workers=w)
+        for chunk_size in (0, -1, -5):
+            with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+                count_affine(CURVE, make_field(2, 4), method=method, chunk_size=chunk_size)
 
 
 def test_unknown_method_rejected():
@@ -689,11 +693,23 @@ def test_product_and_separable_match_oracle_on_random_systems(case):
     assert variety.PLANS["separable"].applies(polys) == (not keeps_row_term)
 
 
-def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch):
-    # a plan is one entry of PLANS: its test, its charge and its kernel
+_STUB_PROBE = """import sys
+from motives import variety
+from motives.finite_field import make_field
+
+stub = variety.Plan(lambda polys: True, lambda q, k: q, lambda system, spec, *_: 7)
+variety.PLANS = {"stub": stub, **variety.PLANS}
+print(variety.count_affine(variety.parse_poly_system("x - y"), make_field(3, 1)),
+      "motives.grid" in sys.modules, "numpy" in sys.modules)
+"""
+
+
+def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch, tmp_path):
+    # a plan is one entry of PLANS: its test, its charge and its count, which
+    # takes the system and the field and picks its own kernel
     seen = []
     stub = variety.Plan(lambda polys: len(polys) == 2, lambda q, k: q,
-                        lambda g: seen.append(g.q) or 7)
+                        lambda system, spec, *_: seen.append((system, spec)) or 7)
     plans = variety.PLANS
     two, f = parse_poly_system("x - y\nx + y"), make_field(3, 1)
     monkeypatch.setattr(variety, "PLANS", {"stub": stub, **plans})
@@ -705,12 +721,17 @@ def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch
     monkeypatch.setattr(variety, "WORK_LIMIT", f.q - 1)  # the stub's own charge
     with pytest.raises(ValueError, match="search space too large"):
         count_affine(two, f, method="stub")
-    assert seen == [3, 3]
+    assert seen == [(two, f)] * 2
     monkeypatch.setattr(variety, "WORK_LIMIT", 2 ** 28)
     monkeypatch.setattr(variety, "PLANS", {**plans, "stub": stub})
     assert count_affine(two, f) == 1  # the product grid comes first now: x = y = 0
     assert count_affine(two, f, method="stub") == 7
-    assert seen == [3, 3, 3]
+    assert seen == [(two, f)] * 3
+    # a kernel without tables is an entry too: no plan is handed a grid
+    env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _STUB_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "7 False False\n")
 
 
 # ----------------------------------------------------------------------
@@ -961,17 +982,21 @@ def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, p):
                            f"{predict_affine_count(golden, n + 1)} True\n")
 
 
-def test_a_process_with_numpy_loaded_counts_with_arrays(monkeypatch):
-    # numpy is loaded here, so for odd p the array kernel is the cheaper at
-    # any charge of two variables or more; p = 2 counts on bit planes all the
-    # same, the one p = 2 fibre kernel
+def test_numpy_loaded_or_not_the_fibre_kernel_follows_from_the_charge(monkeypatch):
+    # numpy is loaded here, and each count takes the kernel a fresh process
+    # takes: for odd p the codes while the rows over the largest field are at
+    # most ARRAY_MIN_CHARGE (the golden curve to F_3^8), the arrays past it
+    # (to F_3^9); p = 2 counts on bit planes at any charge
     assert "numpy" in sys.modules
-    monkeypatch.setattr(variety, "_fibre_count", _refuse)
-    monkeypatch.setattr(variety, "_plane_count", _refuse)
-    assert count_affine(CURVE, make_field(3, 4)) == predict_affine_count(hasse_alpha(3, 3), 4)
-    assert affine_count_sequence(CURVE, 3, 3).counts == tuple(
-        predict_affine_count(hasse_alpha(3, 3), n) for n in (1, 2, 3))
-    monkeypatch.undo()
+    golden = tuple(predict_affine_count(hasse_alpha(3, 3), n) for n in range(1, 10))
+    with monkeypatch.context() as m:
+        m.setattr(grid, "_Grid", _refuse)
+        assert count_affine(CURVE, make_field(3, 8)) == golden[7]
+        assert affine_count_sequence(CURVE, 3, 8).counts == golden[:8]
+    with monkeypatch.context() as m:
+        m.setattr(variety, "_fibre_count", _refuse)
+        assert count_affine(CURVE, make_field(3, 9)) == golden[8]
+        assert affine_count_sequence(CURVE, 3, 9).counts == golden
     monkeypatch.setattr(grid, "_Grid", _refuse)
     assert count_affine(CURVE, make_field(2, 4)) == predict_affine_count(hasse_alpha(2, 4), 4)
     assert affine_count_sequence(CURVE, 2, 3).counts == tuple(
