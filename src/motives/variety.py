@@ -7,8 +7,8 @@ q values of the last one, y; the product plan's first variable takes one
 value per Frobenius orbit, weighted by its size.  This module parses,
 plans (`PLANS`) and charges each count in pure Python.  Each plan's count
 picks its own kernel; the fibre plan's (`_count_fibre`) mostly count in
-pure Python too, on bit planes or through codes.  The arrays (field
-tables, tiles, the join, the larger odd-p fibre counts) live in `grid`,
+pure Python too, on planes for p = 2 and 3 or through codes.  The arrays
+(field tables, tiles, the join, the larger odd-p fibre counts) live in `grid`,
 which imports numpy and is itself imported only when a count builds its
 first grid.  Projective charts x_lead = 1 are affine counts.
 
@@ -46,17 +46,16 @@ DEFAULT_CHUNK_SIZE = 1 << 14
 # 0.66-0.78 s at 2^28 (F_2^14).  On orbit rows the same curve takes 1.26-1.59 vs
 # 0.84-0.94 s at 2^27 (F_11587) and 2.69-2.91 vs 1.55-1.66 s over F_151^2
 POOL_MIN_TUPLES = 2 ** 27
-# the largest charge at which the fibre plan counts odd p in pure Python (the rule
+# the largest charge at which the fibre plan counts p >= 5 in pure Python (the rule
 # is `_count_fibre`'s; codes through an exp list and a log map of q Python ints): a
 # sequence charged at most this never imports numpy, about 66 ms a process.
 # Fresh-process wall times of the whole sequence in Python vs numpy's import and
-# the array count, min of 7, 2 CPUs (`python -c pass` 38 ms): y^2 + y = x^5 to
-# F_3^10 0.133 vs 0.146 s; y^2 + xy = x^5 + x + 1 to F_5^7 0.183 vs 0.134 s, and to
-# F_5^6 (15625 rows) 0.081 vs 0.130 s, so 2^14 keeps about 50 ms in hand.  A caller
-# that has loaded numpy already would count faster on the arrays (whole sequences,
-# warm, min of 5, arrays vs codes: y^2 + y = x^3 + x to F_3^8 6.4 vs 10.3 ms,
-# y^2 + xy = x^5 + x + 1 to F_5^6 8.0 vs 27 ms); the rule does not ask, so that the
-# kernel follows from the system, p and the charge alone
+# the array count, min of 7, 2 CPUs (`python -c pass` 38 ms): y^2 + xy = x^5 + x + 1
+# to F_5^7 0.183 vs 0.134 s, and to F_5^6 (15625 rows) 0.081 vs 0.130 s, so 2^14
+# keeps about 50 ms in hand.  A caller that has loaded numpy already would count
+# faster on the arrays (whole sequences, warm, min of 5, arrays vs codes: the same
+# curve to F_5^6 8.0 vs 27 ms); the rule does not ask, so that the kernel follows
+# from the system, p and the charge alone
 ARRAY_MIN_CHARGE = 2 ** 14
 # the rows per block of the bit planes (`_plane_count`), which count every p = 2
 # fibre plan: a plane holds one block's rows, so memory does not grow with the
@@ -65,8 +64,27 @@ ARRAY_MIN_CHARGE = 2 ** 14
 # 0.32 vs 0.50 s; y^2 + xy + y = x^3 + x^2 + x (c1 in x, an inversion a row) to
 # F_2^22 0.39 vs 0.61 s, to F_2^24 2.2 vs 2.9 s; y^2 + y = x^5 to F_2^22 73 vs
 # 118 ms.  `count` of the golden curve to F_2^26 took 1.5 vs 2.1-2.6 s and peaked
-# at 15 vs 285 MB resident.  Blocks of 2^12, 2^14 and 2^18 rows were slower on each
+# at 15 vs 285 MB resident.  Blocks of 2^12, 2^14 and 2^18 rows were slower on each.
+# The digit planes of p = 3 take blocks of 3^10 rows, the largest power of 3 within:
+# to F_3^12, 3^9 rows were slower and 3^11 tied
 PLANE_BLOCK_ROWS = 2 ** 16
+# the largest charge at which the fibre plan counts p = 3 in two or more variables
+# on digit planes (`_plane_count`; the rule is `_count_fibre`'s), with no numpy, no
+# generator and no field table.  Fresh `count` commands, min of 7, 2 CPUs (`python
+# -c pass` 45 ms), codes up to 2^14 rows and else numpy's import and the arrays vs
+# the planes: y^2 + y = x^3 + x to F_3^8 0.074 vs 0.062 s, to F_3^10 0.163 vs
+# 0.072 s, to F_3^12 0.212 vs 0.148 s and 35.5 vs 15.5 MB peak resident;
+# y^2 + y = x^5 to F_3^10 0.162 vs 0.074 s (0.133 s in codes);
+# y^2 + xy + y = x^3 + x^2 + x to F_3^12 0.231 vs 0.168 s.  To F_3^13 the arrays
+# win, min of 5: 0.314 vs 0.361 s for y^2 + y = x^3 + x, 0.355 vs 0.407 s for the
+# xy curve.  Surfaces (k = 3, rows q^2) to F_3^6, charged 3^12: x^2 + y^2 + z^2 = 1
+# 0.156 vs 0.078 s, 2 z^2 + xyz + x^3 - y 0.154 vs 0.081 s; to F_3^7, charged 3^14,
+# they tie (0.286 vs 0.263 s, 0.263 vs 0.269 s), so one bound serves every k.  A
+# caller that has loaded numpy already loses only at the top (whole sequences of
+# y^2 + y = x^3 + x, warm, min of 5, codes or arrays vs planes: to F_3^8 11-13 vs
+# 2.7 ms, to F_3^11 32-37 vs 26-31 ms, to F_3^12 62-69 vs 71-76 ms); the rule
+# does not ask
+DIGIT_PLANE_MAX_CHARGE = 3 ** 12
 
 # monomials: ((e_1, ..., e_k), coeff); a polynomial is a sorted tuple of them
 Monomial = tuple[tuple[int, ...], int]
@@ -305,124 +323,267 @@ def _trace_mask(modulus) -> int:
     return sum((s & 1) << j for j, s in enumerate(sums))
 
 
-def _index_bit(b: int, rows: int) -> int:
-    """The rows r < rows whose bit b is set, as the bits of one int: a
-    byte pattern repeated, read by int.from_bytes."""
-    if b < 3:
-        pattern = bytes([(0xAA, 0xCC, 0xF0)[b]]) * -(-rows // 8)
-    else:
-        half = 1 << b - 3
-        pattern = (bytes(half) + b"\xff" * half) * (rows >> b + 1)
-    return int.from_bytes(pattern, "little") & (1 << rows) - 1
+def _index_digit(p: int, b: int, v: int, rows: int) -> int:
+    """The rows r < rows whose base-p digit b is v, as the bits of one int:
+    a run of p^b ones at bit v p^b, repeated with period p^(b + 1)."""
+    run, period = p ** b, p ** (b + 1)
+    plane = (1 << run) - 1 << v * run
+    while period < rows:
+        plane |= plane << period
+        period *= 2
+    return plane & (1 << rows) - 1
 
 
-def _plane_count(system: PolySystem, spec: FieldSpec) -> int:
-    """Points of one polynomial y^2 + c1(x') y + c0(x') over F_2^n on bit
-    planes, without numpy, a generator or any table of the field.
+class _Planes:
+    """F_p^n, p = 2 or 3, over a block of `rows` rows: an element is a
+    list of n digits, each digit one value per row, held as planes, Python
+    ints with one bit per row, so one big-int operation acts on every row
+    at once.  The subclasses give the algebra (`zero`, `one`, `add`,
+    `scale` by an integer, `mul` and the F_p-linear Frobenius a -> a^p),
+    the constant digits by value, the low row digits' planes and a
+    block's points, from the system's constant y^j coefficients `coeffs`."""
 
-    The R = q^(k - 1) rows are the tuples of the row variables, row r
-    holding the ids of the n-bit fields of r, the first variable highest,
-    counted in blocks of B = min(R, PLANE_BLOCK_ROWS) rows.  Over a block,
-    a function from the rows to F_2^n is n Python ints of B bits, plane j
-    holding coefficient j of every row's value, so one big-int operation
-    acts on all its rows at once (bitslicing: E. Biham, FSE 1997); a row
-    bit past log2(B) is the same on the whole block, a plane of 0 or of
-    all ones.  Sums are XOR; a product is the n^2 AND/XOR schoolbook
-    product, reduced by the taps of the modulus x^n = sum of its lower
-    terms; squaring is linear.  A row has one solution where c1 = 0 and
-    else two or none as Tr(rhs / c1^2) is 0 or 1, rhs = -c0, since y = c1 z
-    turns it into z^2 + z = rhs / c1^2 (Lidl-Niederreiter, Theorem 2.25).
-    c1^-2 is (c1^(2^(n-1) - 1))^4, by the Itoh-Tsujii chain (Inf. Comput.
-    78, 1988), and Tr(a b) is the sum of a_i Tr(x^i b), x^i b one shift
-    and reduction after another."""
-    (rhs, col, row), = [_group_by_last(poly, 2) for poly in system.polys]
-    n, q, k = spec.n, spec.q, system.num_vars
-    rows = q ** (k - 1)
-    block = min(rows, PLANE_BLOCK_ROWS)
-    full = (1 << block) - 1
-    taps = [j for j in range(n) if spec.modulus[j]]
-    mask = _trace_mask(spec.modulus)
+    def __init__(self, spec: FieldSpec, coeffs: dict[int, int], rows: int):
+        self.p, self.n, self.q, self.rows, self.coeffs = spec.p, spec.n, spec.q, rows, coeffs
+        self.full = (1 << rows) - 1
 
-    def reduce(t):
+    def power(self, a, e):
+        """a^e for e > 0, e first brought into 1..q - 1, by Horner's rule on
+        e's base-p digits: a^(p m + d) = Frob(a^m) a^d."""
+        e, digits = (e - 1) % (self.q - 1) + 1, []
+        while e:
+            e, d = divmod(e, self.p)
+            digits.append(d)
+        square = self.mul(a, a) if 2 in digits else None  # p = 3 only
+        *rest, top = digits
+        out = a if top == 1 else square
+        for d in reversed(rest):
+            out = self.frobenius(out)
+            if d:
+                out = self.mul(out, a if d == 1 else square)
+        return out
+
+    def chain(self, a, m):
+        """a^(1 + p + ... + p^(m - 1)), the product of Frob^i(a), i < m,
+        by beta_(i + j) = Frob^j(beta_i) beta_j: about 2 log2 m products
+        (T. Itoh, S. Tsujii, Inf. Comput. 78, 1988); a itself for m < 2."""
+        beta, i = a, 1
+        for bit in bin(m)[3:]:
+            beta, i = self.mul(self.frobenius(beta, i), beta), 2 * i
+            if bit == "1":
+                beta, i = self.mul(self.frobenius(beta), a), i + 1
+        return beta
+
+    def value(self, terms, variables):
+        """The sum of the terms (exponents, coefficient) over the block,
+        the row variables' digits in `variables`."""
+        total = self.zero
+        for exps, c in terms:
+            term = self.one
+            for v, e in zip(variables, exps):
+                if e:
+                    factor = self.power(v, e)
+                    term = factor if term is self.one else self.mul(term, factor)
+            total = self.add(total, self.scale(term, c))
+        return total
+
+
+class _BitPlanes(_Planes):
+    """F_2^n: a digit is one plane.  Sums are XOR; a product is the n^2
+    AND/XOR schoolbook product, reduced by the taps of the modulus
+    x^n = sum of its lower terms; the Frobenius, squaring, spreads the
+    digits to the even powers and reduces."""
+
+    def __init__(self, spec, coeffs, rows):
+        super().__init__(spec, coeffs, rows)
+        n = self.n
+        self.taps = [j for j in range(n) if spec.modulus[j]]
+        self.mask = _trace_mask(spec.modulus)
+        self.zero, self.one, self.constants = [0] * n, [self.full] + [0] * (n - 1), (0, self.full)
+
+    def row_digit(self, b):
+        return _index_digit(2, b, 1, self.rows)
+
+    def add(self, a, b):
+        return [x ^ y for x, y in zip(a, b)]
+
+    def scale(self, a, c):  # c is odd
+        return a
+
+    def reduce(self, t):
         """The n planes of a polynomial of degree < 2n - 1, mod the modulus."""
+        n, taps = self.n, self.taps
         for d in range(len(t) - 1, n - 1, -1):
             if top := t[d]:
                 for j in taps:
                     t[d - n + j] ^= top
         return t[:n]
 
-    def mul(a, b):
-        t = [0] * (2 * n - 1)
+    def mul(self, a, b):
+        t = [0] * (2 * self.n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     t[i + j] ^= ai & bj
-        return reduce(t)
+        return self.reduce(t)
 
-    def square(a, times=1):
-        for _ in range(times):
-            t = [0] * (2 * n - 1)
+    def frobenius(self, a, b=1):
+        """a^(2^b)."""
+        for _ in range(b):
+            t = [0] * (2 * self.n - 1)
             t[::2] = a
-            a = reduce(t)
+            a = self.reduce(t)
         return a
 
-    def power(a, e):
-        """a^e for e > 0, e first brought into 1..q - 1."""
-        out = a
-        for bit in bin((e - 1) % (q - 1) + 1)[3:]:
-            out = square(out)
-            if bit == "1":
-                out = mul(out, a)
-        return out
-
-    def trace(a):
-        t = 0
+    def trace(self, a):
+        t, mask = 0, self.mask
         for j, plane in enumerate(a):
             if mask >> j & 1:
                 t ^= plane
         return t
 
-    one = [full] + [0] * (n - 1)
-
-    def value(terms):
-        """The planes of the sum of the terms, whose coefficients are odd,
-        over the block of rows the row variables' planes hold."""
-        total = [0] * n
-        for exps, _ in terms:
-            term = one
-            for v, e in zip(variables, exps):
-                if e:
-                    term = power(v, e) if term is one else mul(term, power(v, e))
-            total = [s ^ t for s, t in zip(total, term)]
-        return total
-
-    # row bits below log2(block) vary within a block; each higher one is constant
-    low, points = [_index_bit(b, block) for b in range(block.bit_length() - 1)], 0
-    for start in range(0, rows, block):
-        bits = low + [full if start >> b & 1 else 0 for b in range(len(low), n * (k - 1))]
-        variables = [bits[n * (k - 2 - i):n * (k - 1 - i)] for i in range(k - 1)]
-        if not row:  # c1 is 0: one square root of each rhs; or 1: y^2 + y = rhs
-            points += 2 * (block - trace(value(rhs)).bit_count()) if (1,) in dict(col) else block
-            continue
-        r, c1 = value(rhs), value(row[0][1])
+    def points(self, r, c1):
+        """The block's points, rhs r, c1 its planes or None for c1 = 1: a
+        row has one solution where c1 = 0 and else two or none as
+        Tr(r / c1^2) is 0 or 1, since y = c1 z turns y^2 + c1 y = r into
+        z^2 + z = r c1^-2 (Lidl-Niederreiter, Theorem 2.25).  c1^-2 is
+        (c1^(2^(n-1) - 1))^4, by `chain`, and Tr(a b) is the sum of
+        a_i Tr(x^i b), x^i b one shift and reduction after another."""
+        if c1 is None:  # y^2 + y = r
+            return 2 * (self.rows - self.trace(r).bit_count())
         nz = 0
         for plane in c1:
             nz |= plane
-        # y = c1 z turns y^2 + c1 y = r into z^2 + z = r c1^-2, where c1 != 0
-        beta, i = c1, 1  # beta = c1^(2^i - 1), i up to n - 1; over F_2, c1^4 = c1 = 1
-        for bit in bin(n - 1)[3:]:
-            beta, i = mul(square(beta, i), beta), 2 * i
-            if bit == "1":
-                beta, i = mul(square(beta), c1), i + 1
-        inverse = square(beta, 2)
+        # c1^(2^(n-1) - 1); over F_2 (n = 1), c1^4 = c1 = 1 where c1 != 0
+        inverse = self.frobenius(self.chain(c1, self.n - 1), 2)
         tr = 0  # Tr(r c1^-2), the sum of r_i Tr(x^i c1^-2)
         for plane in r:
-            tr ^= plane & trace(inverse)
+            tr ^= plane & self.trace(inverse)
             top = inverse.pop()
             inverse.insert(0, 0)
-            for j in taps:
+            for j in self.taps:
                 inverse[j] ^= top
-        points += block - nz.bit_count() + 2 * (nz & ~tr).bit_count()
+        return self.rows - nz.bit_count() + 2 * (nz & ~tr).bit_count()
+
+
+class _DigitPlanes(_Planes):
+    """F_3^n: a digit is two planes (h, l), bit r of l set where row r's
+    digit is 1 and of h where it is 2 (bitslicing over F_3: T. J. Boothby,
+    R. W. Bradshaw, arXiv:0901.1413).  An add is six big-int operations
+    (Y. Kawahara, K. Aoki, T. Takagi, Pairing 2008, LNCS 5209), a digit
+    product six more, and negation swaps h and l; a product is the n^2
+    schoolbook product, reduced by x^n = -(the modulus's lower terms); the
+    Frobenius, cubing, is a matrix of digits applied as adds."""
+
+    def __init__(self, spec, coeffs, rows):
+        super().__init__(spec, coeffs, rows)
+        n, full = self.n, self.full
+        self.spec, self.frobenius_rows = spec, {}
+        self.taps = [(j, -c % 3) for j, c in enumerate(spec.modulus[:n]) if c]
+        self.zero, self.one = [(0, 0)] * n, [(0, full)] + [(0, 0)] * (n - 1)
+        self.constants = ((0, 0), (0, full), (full, 0))
+
+    def row_digit(self, b):
+        return _index_digit(3, b, 2, self.rows), _index_digit(3, b, 1, self.rows)
+
+    def add(self, a, b):
+        out = []
+        for (xh, xl), (yh, yl) in zip(a, b):
+            t = (xl | yh) ^ (xh | yl)
+            out.append(((xl | yl) ^ t, (xh | yh) ^ t))
+        return out
+
+    def scale(self, a, c):
+        return a if c % 3 == 1 else [(l, h) for h, l in a]
+
+    def mul(self, a, b):
+        th, tl = [0] * (2 * self.n - 1), [0] * (2 * self.n - 1)
+        for i, (ah, al) in enumerate(a):
+            if ah | al:
+                for j, (bh, bl) in enumerate(b, i):
+                    yh, yl = al & bh | ah & bl, al & bl | ah & bh
+                    xh, xl = th[j], tl[j]
+                    t = (xl | yh) ^ (xh | yl)
+                    th[j], tl[j] = (xl | yl) ^ t, (xh | yh) ^ t
+        return self.reduce(th, tl)
+
+    def reduce(self, th, tl):
+        """The n digits of a polynomial of degree < 2n - 1, mod the modulus."""
+        n = self.n
+        for d in range(2 * n - 2, n - 1, -1):
+            if th[d] | tl[d]:
+                for j, c in self.taps:
+                    yh, yl = (th[d], tl[d]) if c == 1 else (tl[d], th[d])
+                    xh, xl = th[d - n + j], tl[d - n + j]
+                    t = (xl | yh) ^ (xh | yl)
+                    th[d - n + j], tl[d - n + j] = (xl | yl) ^ t, (xh | yh) ^ t
+        return list(zip(th[:n], tl[:n]))
+
+    def frobenius(self, a, b=1):
+        """a^(3^b): Frob^b is F_3-linear, the n x n matrix whose column j
+        is x^(3^b j) mod f, applied as adds."""
+        if b not in self.frobenius_rows:
+            x = self.spec.element((0, 1)) ** 3 ** b
+            cols, c = [], self.spec.one()
+            for _ in range(self.n):
+                cols.append(c.coeffs)
+                c = c * x
+            self.frobenius_rows[b] = [[(j, col[i]) for j, col in enumerate(cols) if col[i]]
+                                      for i in range(self.n)]
+        out = []
+        for row in self.frobenius_rows[b]:
+            zh = zl = 0
+            for j, c in row:
+                yh, yl = a[j] if c == 1 else a[j][::-1]
+                t = (zl | yh) ^ (zh | yl)
+                zh, zl = (zl | yl) ^ t, (zh | yh) ^ t
+            out.append((zh, zl))
+        return out
+
+    def points(self, r, c1):
+        """The block's points, rhs r, c1 its planes or None for a constant
+        c1: a row has 1 + chi(D) solutions, D = c1^2 + 4 c2 r = c1^2 + c2 r,
+        and chi(D) = D^((q - 1)/2) is the norm N(D) = D^(1 + 3 + ... +
+        3^(n - 1)) (`chain`), which lies in F_3."""
+        d = self.scale(r, self.coeffs[2])
+        if c1 is not None:
+            d = self.add(self.mul(c1, c1), d)
+        elif self.coeffs.get(1):  # c1^2 = 1
+            d = self.add(self.one, d)
+        (h, l), *rest = self.chain(d, self.n)
+        if any(xh | xl for xh, xl in rest):
+            raise AssertionError(f"internal error: a norm from F_3^{self.n} is not in F_3")
+        return self.rows + l.bit_count() - h.bit_count()
+
+
+def _plane_count(system: PolySystem, spec: FieldSpec) -> int:
+    """Points of one polynomial c2 y^2 + c1(x') y + c0(x'), c2 a constant
+    nonzero mod p, over F_p^n, p = 2 or 3, on planes (`_BitPlanes`,
+    `_DigitPlanes`), without numpy, a generator or any table of the field.
+
+    The R = q^(k - 1) rows are the tuples of the row variables, row r
+    holding the base-p digits of r, n to a variable, the first variable
+    highest, counted in blocks of B = min(R, p^b) rows, p^b the largest
+    power of p within PLANE_BLOCK_ROWS.  A row digit past log_p(B) is the
+    same on the whole block, a constant digit (bitslicing: E. Biham, FSE
+    1997).  For p = 2 and c1 = 0 every row has one solution, the square
+    root of its rhs = -c0."""
+    (rhs, col, row), = [_group_by_last(poly, spec.p) for poly in system.polys]
+    p, n, k = spec.p, spec.n, system.num_vars
+    coeffs = {j: c % p for (j,), c in col}
+    rows, top = spec.q ** (k - 1), n * (k - 1)
+    if p == 2 and not row and 1 not in coeffs:
+        return rows
+    depth = next(d for d in range(top, -1, -1) if p ** d <= PLANE_BLOCK_ROWS)
+    block = p ** depth
+    planes = (_BitPlanes if p == 2 else _DigitPlanes)(spec, coeffs, block)
+    # row digits below depth vary within a block; each higher one is constant
+    low, points = [planes.row_digit(b) for b in range(depth)], 0
+    for start in range(0, rows, block):
+        digits = low + [planes.constants[start // p ** b % p] for b in range(depth, top)]
+        variables = [digits[n * (k - 2 - i):n * (k - 1 - i)] for i in range(k - 1)]
+        points += planes.points(planes.value(rhs, variables),
+                                planes.value(row[0][1], variables) if row else None)
     return points
 
 
@@ -533,11 +694,13 @@ def _quadratic_in_last(polys) -> bool:
 def _count_fibre(system, spec, charge, workers, chunk_size) -> int:
     """The fibre plan's count, and its kernel rule, from p, the number of
     variables and the charge, the rows over the sequence's largest field:
-    p = 2 counts on bit planes (`_plane_count`); odd p in one variable, or
-    charged at most ARRAY_MIN_CHARGE rows, through codes (`_fibre_count`),
-    so that a sequence never pays for both its rows in Python and numpy's
-    import; any other on the arrays (`grid._Grid.fibre`)."""
-    if spec.p == 2:
+    p = 2 counts on bit planes, and p = 3 in two or more variables charged
+    at most DIGIT_PLANE_MAX_CHARGE rows on digit planes (`_plane_count`);
+    odd p in one variable (Euler's criterion), or p >= 5 charged at most
+    ARRAY_MIN_CHARGE rows, through codes (`_fibre_count`); any other on the
+    arrays (`grid._Grid.fibre`).  So a sequence never pays for both its
+    rows in Python and numpy's import."""
+    if spec.p == 2 or spec.p == 3 and system.num_vars > 1 and charge <= DIGIT_PLANE_MAX_CHARGE:
         return _plane_count(system, spec)
     if system.num_vars == 1 or charge <= ARRAY_MIN_CHARGE:
         return _fibre_count(system, spec)

@@ -687,13 +687,16 @@ NUMPY_FREE = {
     "motives.cli count --poly curve.txt --p 2 --n-max 21": PSPACE + ["motives.weil"],
     "motives.cli zeta --poly curve.txt --p 2 --genus 1": ZETA,
     "motives.cli predict --p 2 --n1 4 --poly curve.txt --n-max 12": PSPACE + ["motives.weil"],
+    # p = 3 on digit planes up to DIGIT_PLANE_MAX_CHARGE rows (F_3^9 was past the
+    # codes kernel's ARRAY_MIN_CHARGE); no trace mask, so no weil
+    "motives.cli count --poly curve.txt --p 3 --n-max 9": PSPACE,
 }
 NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
     # the product grid reads no trace mask, so it loads no weil
     "motives.cli count --poly curve.txt --p 2 --n-max 3 --method product":
         PSPACE + ["motives.grid"],
-    # F_3^9: odd p, the fibre plan's rows pass ARRAY_MIN_CHARGE
-    "motives.cli count --poly curve.txt --p 3 --n-max 9": PSPACE + ["motives.grid"],
+    # F_5^7: p >= 5, the fibre plan's rows pass ARRAY_MIN_CHARGE
+    "motives.cli count --poly curve.txt --p 5 --n-max 7": PSPACE + ["motives.grid"],
     "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
 }
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motives import grid, variety
-from motives.finite_field import enumerate_elements, is_prime, make_field, multiplicative_generator
+from motives.finite_field import (MAX_FIELD_SIZE, enumerate_elements, is_prime, make_field,
+                                  multiplicative_generator)
 from motives.grid import FieldTables
 from motives.variety import (
     CountSequence,
@@ -738,8 +739,8 @@ def test_a_plan_in_the_table_is_reached_by_name_and_by_auto_in_order(monkeypatch
 # the fibre plan: c2 y^2 + c1(x') y + c0(x'), one row at a time
 
 def _python_fibre(system, f):
-    """The fibre count without numpy: bit planes for p = 2, codes for odd p."""
-    return (variety._plane_count if f.p == 2 else variety._fibre_count)(system, f)
+    """The fibre count without numpy: planes for p = 2 and 3, codes for p >= 5."""
+    return (variety._plane_count if f.p <= 3 else variety._fibre_count)(system, f)
 
 
 @pytest.mark.parametrize("text, fields", [
@@ -764,9 +765,9 @@ def test_fibre_counts_match_the_product_grid(text, fields):
         want = _unreduced_count(system, f, 1 << 14)
         if f.q ** system.num_vars <= 729:
             assert want == naive_affine_count(system, f), (text, p, n)
-        if p == 2:  # bit planes; the arrays count odd p only
-            assert variety._plane_count(system, f) == want, (text, n)
-        else:
+        if p <= 3:  # bit and digit planes
+            assert variety._plane_count(system, f) == want, (text, p, n)
+        if p > 2:  # the arrays count odd p only
             for chunk_size in (1, 7, 1 << 14):
                 got = grid._Grid(system, f, chunk_size).fibre()
                 assert got == want, (text, p, n, chunk_size)
@@ -877,6 +878,78 @@ def test_bit_planes_match_weils_prediction(text, genus, top):
     assert counts == [weil.predict_projective_count(n) - 1 for n in range(1, top + 1)]
 
 
+def _digits_by_row(planes, rows):
+    """Each row's digits of an element held as (h, l) digit planes."""
+    assert not any(h & l for h, l in planes)
+    return [tuple(2 * (h >> r & 1) + (l >> r & 1) for h, l in planes) for r in range(rows)]
+
+
+def test_digit_plane_add_and_product_truth_tables():
+    # nine rows hold the nine pairs (x, y) of F_3, x the row's digit 1 and y
+    # its digit 0; one add, product and negation acts on all nine
+    planes = variety._DigitPlanes(make_field(3, 1), {2: 1}, 9)
+    x, y = [planes.row_digit(1)], [planes.row_digit(0)]
+    pairs = [divmod(r, 3) for r in range(9)]
+    assert _digits_by_row(x, 9) == [(a,) for a, _ in pairs]
+    assert _digits_by_row(y, 9) == [(b,) for _, b in pairs]
+    assert _digits_by_row(planes.add(x, y), 9) == [((a + b) % 3,) for a, b in pairs]
+    assert _digits_by_row(planes.mul(x, y), 9) == [(a * b % 3,) for a, b in pairs]
+    assert _digits_by_row(planes.scale(y, -1), 9) == [(-b % 3,) for _, b in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_digit_plane_norm_is_the_quadratic_character(n):
+    # row r holds the element of index r, so the planes hold all of F_3^n:
+    # products, powers, the Frobenius and the norm chain against FFElement
+    # powers; N(a) = a^((q - 1)/2), 0 or +-1 in F_3, is chi(a)
+    f = make_field(3, n)
+    planes = variety._DigitPlanes(f, {2: 1}, f.q)
+    a = [planes.row_digit(b) for b in range(n)]
+    els = [f.from_index(r) for r in range(f.q)]
+    assert _digits_by_row(a, f.q) == [e.coeffs for e in els]
+    frob = planes.frobenius(a)
+    assert _digits_by_row(planes.mul(a, frob), f.q) == [(e ** 4).coeffs for e in els]
+    for e in (2, 5, 7, f.q + 1):
+        assert _digits_by_row(planes.power(a, e), f.q) == [(x ** e).coeffs for x in els], e
+    for b in range(1, n + 1):
+        assert _digits_by_row(planes.frobenius(a, b), f.q) == [(e ** 3 ** b).coeffs for e in els]
+    norms = [(e ** ((f.q - 1) // 2)).coeffs for e in els]
+    assert set(norms) == {(d,) + (0,) * (n - 1) for d in range(3)}
+    assert _digits_by_row(planes.chain(a, n), f.q) == norms
+
+
+@pytest.mark.parametrize("text, top", [("y^2 + y - x^3 - x", 6),
+                                       ("y^2 + x*y + y - x^3 - x^2 - x", 6),
+                                       ("2*z^2 + x*y*z + x^3 - y", 4)])
+def test_digit_planes_across_blocks_of_nine_rows(text, top, monkeypatch):
+    # blocks of 9 rows, so every row digit past the second is a constant
+    # plane, as on blocks of 3^10 rows past F_3^10: the golden curve, the
+    # xy curve (c1 in x) and a surface with c2 = 2 and c1 = xy, against the
+    # arrays
+    system = parse_poly_system(text)
+    fields = [make_field(3, n) for n in range(1, top + 1)]
+    want = [grid._Grid(system, f, 1 << 14).fibre() for f in fields]
+    monkeypatch.setattr(variety, "PLANE_BLOCK_ROWS", 9)
+    assert [variety._plane_count(system, f) for f in fields] == want
+
+
+@pytest.mark.parametrize("text", ["y^2 + y - x^3 - x", "y^2 + x*y + y - x^3 - x^2 - x"])
+def test_digit_planes_match_the_arrays_to_f_3_12(text):
+    # one block of 3^10 rows at F_3^10, three at F_3^11 and nine at F_3^12
+    system = parse_poly_system(text)
+    for n in (10, 11, 12):
+        f = make_field(3, n)
+        assert variety._plane_count(system, f) == grid._Grid(system, f, 1 << 14).fibre(), n
+
+
+def test_a_norm_outside_f_3_is_refused(monkeypatch):
+    # the norm's digits past the first must be zero; a chain that gives x
+    # is an internal error, naming the field
+    monkeypatch.setattr(variety._DigitPlanes, "chain", lambda self, d, m: [(0, 0), (0, 1)])
+    with pytest.raises(AssertionError, match=r"^internal error: a norm from F_3\^2 is not in F_3$"):
+        variety._plane_count(CURVE, make_field(3, 2))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("counted by the wrong kernel")
 
@@ -925,14 +998,16 @@ print("numpy" in sys.modules, peak < 48 * 1024)
 
 
 @pytest.mark.parametrize("text, p, n, points", [("x^2 + 1", 3, 16, 2), ("x^2 + 1", 5, 11, 2),
-                                                ("y^2 + y - x^3 - x", 2, 26, 2 ** 26)],
-                         ids=["3-16", "5-11", "2-26"])
+                                                ("y^2 + y - x^3 - x", 2, 26, 2 ** 26),
+                                                ("y^2 + y - x^3 - x", 3, 12, 529983)],
+                         ids=["3-16", "5-11", "2-26", "3-12"])
 def test_one_variable_counts_build_no_field_tables(tmp_path, text, p, n, points):
     # x^2 + 1 over F_3^16 (43 million elements) and F_5^11 (49 million): -1
-    # is a square in F_5 and in F_3^n for even n, so both have two roots; and
-    # the golden curve to F_2^26, on bit planes in blocks of PLANE_BLOCK_ROWS
-    # rows.  No numpy, and a peak resident set under 48 MB, where the field
-    # tables took over 500 MB (285 MB for the golden curve)
+    # is a square in F_5 and in F_3^n for even n, so both have two roots; the
+    # golden curve to F_2^26, on bit planes in blocks of PLANE_BLOCK_ROWS
+    # rows, and to F_3^12, on digit planes in blocks of 3^10 rows.  No numpy,
+    # and a peak resident set under 48 MB, where the field tables took over
+    # 500 MB (285 MB for the golden curve to F_2^26, 35 MB to F_3^12)
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc")
     env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
@@ -948,35 +1023,39 @@ _BOUNDARY_PROBE = """import sys
 from motives import variety
 from motives.finite_field import make_field
 
-n = int(sys.argv[1])
+p, n, top = map(int, sys.argv[1:])
 curve = variety.parse_poly_system("y^2 + y - x^3 - x")
 sphere = variety.parse_poly_system("x^2 + y^2 + z^2 - 1")
 line = variety.parse_poly_system("x^2 + 1")
-print(variety.affine_count_sequence(curve, 3, n).counts[-1],
-      variety.count_affine(sphere, make_field(3, n // 2)),
-      variety.affine_count_sequence(line, 3, 16).counts[-1],
+print(variety.affine_count_sequence(curve, p, n).counts[-1],
+      variety.count_affine(sphere, make_field(p, n // 2)),
+      variety.affine_count_sequence(line, p, top).counts[-1],
       "numpy" in sys.modules)
-print(variety.affine_count_sequence(curve, 3, n + 1).counts[-1], "numpy" in sys.modules)
+print(variety.affine_count_sequence(curve, p, n + 1).counts[-1], "numpy" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("p", [3])
+@pytest.mark.parametrize("p", [3, 5])
 def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, p):
-    # odd p: the fibre plan counts without numpy while its rows, q^(k - 1)
-    # over the largest field, are at most ARRAY_MIN_CHARGE.  The curve to the
-    # last field within it (F_3^8), the sphere at the same charge (F_3^4) and
-    # one variable over the largest field run in pure Python; one field more
-    # loads numpy.  p = 2 counts on bit planes at every charge
-    n = 8
-    assert p ** n <= variety.ARRAY_MIN_CHARGE < p ** (n + 1)
+    # the fibre plan counts p = 3 on digit planes while its rows, q^(k - 1)
+    # over the largest field, are at most DIGIT_PLANE_MAX_CHARGE, and p = 5
+    # through codes while they are at most ARRAY_MIN_CHARGE.  The curve to
+    # the last field within the bound (F_3^12, F_5^6), the sphere at the same
+    # charge (F_3^6, F_5^3) and one variable over the largest field p has
+    # (F_3^16, F_5^11) run in pure Python; one field more loads numpy.  p = 2
+    # counts on bit planes at every charge
+    n, top = {3: (12, 16), 5: (6, 11)}[p]
+    bound = variety.DIGIT_PLANE_MAX_CHARGE if p == 3 else variety.ARRAY_MIN_CHARGE
+    assert p ** n <= bound < p ** (n + 1)
+    assert p ** top <= MAX_FIELD_SIZE < p ** (top + 1)
     assert variety.PLANS["fibre"].charge(p ** (n // 2), 3) == p ** n
-    assert variety.PLANS["fibre"].charge(p ** 16, 1) == 1
+    assert variety.PLANS["fibre"].charge(p ** top, 1) == 1
     env = dict(os.environ, PYTHONPATH=str(Path(variety.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, str(n)],
+    done = subprocess.run([sys.executable, "-c", _BOUNDARY_PROBE, str(p), str(n), str(top)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    golden = hasse_alpha(p, 3)
-    # x^2 + y^2 + z^2 = 1: q^2 + q chi(-1), and -1 is a square in F_81
+    golden = hasse_alpha(p, count_affine(CURVE, make_field(p, 1)))
+    # x^2 + y^2 + z^2 = 1: q^2 + q chi(-1), and -1 is a square in F_3^6 and F_5
     sphere = p ** n + p ** (n // 2)
     assert done.stdout == (f"{predict_affine_count(golden, n)} {sphere} 2 False\n"
                            f"{predict_affine_count(golden, n + 1)} True\n")
@@ -984,20 +1063,37 @@ def test_the_largest_charge_decides_whether_numpy_loads(tmp_path, p):
 
 def test_numpy_loaded_or_not_the_fibre_kernel_follows_from_the_charge(monkeypatch):
     # numpy is loaded here, and each count takes the kernel a fresh process
-    # takes: for odd p the codes while the rows over the largest field are at
-    # most ARRAY_MIN_CHARGE (the golden curve to F_3^8), the arrays past it
-    # (to F_3^9); p = 2 counts on bit planes at any charge
+    # takes: p = 3 in two variables the digit planes while the rows over the
+    # largest field are at most DIGIT_PLANE_MAX_CHARGE (the golden curve to
+    # F_3^12), the arrays past it (F_3^13); p = 5 the codes up to
+    # ARRAY_MIN_CHARGE (the xy curve to F_5^6), the arrays past it (F_5^7);
+    # p = 2 bit planes at any charge
     assert "numpy" in sys.modules
-    golden = tuple(predict_affine_count(hasse_alpha(3, 3), n) for n in range(1, 10))
+    golden = tuple(predict_affine_count(hasse_alpha(3, 3), n) for n in range(1, 14))
+    xy = parse_poly_system("y^2 + x*y + y - x^3 - x^2 - x")
     with monkeypatch.context() as m:
         m.setattr(grid, "_Grid", _refuse)
-        assert count_affine(CURVE, make_field(3, 8)) == golden[7]
-        assert affine_count_sequence(CURVE, 3, 8).counts == golden[:8]
-    with monkeypatch.context() as m:
         m.setattr(variety, "_fibre_count", _refuse)
-        assert count_affine(CURVE, make_field(3, 9)) == golden[8]
-        assert affine_count_sequence(CURVE, 3, 9).counts == golden
+        assert count_affine(CURVE, make_field(3, 12)) == golden[11]
+        assert affine_count_sequence(CURVE, 3, 12).counts == golden[:12]
+    with monkeypatch.context() as m:
+        m.setattr(variety, "_plane_count", _refuse)
+        m.setattr(variety, "_fibre_count", _refuse)
+        assert count_affine(CURVE, make_field(3, 13)) == golden[12]
+        assert affine_count_sequence(CURVE, 3, 13).counts == golden
+    xy_5 = tuple(predict_affine_count(hasse_alpha(5, count_affine(xy, make_field(5, 1))), n)
+                 for n in range(1, 8))
+    with monkeypatch.context() as m:
+        m.setattr(grid, "_Grid", _refuse)
+        m.setattr(variety, "_plane_count", _refuse)
+        assert affine_count_sequence(xy, 5, 6).counts == xy_5[:6]
+    with monkeypatch.context() as m:
+        m.setattr(variety, "_plane_count", _refuse)
+        m.setattr(variety, "_fibre_count", _refuse)
+        assert count_affine(xy, make_field(5, 7)) == xy_5[6]
+        assert affine_count_sequence(xy, 5, 7).counts == xy_5
     monkeypatch.setattr(grid, "_Grid", _refuse)
+    monkeypatch.setattr(variety, "_fibre_count", _refuse)
     assert count_affine(CURVE, make_field(2, 4)) == predict_affine_count(hasse_alpha(2, 4), 4)
     assert affine_count_sequence(CURVE, 2, 3).counts == tuple(
         predict_affine_count(hasse_alpha(2, 4), n) for n in (1, 2, 3))
