@@ -690,6 +690,8 @@ NUMPY_FREE = {
     # p = 3 on digit planes up to DIGIT_PLANE_MAX_CHARGE rows (F_3^9 was past the
     # codes kernel's ARRAY_MIN_CHARGE); no trace mask, so no weil
     "motives.cli count --poly curve.txt --p 3 --n-max 9": PSPACE,
+    # the explicit formula in pure Python up to explicit_formula.PY_MAX_CHARGE
+    "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
 }
 NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
     # the product grid reads no trace mask, so it loads no weil
@@ -697,7 +699,9 @@ NUMPY_PATHS = {  # the array paths, so that the probe itself can fail
         PSPACE + ["motives.grid"],
     # F_5^7: p >= 5, the fibre plan's rows pass ARRAY_MIN_CHARGE
     "motives.cli count --poly curve.txt --p 5 --n-max 7": PSPACE + ["motives.grid"],
-    "motives.cli pi --x-max 20 --K 13": CLI + ["motives.explicit_formula", "motives.finite_field"],
+    # past PY_MAX_CHARGE: 598 rows, 6 orders and 150 zeros charge about 17M
+    "motives.cli pi --x-max 600 --K 150":
+        CLI + ["motives.explicit_formula", "motives.finite_field", "motives.explicit_arrays"],
 }
 
 

@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
-from motives import explicit_formula as ef
+import motives
+from motives import explicit_arrays, explicit_formula as ef
 from motives.explicit_formula import (
     SIEVE_LIMIT,
     PrimeCounter,
@@ -126,6 +130,19 @@ def test_sieve_limit_refused_before_allocating():
         PrimeCounter.build(SIEVE_LIMIT + 1)
 
 
+def test_sieve_peaks_at_5_bytes_per_integer():
+    # byte flags, then int32 counts: 5 bytes per integer at the peak
+    tracemalloc.start()
+    try:
+        pc = PrimeCounter.build(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+    assert sieve_pi(10 ** 6, pc) == 78498
+    assert pc.pi_table.typecode == "i" and type(pc.pi_table[10 ** 6]) is int
+
+
 # ----------------------------------------------------------------------
 # mobius
 
@@ -143,13 +160,18 @@ def test_mobius_small_values():
 # logarithmic integral
 
 def test_tabled_rule_is_numpys_leggauss_bit_for_bit():
-    # the tabled nodes and weights, compared as bit patterns, with the
-    # dtype, shape and layout every `@ _WEIGHTS` product rounds with
+    # the tabled nodes and weights, compared as bit patterns: the arrays with
+    # the dtype, shape and layout every `@ _WEIGHTS` product rounds with, and
+    # the pure-Python kernel's float tuples
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    for tabled, want in [(ef._NODES, nodes), (ef._WEIGHTS, weights)]:
+    for tabled, want in [(explicit_arrays._NODES, nodes), (explicit_arrays._WEIGHTS, weights)]:
         assert (tabled.dtype, tabled.shape) == (np.float64, (16,))
         assert tabled.flags.c_contiguous
         assert tabled.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    for tabled, want in [(ef._NODES, nodes), (ef._WEIGHTS, weights)]:
+        assert type(tabled) is tuple and all(type(v) is float for v in tabled)
+        assert np.array(tabled).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert ef._RULE == tuple(zip(nodes.tolist(), weights.tolist()))
 
 
 def test_li_oracle_values():
@@ -348,7 +370,7 @@ def test_approximation_rows_li_is_li(zeros):
 def _smooth_term(y, gammas):
     """f(y) of the module docstring: li(y) minus the zero-pair terms,
     minus ln 2, plus the archimedean tail, on the blocks' code."""
-    return float(ef._smooth_terms(np.array([y]), np.asarray(gammas, dtype=float))[1][0])
+    return float(explicit_arrays._smooth_terms(np.array([y]), np.asarray(gammas, dtype=float))[1][0])
 
 
 def _evenly_spaced_zeros(count):
@@ -449,9 +471,17 @@ def test_riemann_approx_input_validation(zeros):
 
 
 def test_half_integer_grid():
-    g = half_integer_grid(2.0, 5.0)
-    assert list(g) == [2.5, 3.5, 4.5]
-    assert all(x != int(x) for x in g)
+    for lo, hi, want in [(2.0, 5.0, [2.5, 3.5, 4.5]), (2.5, 5.4, [2.5, 3.5, 4.5]),
+                         (2.6, 4.4, [3.5]), (3.0, 3.4, [])]:
+        g = half_integer_grid(lo, hi)
+        assert isinstance(g, array) and g.typecode == "d"
+        assert g.tolist() == want
+        assert all(x != int(x) for x in g)
+    # a half-integer hi is in [lo, hi], also from 16384.5 up, where
+    # hi + 1e-12 rounds to hi
+    for hi in (20.5, 16384.5, 1000000.5):
+        g = half_integer_grid(2.0, hi)
+        assert (g[0], g[-1], len(g)) == (2.5, hi, hi - 1.5)
 
 
 def test_smooth_term_combines_pieces(zeros):
@@ -498,7 +528,7 @@ def test_block_tail_against_mpmath():
     # so the block kernel is read directly, all six arguments in one block
     mp = pytest.importorskip("mpmath")
     ys = [2.0, 2.5, 50.0, 1500.0, 1e6, 1e7]
-    got = ef._chunked(ef._tail_from_2, np.array(ys), 16, buffers=2)
+    got = explicit_arrays._chunked(explicit_arrays._tail_from_2, np.array(ys), 16, buffers=2)
     with mp.workdps(30):
         for y, tail in zip(ys, got):
             want = mp.quad(lambda t: 1 / (t * (t * t - 1) * mp.log(t)), [y, 2 * y, mp.inf])
@@ -513,3 +543,81 @@ def test_archimedean_tail_against_mpmath(y):
         want = float(mp.quad(lambda t: 1 / (t * (t * t - 1) * mp.log(t)),
                              [y, 2 * y, mp.inf]))
     assert abs(archimedean_tail(y) - want) < 1e-9 * want
+
+
+# ----------------------------------------------------------------------
+# the two kernels
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("evaluated by the wrong kernel")
+
+
+def test_numpy_loaded_or_not_the_formula_kernel_follows_from_the_charge(monkeypatch, zeros):
+    # numpy is loaded here, and each grid takes the kernel a fresh process
+    # takes: pure Python up to PY_MAX_CHARGE (20/K13, rh_bound_ratio to 2000),
+    # the arrays past it (600/K150, rh_bound_ratio to 10^4)
+    assert "numpy" in sys.modules
+    pc = PrimeCounter.build(10 ** 4)
+    small = half_integer_grid(2.0, 20.0)
+    large = half_integer_grid(2.0, 600.0)
+    assert ef._charge(len(small), 20.0, 13) <= ef.PY_MAX_CHARGE
+    assert ef._charge(1998, 2000, 0) <= ef.PY_MAX_CHARGE < ef._charge(9998, 10 ** 4, 0)
+    assert ef._charge(len(large), 600.0, 150) > ef.PY_MAX_CHARGE
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "motives.explicit_arrays", None)
+        m.delattr(motives, "explicit_arrays")
+        rows = approximation_rows(small, zeros, 13, pc)
+        assert abs(rows[0][3] - ROWS_APPROX[13][0]) < 1e-12
+        assert abs(rows[8][3] - ROWS_APPROX[13][2]) < 1e-12
+        assert abs(rh_bound_ratio(2000, pc) - 0.3489825545627516) < 1e-9
+        with pytest.raises(ImportError):
+            approximation_rows(large, zeros, 150, pc)
+    with monkeypatch.context() as m:
+        m.setattr(ef, "_li_tail", _refuse)
+        m.setattr(ef, "_explicit", _refuse)
+        x, n_primes, li_x, approx = approximation_rows(large, zeros, 150, pc)[-1]
+        assert (x, n_primes) == (599.5, 109)
+        assert abs(li_x - 117.568341803519) < 1e-9 and abs(approx - 108.775015286632) < 1e-9
+        assert abs(rh_bound_ratio(10 ** 4, pc) - 0.3489825545627516) < 1e-9
+        with pytest.raises(AssertionError, match="wrong kernel"):
+            approximation_rows(small, zeros, 13, pc)
+
+
+def test_edge_tables_grow_once_under_threads(monkeypatch):
+    # threads that extend the shared edge tables at once leave them as one
+    # thread would: no entry lost, repeated or out of order
+    monkeypatch.setattr(ef, "_LI_EDGES", [])
+    monkeypatch.setattr(ef, "_TAIL_EDGES", [])
+    want = tuple(map(list, ef._at_edges(200)))
+    ef._LI_EDGES.clear()
+    ef._TAIL_EDGES.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ef._at_edges, args=(k,))
+                   for k in (50, 200, 120, 200, 7, 180, 200, 90)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (ef._LI_EDGES, ef._TAIL_EDGES) == want
+
+
+@pytest.mark.parametrize("K", [0, 13, 150])
+def test_both_kernels_agree(zeros, K):
+    # the pure-Python block kernel against the arrays, on the same blocks:
+    # measured, li within 1 ulp, approx within 7.1e-15 to 229.5 and within
+    # 2.1e-16 of li(x), 1 ulp, near 10^7
+    gammas = ef.zero_ordinates(zeros, K)
+    for xs, bound in [([k + 0.5 for k in range(2, 230)], lambda li_x: 1e-13),
+                      ([5e6 + 0.5, 2.0 ** 23, 2.0 ** 23 + 1.0, 2.0 ** 23 + 1.5, 9999990.5,
+                        9999999.5, 1e7], lambda li_x: 1e-15 * li_x)]:
+        li_py, approx_py = ef._explicit(xs, gammas)
+        li_np, approx_np = explicit_arrays.explicit(xs, gammas)
+        for a, b in zip(li_py, li_np):
+            assert abs(a - b) <= 4 * math.ulp(b)
+        for a, b, li_x in zip(approx_py, approx_np, li_np):
+            assert abs(a - b) <= bound(li_x)
